@@ -6,43 +6,38 @@ routes are provided and cross-checked: the discriminant-polynomial method,
 its gcd-factored refinement, and the older companion-polynomial method.
 """
 
-from .companion import (CompanionPolynomial, NonRealCompanionError,
-                        PowerDecomposition, ab, companion, monic_normalized,
-                        power_decomp, solve_companion)
+from .companion import (NonRealCompanionError, PowerDecomposition, ab,
+                        companion, monic_normalized, power_decomp,
+                        solve_companion)
 from .cpoly import ComplexPolynomial, gcd, gcd_many
-from .quaternion import (ComplexMatrix2, ComplexPair, ConjugacyClass,
-                         Quaternion, class_sample, embed_complex, same_class,
-                         sigma, split, unsplit)
+from .quaternion import ConjugacyClass, Quaternion, embed_complex, split
 from .roots import (NoConvergenceError, RootList, UnpairedRootError,
-                    all_roots, classify_real, polish_double, polish_multiples)
+                    all_roots, classify_real, polish_multiples)
 from .solver import (BothDenominatorsZeroError, DegreeError,
                      DerivedPolynomials, InexactDivisionError,
                      NonRealDiscriminantError, NormalizedPolynomial,
                      NotComplexCoefficientsError, SimplePolynomial,
-                     Tolerances, ZeroSet, classify_eta, derived, discriminant,
-                     factor_g, is_finite_zero_set, is_spherical_root,
-                     isolated_zero, normalize, solve_complex_coeffs,
-                     solve_discriminant, solve_factored)
+                     Tolerances, ZeroSet, derived, discriminant, factor_g,
+                     is_finite_zero_set, is_spherical_root, isolated_zero,
+                     normalize, solve_complex_coeffs, solve_discriminant,
+                     solve_factored)
 from .verify import (VerificationReport, ZeroSetDiff, audit, compare,
                      eval_qpoly, residual)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexMatrix2", "ComplexPair", "ComplexPolynomial",
-    "CompanionPolynomial", "ConjugacyClass", "DerivedPolynomials",
+    "ComplexPolynomial", "ConjugacyClass", "DerivedPolynomials",
     "NormalizedPolynomial", "PowerDecomposition", "Quaternion", "RootList",
     "SimplePolynomial", "Tolerances", "VerificationReport", "ZeroSet",
     "ZeroSetDiff",
     "BothDenominatorsZeroError", "DegreeError", "InexactDivisionError",
     "NoConvergenceError", "NonRealCompanionError", "NonRealDiscriminantError",
     "NotComplexCoefficientsError", "UnpairedRootError",
-    "ab", "all_roots", "audit", "class_sample", "classify_eta",
-    "classify_real", "companion", "compare", "derived", "discriminant",
-    "embed_complex", "eval_qpoly", "factor_g", "gcd", "gcd_many",
-    "is_finite_zero_set", "is_spherical_root", "isolated_zero",
-    "monic_normalized", "normalize", "polish_double", "polish_multiples",
-    "power_decomp", "residual", "same_class", "sigma", "solve_companion",
-    "solve_complex_coeffs", "solve_discriminant", "solve_factored", "split",
-    "unsplit",
+    "ab", "all_roots", "audit", "classify_real", "companion", "compare",
+    "derived", "discriminant", "embed_complex", "eval_qpoly", "factor_g",
+    "gcd", "gcd_many", "is_finite_zero_set", "is_spherical_root",
+    "isolated_zero", "monic_normalized", "normalize", "polish_multiples",
+    "power_decomp", "residual", "solve_companion", "solve_complex_coeffs",
+    "solve_discriminant", "solve_factored", "split",
 ]

@@ -48,19 +48,24 @@ def parse_problem(text: str):
     return _parse_rows(stripped)
 
 
+def _quaternion(row, what: str) -> Quaternion:
+    if not isinstance(row, (list, tuple)) or len(row) != 4:
+        raise ProblemError(
+            f"{what}: expected 4 components, got "
+            f"{len(row) if isinstance(row, (list, tuple)) else type(row).__name__}")
+    try:
+        comps = [float(x) for x in row]
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"{what}: {exc}") from exc
+    if not all(math.isfinite(x) for x in comps):
+        raise ProblemError(f"{what}: components must be finite")
+    return Quaternion(*comps)
+
+
 def _coeff_rows(rows):
     if not isinstance(rows, list) or len(rows) < 2:
         raise ProblemError("need at least 2 coefficient entries")
-    quats = []
-    for idx, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)) or len(row) != 4:
-            raise ProblemError(
-                f"coefficient {idx}: expected 4 components, got "
-                f"{len(row) if isinstance(row, (list, tuple)) else type(row).__name__}")
-        try:
-            quats.append(Quaternion(*(float(x) for x in row)))
-        except (TypeError, ValueError) as exc:
-            raise ProblemError(f"coefficient {idx}: {exc}") from exc
+    quats = [_quaternion(row, f"coefficient {idx}") for idx, row in enumerate(rows)]
     if abs(quats[-1]) == 0.0:
         raise ProblemError("last coefficient entry must be nonzero")
     return quats
@@ -98,14 +103,25 @@ def _parse_rows(text: str):
 
 
 def _parse_expected(doc) -> ZeroSet:
-    reals = [float(x) for x in doc.get("real", [])]
-    isolated = [Quaternion(*(float(x) for x in row))
-                for row in doc.get("isolated", [])]
-    classes = []
-    for entry in doc.get("spherical", []):
-        re = float(entry["re"])
-        mod = float(entry["modulus"])
-        classes.append(ConjugacyClass(complex(re, math.sqrt(max(mod * mod - re * re, 0.0)))))
+    if not isinstance(doc, dict):
+        raise ProblemError('"expected" must be an object')
+    try:
+        reals = [float(x) for x in doc.get("real", [])]
+        if not all(math.isfinite(x) for x in reals):
+            raise ValueError("real zeros must be finite")
+        isolated = [_quaternion(row, "isolated zero")
+                    for row in doc.get("isolated", [])]
+        classes = []
+        for entry in doc.get("spherical", []):
+            re = float(entry["re"])
+            mod = float(entry["modulus"])
+            if not abs(re) < mod < math.inf:
+                raise ValueError(f"sphere modulus {mod} must exceed |re| = {abs(re)}")
+            classes.append(ConjugacyClass(complex(re, math.sqrt(mod * mod - re * re))))
+    except KeyError as exc:
+        raise ProblemError(f"expected sphere lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"expected: {exc}") from exc
     return ZeroSet.build(reals, isolated, classes)
 
 
@@ -183,9 +199,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     tols = Tolerances(real=args.tol_real, zero=args.tol_zero, gcd=args.tol_gcd)
     try:
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        if args.samples_per_class < 1:
+            raise ProblemError("--samples-per-class must be at least 1")
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input) as fh:
+                text = fh.read()
         name, poly, expected = parse_problem(text)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ProblemError as exc:

@@ -14,27 +14,13 @@ from dataclasses import dataclass
 
 from .cpoly import ComplexPolynomial
 from .quaternion import ConjugacyClass, Quaternion, embed_complex
-from .roots import all_roots, classify_real, polish_multiples
+from .roots import classify_real, polished_roots
 from .solver import (DEFAULT_TOLS, DegreeError, SimplePolynomial, Tolerances,
                      ZeroSet)
 
 
 class NonRealCompanionError(ArithmeticError):
     """A companion coefficient kept an imaginary residue (arithmetic bug)."""
-
-
-@dataclass(frozen=True)
-class CompanionPolynomial:
-    """Real coefficients b_0 .. b_2n of the companion polynomial."""
-
-    b: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.b) - 1
-
-    def as_polynomial(self) -> ComplexPolynomial:
-        return ComplexPolynomial(self.b)
 
 
 @dataclass(frozen=True)
@@ -50,12 +36,13 @@ def monic_normalized(p: SimplePolynomial) -> SimplePolynomial:
     return p.left_scaled(p.coeffs[-1].inverse())
 
 
-def companion(p: SimplePolynomial, tol: float = 1e-10) -> CompanionPolynomial:
-    """b_k = sum_j conj(q_j) q_(k-j), real for any quaternion coefficients.
+def companion(p: SimplePolynomial, tol: float = 1e-10) -> ComplexPolynomial:
+    """The polynomial sum b_k x^k with b_k = sum_j conj(q_j) q_(k-j).
 
-    Requires the monic normalization (leading coefficient 1).  Raises
-    NonRealCompanionError if an imaginary residue survives, which would
-    signal broken quaternion arithmetic rather than bad input.
+    Every b_k is real for any quaternion coefficients.  Requires the monic
+    normalization (leading coefficient 1).  Raises NonRealCompanionError if
+    an imaginary residue survives, which would signal broken quaternion
+    arithmetic rather than bad input.
     """
     qn = p.coeffs[-1]
     if abs(qn - Quaternion(1.0)) > 1e-12:
@@ -73,7 +60,7 @@ def companion(p: SimplePolynomial, tol: float = 1e-10) -> CompanionPolynomial:
             raise NonRealCompanionError(
                 f"imaginary residue {s.vec_norm():.3e} in companion coefficient")
         b.append(s.a0)
-    return CompanionPolynomial(tuple(b))
+    return ComplexPolynomial(b)
 
 
 def power_decomp(x: Quaternion, n: int) -> PowerDecomposition:
@@ -113,9 +100,7 @@ def solve_companion(p: SimplePolynomial,
     if p.degree < 1:
         raise DegreeError("cannot solve a constant polynomial")
     pm = monic_normalized(p)
-    comp = companion(pm)
-    rl = polish_multiples(comp.as_polynomial(), all_roots(comp.as_polynomial()))
-    reals, pairs = classify_real(rl, tols.real)
+    reals, pairs = classify_real(polished_roots(companion(pm)), tols.real)
     real_zeros = [x for x, _ in reals]
     isolated: list[Quaternion] = []
     classes: list[ConjugacyClass] = []

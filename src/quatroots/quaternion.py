@@ -2,8 +2,7 @@
 
 A quaternion a0 + a1*i + a2*j + a3*k is also handled as a pair of complex
 numbers, (a0 + a1*i) + (a2 + a3*i)*j.  That decomposition is what lets the
-polynomial solvers move between quaternionic and complex arithmetic, and it
-is realised as a 2x2 complex matrix embedding for testing purposes.
+polynomial solvers move between quaternionic and complex arithmetic.
 
 Everything here is immutable and side-effect free.
 """
@@ -12,16 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-
-class ComplexPair(NamedTuple):
-    """The two complex components of q = z1 + z2*j."""
-
-    z1: complex
-    z2: complex
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +49,6 @@ class Quaternion:
         """Modulus of the imaginary (i, j, k) part."""
         return math.sqrt(self.a1 * self.a1 + self.a2 * self.a2 + self.a3 * self.a3)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.vec_norm() <= tol
-
     def __add__(self, other: Quaternion) -> Quaternion:
         if not isinstance(other, Quaternion):
             return NotImplemented
@@ -90,12 +78,8 @@ class Quaternion:
                               self.a2 * other, self.a3 * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        # real scalars commute with everything
-        if isinstance(other, (int, float)):
-            return Quaternion(self.a0 * other, self.a1 * other,
-                              self.a2 * other, self.a3 * other)
-        return NotImplemented
+    # only a non-quaternion left operand gets here: real scalars commute
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
@@ -128,7 +112,6 @@ class Quaternion:
         return "".join(parts) if parts else "0"
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
@@ -141,63 +124,9 @@ def embed_complex(c: complex) -> Quaternion:
     return Quaternion(c.real, c.imag, 0.0, 0.0)
 
 
-def split(q: Quaternion) -> ComplexPair:
+def split(q: Quaternion) -> tuple[complex, complex]:
     """Exact component reshuffle q -> (z1, z2) with q = z1 + z2*j."""
-    return ComplexPair(complex(q.a0, q.a1), complex(q.a2, q.a3))
-
-
-def unsplit(pair: ComplexPair) -> Quaternion:
-    """Inverse of split."""
-    return Quaternion(pair.z1.real, pair.z1.imag, pair.z2.real, pair.z2.imag)
-
-
-@dataclass(frozen=True, slots=True)
-class ComplexMatrix2:
-    """2x2 complex matrix; the target of the quaternion embedding."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    @classmethod
-    def identity(cls) -> ComplexMatrix2:
-        return cls(1 + 0j, 0j, 0j, 1 + 0j)
-
-    def __add__(self, other: ComplexMatrix2) -> ComplexMatrix2:
-        return ComplexMatrix2(self.m11 + other.m11, self.m12 + other.m12,
-                              self.m21 + other.m21, self.m22 + other.m22)
-
-    def __mul__(self, other: ComplexMatrix2) -> ComplexMatrix2:
-        return ComplexMatrix2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def det(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-
-def sigma(q: Quaternion) -> ComplexMatrix2:
-    """Algebra embedding q = z1 + z2*j  ->  [[z1, z2], [-conj(z2), conj(z1)]].
-
-    Multiplicative: sigma(p*q) = sigma(p)*sigma(q), and det(sigma(q)) = |q|^2.
-    """
-    z1, z2 = split(q)
-    return ComplexMatrix2(z1, z2, -z2.conjugate(), z1.conjugate())
-
-
-def same_class(u1: Quaternion, u2: Quaternion, tol: float = 1e-10) -> bool:
-    """Whether u1 and u2 are conjugate (a*u1*a^-1 = u2 for some a != 0).
-
-    Equivalent to equal real parts and equal moduli, tested relative to
-    max(1, |u1|, |u2|).
-    """
-    s = max(1.0, abs(u1), abs(u2))
-    return (abs(u1.re - u2.re) <= tol * s
-            and abs(abs(u1) - abs(u2)) <= tol * s)
+    return complex(q.a0, q.a1), complex(q.a2, q.a3)
 
 
 def _sphere_directions(n: int, seed: int = 0) -> list[tuple[float, float, float]]:
@@ -237,13 +166,6 @@ class ConjugacyClass:
             raise ValueError("a real number does not span a conjugacy sphere")
         return cls(complex(c.real, abs(c.imag)))
 
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> ConjugacyClass:
-        v = q.vec_norm()
-        if v == 0.0:
-            raise ValueError("a real quaternion does not span a conjugacy sphere")
-        return cls(complex(q.re, v))
-
     @property
     def re(self) -> float:
         return self.representative.real
@@ -253,6 +175,7 @@ class ConjugacyClass:
         return abs(self.representative)
 
     def contains(self, q: Quaternion, tol: float = 1e-10) -> bool:
+        """Whether q shares the members' real part and modulus, relative to max(1, |.|)."""
         s = max(1.0, self.modulus, abs(q))
         return (abs(q.re - self.re) <= tol * s
                 and abs(abs(q) - self.modulus) <= tol * s)
@@ -272,7 +195,3 @@ class ConjugacyClass:
     def __str__(self) -> str:
         return f"[Re {self.re:.12g}, |.| {self.modulus:.12g}]"
 
-
-def class_sample(cls: ConjugacyClass, n: int, seed: int = 0) -> list[Quaternion]:
-    """Functional alias for ConjugacyClass.sample."""
-    return cls.sample(n, seed)

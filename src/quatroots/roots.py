@@ -98,15 +98,12 @@ def _eval_state(c: np.ndarray, z: np.ndarray):
 
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """num/den with stuck points (den == 0) nudged instead of left to blow up."""
-    out = np.empty_like(num)
-    ok = den != 0
-    out[ok] = num[ok] / den[ok]
-    if not ok.all():
-        # critical point: take a small sideways step and let the next pass fix it
-        out[~ok] = 1e-6 * (1.0 + np.abs(z[~ok])) * np.exp(0.7j)
+    """num/den with stuck points (den == 0, overflow) nudged instead of left to blow up."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = num / den
     bad = ~np.isfinite(out)
     if bad.any():
+        # critical point: take a small sideways step and let the next pass fix it
         out[bad] = 1e-6 * (1.0 + np.abs(z[bad])) * np.exp(0.7j)
     return out
 
@@ -178,7 +175,7 @@ def _aberth(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _newton_polish(c: np.ndarray, z: np.ndarray, steps: int = 8) -> np.ndarray:
     """A few guarded Newton steps per root; keeps the best residual seen."""
     best = z.copy()
-    _, best_rel, _ = _eval_state(c, z)
+    best_rel = np.full(z.shape, np.inf)
     cur = z.copy()
     for _ in range(steps):
         corr, rel, _ = _eval_state(c, cur)
@@ -253,11 +250,10 @@ def all_roots(p: ComplexPolynomial) -> RootList:
     if len(c) > 1:
         z, conv = _aberth(c)
         z = _newton_polish(c, z)
-        corr, rel, _ = _eval_state(c, z)
+        corr, rel, scaled = _eval_state(c, z)
         if not conv.all():
             noise = 4.0 * len(c) * _EPS
             if not np.all((rel <= noise) | conv):
-                _, _, scaled = _eval_state(c, z)
                 raise NoConvergenceError(
                     f"{int((~conv).sum())} of {len(z)} roots unconverged after "
                     f"{MAX_ITERATIONS} iterations",
@@ -277,43 +273,12 @@ def all_roots(p: ComplexPolynomial) -> RootList:
 
 
 def _newton_refine(g: ComplexPolynomial, z0: complex) -> complex:
-    """Newton iteration on g from z0, keeping the best residual seen.
-
-    Returns z0 unchanged when no improvement is found.
-    """
+    """Newton on g from z0, keeping the best residual seen (z0 if g is constant)."""
     if g.degree < 1:
         return z0
-    gc = np.array(g.c, dtype=np.complex128)
-    noise = 4.0 * len(gc) * _EPS
-    z = np.array([z0], dtype=np.complex128)
-    best = complex(z0)
-    _, best_rel, _ = _eval_state(gc, z)
-    best_rel = float(best_rel[0])
-    for _ in range(60):
-        corr, rel, _ = _eval_state(gc, z)
-        if float(rel[0]) < best_rel:
-            best_rel = float(rel[0])
-            best = complex(z[0])
-        step = corr[0]
-        if not np.isfinite(step):
-            break
-        z = z - corr
-        if abs(step) <= STEP_REL * (1.0 + abs(z[0])) or float(rel[0]) <= noise:
-            break
-    _, rel, _ = _eval_state(gc, z)
-    if float(rel[0]) < best_rel:
-        best = complex(z[0])
-    return best
-
-
-def polish_double(p: ComplexPolynomial, z0: complex) -> complex:
-    """Refine an approximate double root by Newton on the derivative.
-
-    A double root of p is a simple root of p', so this reaches machine
-    precision where direct iteration on p stalls at the noise floor.
-    Falls back to z0 when no improvement is found.
-    """
-    return _newton_refine(p.derivative(), z0)
+    z = _newton_polish(np.array(g.c, dtype=np.complex128),
+                       np.array([z0], dtype=np.complex128), steps=60)
+    return complex(z[0])
 
 
 def polish_multiples(p: ComplexPolynomial, rl: RootList) -> RootList:
@@ -333,18 +298,26 @@ def polish_multiples(p: ComplexPolynomial, rl: RootList) -> RootList:
     return RootList(tuple(out), rl.source_degree)
 
 
-def classify_real(rl: RootList, tol_real: float = 1e-5):
-    """Split a real-coefficient polynomial's roots into reals and conjugate pairs.
+def polished_roots(p: ComplexPolynomial) -> RootList:
+    """all_roots(p) with its multiple roots refined by polish_multiples."""
+    return polish_multiples(p, all_roots(p))
 
-    Roots with |Im| < tol_real snap to their real part.  The rest must pair
-    off conjugately; each pair is averaged to (z + conj(z'))/2 and reported
-    once with positive imaginary part.  Raises UnpairedRootError when a
-    partner is missing, which signals root-finder failure upstream.
+
+def pair_conjugates(roots, tol_real: float = 1e-5):
+    """Split (value, multiplicity) roots into reals, conjugate pairs and the rest.
+
+    Roots with |Im| < tol_real snap to their real part.  Each root above the
+    real axis pairs with the nearest unused root below it whose conjugate
+    lies within tol_real*(1+|z|); the pair is averaged to (z + conj(z'))/2,
+    reported once with positive imaginary part, and carries the larger
+    multiplicity.  Roots left without a partner are returned as found.
+
+    Returns (reals, pairs, unpaired), each a sorted list of (value, m).
     """
     reals: list[tuple[float, int]] = []
     pos: list[tuple[complex, int]] = []
     neg: list[tuple[complex, int]] = []
-    for z, m in rl.roots:
+    for z, m in roots:
         if abs(z.imag) < tol_real:
             reals.append((z.real, m))
         elif z.imag > 0:
@@ -352,23 +325,34 @@ def classify_real(rl: RootList, tol_real: float = 1e-5):
         else:
             neg.append((z, m))
     pairs: list[tuple[complex, int]] = []
-    if pos or neg:
-        targets = np.array([v.conjugate() for v, _ in neg], dtype=np.complex128)
-        used = np.zeros(len(neg), dtype=bool)
-        for z, m in pos:
-            if len(neg) == 0:
-                raise UnpairedRootError(f"no conjugate partner for {z}")
-            dist = np.abs(targets - z)
-            dist[used] = np.inf
-            j = int(dist.argmin())
-            if dist[j] > tol_real * (1.0 + abs(z)):
-                raise UnpairedRootError(f"no conjugate partner for {z}")
-            used[j] = True
-            eta = 0.5 * (z + targets[j])
-            pairs.append((complex(eta.real, abs(eta.imag)), max(m, neg[j][1])))
-        if not used.all():
-            leftovers = [neg[j][0] for j in np.nonzero(~used)[0]]
-            raise UnpairedRootError(f"unpaired roots {leftovers}")
+    unpaired: list[tuple[complex, int]] = []
+    targets = np.array([v.conjugate() for v, _ in neg], dtype=np.complex128)
+    used = np.zeros(len(neg), dtype=bool)
+    for z, m in pos:
+        dist = np.abs(targets - z)
+        dist[used] = np.inf
+        j = int(dist.argmin()) if len(dist) else -1
+        if j < 0 or dist[j] > tol_real * (1.0 + abs(z)):
+            unpaired.append((z, m))
+            continue
+        used[j] = True
+        eta = 0.5 * (z + targets[j])
+        pairs.append((complex(eta.real, abs(eta.imag)), max(m, neg[j][1])))
+    unpaired.extend(neg[j] for j in np.nonzero(~used)[0])
     reals.sort(key=lambda rm: rm[0])
     pairs.sort(key=lambda pm: (pm[0].real, pm[0].imag))
+    unpaired.sort(key=lambda pm: (pm[0].real, pm[0].imag))
+    return reals, pairs, unpaired
+
+
+def classify_real(rl: RootList, tol_real: float = 1e-5):
+    """Split a real-coefficient polynomial's roots into reals and conjugate pairs.
+
+    pair_conjugates without leftovers: an unpaired root raises
+    UnpairedRootError, which signals root-finder failure upstream.
+    """
+    reals, pairs, unpaired = pair_conjugates(rl.roots, tol_real)
+    if unpaired:
+        raise UnpairedRootError(
+            f"no conjugate partner for {[z for z, _ in unpaired]}")
     return reals, pairs

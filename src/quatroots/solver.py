@@ -22,7 +22,7 @@ import numpy as np
 
 from .cpoly import ComplexPolynomial, TRIM_REL, gcd as poly_gcd, gcd_many
 from .quaternion import (ConjugacyClass, K, Quaternion, embed_complex, split)
-from .roots import all_roots, classify_real, polish_multiples
+from .roots import all_roots, classify_real, pair_conjugates, polished_roots
 
 
 class DegreeError(ValueError):
@@ -223,7 +223,14 @@ def discriminant(dp: DerivedPolynomials, tol: float = 1e-10) -> ComplexPolynomia
     Nonnegative on the real axis; a failed real-coefficient check means an
     arithmetic bug, not bad input.
     """
-    pt = dp.f1 * dp.f1bar + dp.f2 * dp.f2bar
+    return _norm_polynomial(dp.f1, dp.f1bar, dp.f2, dp.f2bar, tol)
+
+
+def _norm_polynomial(a: ComplexPolynomial, abar: ComplexPolynomial,
+                     b: ComplexPolynomial, bbar: ComplexPolynomial,
+                     tol: float) -> ComplexPolynomial:
+    """a*abar + b*bbar, which must come out real up to tol."""
+    pt = a * abar + b * bbar
     if not pt.is_real_coeffs(tol):
         raise NonRealDiscriminantError(
             f"imaginary residue {np.abs(pt.c.imag).max():.3e} exceeds tolerance")
@@ -244,47 +251,47 @@ def is_spherical_root(dp: DerivedPolynomials, eta: complex,
     return True
 
 
-# spec-facing name: classifies eta into the spherical (T1) or isolated (T2) set
-def classify_eta(dp: DerivedPolynomials, eta: complex,
-                 tol_zero: float = 1e-10) -> str:
-    return "T1" if is_spherical_root(dp, eta, tol_zero) else "T2"
-
-
-def _with_cross_term(w: complex, cross: complex) -> Quaternion:
+def _conj_side_zero(a: complex, b: complex, eta: complex) -> Quaternion:
+    """The zero on the sphere of eta from a = f1(conj eta), b = f2(conj eta), not both 0."""
+    d = abs(a) ** 2 + abs(b) ** 2
+    w = (abs(a) ** 2 * eta + abs(b) ** 2 * eta.conjugate()) / d
+    cross = (2.0 * b * a.conjugate() * eta.imag) / d
     # w + cross*k with both complex values embedded along the i axis
     return embed_complex(w) + embed_complex(cross) * K
+
+
+def _vanishing_denominator(f1: ComplexPolynomial, f2: ComplexPolynomial,
+                           eta: complex, rel: float) -> float:
+    """Denominators at or below this count as zero: (rel * scale of f at eta)^2."""
+    scale = max(f1.max_coeff(), f2.max_coeff(), 1.0) * max(1.0, abs(eta)) ** max(
+        f1.degree, f2.degree, 1)
+    return (rel * scale) ** 2
 
 
 def isolated_zero(dp: DerivedPolynomials, eta: complex) -> Quaternion:
     """The single zero lying on the conjugacy sphere of eta.
 
     Two equivalent closed forms exist, one evaluating f1, f2 at eta and one
-    at conj(eta); their denominators cannot both vanish, and the better
-    conditioned (larger) one is used.
+    at conj(eta); each is _conj_side_zero on its side of the sphere.  Their
+    denominators cannot both vanish, and the better conditioned (larger) one
+    is used.
     """
     ec = eta.conjugate()
     f1e, f2e = dp.f1(eta), dp.f2(eta)
     f1c, f2c = dp.f1(ec), dp.f2(ec)
     dplus = abs(f1e) ** 2 + abs(f2e) ** 2
     dminus = abs(f1c) ** 2 + abs(f2c) ** 2
-    scale = max(dp.f1.max_coeff(), dp.f2.max_coeff(), 1.0) * max(1.0, abs(eta)) ** max(
-        dp.f1.degree, dp.f2.degree, 1)
-    if max(dplus, dminus) <= (TRIM_REL * scale) ** 2:
+    if max(dplus, dminus) <= _vanishing_denominator(dp.f1, dp.f2, eta, TRIM_REL):
         raise BothDenominatorsZeroError(
             f"both denominators vanished at {eta}; classification bug")
-    im = eta.imag
     if dplus >= dminus:
-        w = (abs(f2e) ** 2 * eta + abs(f1e) ** 2 * ec) / dplus
-        cross = (-2.0 * f2e * f1e.conjugate() * im) / dplus
-    else:
-        w = (abs(f1c) ** 2 * eta + abs(f2c) ** 2 * ec) / dminus
-        cross = (2.0 * f2c * f1c.conjugate() * im) / dminus
-    return _with_cross_term(w, cross)
+        return _conj_side_zero(f1e, f2e, ec)
+    return _conj_side_zero(f1c, f2c, eta)
 
 
 def _isolated_zero_cofactor(g1: ComplexPolynomial, g2: ComplexPolynomial,
                             eta: complex) -> Quaternion:
-    """Isolated zero from the gcd cofactors, evaluated at conj(eta).
+    """Isolated zero from the gcd cofactors: the conj(eta) side of isolated_zero.
 
     Valid at eta exactly as listed by the factored route; the representative
     must not be flipped, since the common-factor cancellation underlying the
@@ -292,15 +299,19 @@ def _isolated_zero_cofactor(g1: ComplexPolynomial, g2: ComplexPolynomial,
     """
     ec = eta.conjugate()
     g1c, g2c = g1(ec), g2(ec)
-    d = abs(g1c) ** 2 + abs(g2c) ** 2
-    scale = max(g1.max_coeff(), g2.max_coeff(), 1.0) * max(1.0, abs(eta)) ** max(
-        g1.degree, g2.degree, 1)
-    if d <= (1e-12 * scale) ** 2:
+    if abs(g1c) ** 2 + abs(g2c) ** 2 <= _vanishing_denominator(g1, g2, eta, 1e-12):
         raise BothDenominatorsZeroError(
             f"cofactors both vanish at {ec}; gcd tolerance mismatch")
-    w = (abs(g2c) ** 2 * ec + abs(g1c) ** 2 * eta) / d
-    cross = (2.0 * g2c * g1c.conjugate() * eta.imag) / d
-    return _with_cross_term(w, cross)
+    return _conj_side_zero(g1c, g2c, eta)
+
+
+def _place_pair(dp: DerivedPolynomials, eta: complex, tol_zero: float,
+                isolated: list[Quaternion], classes: list[ConjugacyClass]) -> None:
+    """Record the sphere of eta if it consists of zeros, else its isolated zero."""
+    if is_spherical_root(dp, eta, tol_zero):
+        classes.append(ConjugacyClass.from_complex(eta))
+    else:
+        isolated.append(isolated_zero(dp, eta))
 
 
 def solve_discriminant(p: SimplePolynomial,
@@ -308,18 +319,12 @@ def solve_discriminant(p: SimplePolynomial,
     """Full solution set via the roots of the discriminant polynomial."""
     np_ = normalize(p)
     dp = derived(np_)
-    pt = discriminant(dp)
-    rl = polish_multiples(pt, all_roots(pt))
-    reals, pairs = classify_real(rl, tols.real)
-    real_zeros = [x for x, _ in reals]
+    reals, pairs = classify_real(polished_roots(discriminant(dp)), tols.real)
     isolated: list[Quaternion] = []
     classes: list[ConjugacyClass] = []
     for eta, _ in pairs:
-        if is_spherical_root(dp, eta, tols.zero):
-            classes.append(ConjugacyClass.from_complex(eta))
-        else:
-            isolated.append(isolated_zero(dp, eta))
-    return ZeroSet.build(real_zeros, isolated, classes, tols.dedup)
+        _place_pair(dp, eta, tols.zero, isolated, classes)
+    return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
 
 
 def factor_g(np_: NormalizedPolynomial, tol: float = 1e-8):
@@ -344,52 +349,6 @@ def factor_g(np_: NormalizedPolynomial, tol: float = 1e-8):
     raise InexactDivisionError("gcd does not divide the derived pair to tolerance")
 
 
-def _cofactor_discriminant(g1: ComplexPolynomial, g2: ComplexPolynomial,
-                           tol: float = 1e-10) -> ComplexPolynomial:
-    gt = g1 * g1.conj_coeffs() + g2 * g2.conj_coeffs()
-    if not gt.is_real_coeffs(tol):
-        raise NonRealDiscriminantError(
-            f"imaginary residue {np.abs(gt.c.imag).max():.3e} in cofactor discriminant")
-    return gt.real()
-
-
-def _classify_complex_root_values(values, tol_real: float):
-    """Split distinct complex roots into reals, conjugate-paired, unpaired.
-
-    Paired values are canonicalized to Im > 0 (averaged with the partner);
-    unpaired values are returned exactly as found.
-    """
-    reals: list[float] = []
-    nonreal: list[complex] = []
-    for v in values:
-        if abs(v.imag) < tol_real:
-            reals.append(v.real)
-        else:
-            nonreal.append(v)
-    paired: list[complex] = []
-    unpaired: list[complex] = []
-    consumed = [False] * len(nonreal)
-    arr = np.array(nonreal, dtype=np.complex128)
-    for i, v in enumerate(nonreal):
-        if consumed[i]:
-            continue
-        dist = np.abs(arr - v.conjugate())
-        dist[i] = np.inf
-        for j in np.nonzero(consumed)[0]:
-            dist[j] = np.inf
-        j = int(dist.argmin()) if len(nonreal) > 1 else i
-        if len(nonreal) > 1 and dist[j] <= tol_real * (1.0 + abs(v)):
-            consumed[i] = consumed[j] = True
-            zpos = v if v.imag > 0 else nonreal[j]
-            zneg = nonreal[j] if v.imag > 0 else v
-            eta = 0.5 * (zpos + zneg.conjugate())
-            paired.append(complex(eta.real, abs(eta.imag)))
-        else:
-            consumed[i] = True
-            unpaired.append(v)
-    return reals, paired, unpaired
-
-
 def solve_factored(p: SimplePolynomial,
                    tols: Tolerances = DEFAULT_TOLS) -> ZeroSet:
     """Solution set via the gcd factorization of the derived pair.
@@ -401,10 +360,11 @@ def solve_factored(p: SimplePolynomial,
     np_ = normalize(p)
     dp = derived(np_)
     g, g1, g2 = factor_g(np_, tols.gcd)
-    real_zeros: list[float] = []
+    g_roots = polished_roots(g).roots if g.degree >= 1 else ()
+    reals_g, paired_g, unpaired_g = pair_conjugates(g_roots, tols.real)
+    real_zeros = [x for x, _ in reals_g]
+    classes = [ConjugacyClass.from_complex(v) for v, _ in paired_g]
     isolated: list[Quaternion] = []
-    classes: list[ConjugacyClass] = []
-    g_values: list[complex] = []
 
     def emit(eta: complex) -> None:
         try:
@@ -412,35 +372,21 @@ def solve_factored(p: SimplePolynomial,
         except BothDenominatorsZeroError:
             # gcd artifact: fall back to classification by the full derived pair
             canon = eta if eta.imag > 0 else eta.conjugate()
-            if is_spherical_root(dp, canon, tols.zero):
-                classes.append(ConjugacyClass.from_complex(canon))
-            else:
-                isolated.append(isolated_zero(dp, canon))
+            _place_pair(dp, canon, tols.zero, isolated, classes)
 
-    if g.degree >= 1:
-        rg = polish_multiples(g, all_roots(g))
-        g_values = [v for v, _ in rg.roots]
-        reals_g, paired_g, unpaired_g = _classify_complex_root_values(
-            g_values, tols.real)
-        real_zeros.extend(reals_g)
-        classes.extend(ConjugacyClass.from_complex(v) for v in paired_g)
-    else:
-        unpaired_g = []
-
-    gt = _cofactor_discriminant(g1, g2)
+    gt = _norm_polynomial(g1, g1.conj_coeffs(), g2, g2.conj_coeffs(), 1e-10)
     if gt.degree >= 1:
-        rt = polish_multiples(gt, all_roots(gt))
-        treals, tpairs = classify_real(rt, tols.real)
+        treals, tpairs = classify_real(polished_roots(gt), tols.real)
         # a real root here can only be a gcd-tolerance artifact; it still
         # certifies a genuine real zero (both f1 and f2 vanish there)
         real_zeros.extend(x for x, _ in treals)
         for eta, _ in tpairs:
             if any(abs(eta - v) <= tols.dedup * (1.0 + abs(eta))
                    or abs(eta.conjugate() - v) <= tols.dedup * (1.0 + abs(eta))
-                   for v in g_values):
+                   for v, _ in g_roots):
                 continue
             emit(eta)
-    for eta in unpaired_g:
+    for eta, _ in unpaired_g:
         emit(eta)
     return ZeroSet.build(real_zeros, isolated, classes, tols.dedup)
 
@@ -460,13 +406,11 @@ def solve_complex_coeffs(p: SimplePolynomial,
                 "coefficients have j/k components; use a general solver")
     if p.degree < 1:
         raise DegreeError("cannot solve a constant polynomial")
-    cp = ComplexPolynomial([split(q).z1 for q in p.coeffs])
-    rl = polish_multiples(cp, all_roots(cp))
-    reals, paired, unpaired = _classify_complex_root_values(
-        [v for v, _ in rl.roots], tols.real)
-    classes = [ConjugacyClass.from_complex(v) for v in paired]
-    isolated = [embed_complex(v) for v in unpaired]
-    return ZeroSet.build(reals, isolated, classes, tols.dedup)
+    cp = ComplexPolynomial([split(q)[0] for q in p.coeffs])
+    reals, paired, unpaired = pair_conjugates(polished_roots(cp).roots, tols.real)
+    classes = [ConjugacyClass.from_complex(v) for v, _ in paired]
+    isolated = [embed_complex(v) for v, _ in unpaired]
+    return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
 
 
 def is_finite_zero_set(dp: DerivedPolynomials, tol_real: float = 1e-5,
@@ -476,8 +420,7 @@ def is_finite_zero_set(dp: DerivedPolynomials, tol_real: float = 1e-5,
     Equivalent to the common gcd of all four derived polynomials having no
     nonreal root.
     """
-    polys = [f for f in (dp.f1, dp.f2, dp.f1bar, dp.f2bar) if not f.is_zero]
-    common = gcd_many(polys, tol_gcd)
+    common = gcd_many((dp.f1, dp.f2, dp.f1bar, dp.f2bar), tol_gcd)
     if common.degree < 1:
         return True
     rl = all_roots(common)

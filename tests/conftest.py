@@ -62,3 +62,9 @@ def corpus_solutions(random_corpus):
 
 def qapprox(a: Quaternion, b: Quaternion, tol: float = 1e-10) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def sigma(q: Quaternion) -> np.ndarray:
+    """Embedding q = z1 + z2*j -> [[z1, z2], [-conj(z2), conj(z1)]], an oracle for q * p."""
+    z1, z2 = complex(q.a0, q.a1), complex(q.a2, q.a3)
+    return np.array([[z1, z2], [-z2.conjugate(), z1.conjugate()]])

@@ -13,14 +13,14 @@ import numpy as np
 
 from quatroots.companion import (ab, companion, monic_normalized,
                                  power_decomp, solve_companion)
-from quatroots.quaternion import ONE, Quaternion, sigma
+from quatroots.quaternion import ONE, Quaternion
 from quatroots.roots import _aberth, _newton_polish, all_roots, polish_multiples
 from quatroots.solver import (SimplePolynomial, derived, discriminant,
                               normalize, solve_complex_coeffs,
                               solve_discriminant, solve_factored)
 from quatroots.verify import audit, compare, eval_qpoly
 
-from conftest import SQRT2_2
+from conftest import SQRT2_2, sigma
 
 ALGORITHMS = {
     "discriminant": solve_discriminant,
@@ -97,7 +97,7 @@ def test_criterion_3_degree6_golden(degree6_mixed):
         disc = discriminant(derived(normalize(degree6_mixed)))
         comp = companion(monic_normalized(degree6_mixed))
         assert disc.degree == 12 and comp.degree == 12
-        for got in (np.real(disc.c[::-1]), np.array(comp.b[::-1])):
+        for got in (np.real(disc.c[::-1]), np.real(comp.c[::-1])):
             assert np.max(np.abs(got - np.array(ints_desc))) <= 1e-10
 
 
@@ -196,7 +196,7 @@ def test_criterion_7_structural_bounds_corpus(corpus_solutions):
             for k, ck in enumerate(np.abs(disc.c)):
                 majorant = majorant + ck * np.abs(ts) ** k
             assert np.all(vals >= -1e-8 * np.maximum(majorant, 1.0))
-            comp = companion(monic_normalized(p)).as_polynomial()
+            comp = companion(monic_normalized(p))
             a = np.real(comp.c) / np.real(comp.c[-1])
             b = np.real(disc.c) / np.real(disc.c[-1])
             assert len(a) == len(b)
@@ -214,11 +214,7 @@ def test_criterion_8_algebra_suite():
         for _ in range(1000):
             p, q = rand_q(10), rand_q(10)
             s = max(1.0, abs(p) * abs(q))
-            sp, sq, spq = sigma(p), sigma(q), sigma(p * q)
-            prod = sp * sq
-            for a, b in zip((spq.m11, spq.m12, spq.m21, spq.m22),
-                            (prod.m11, prod.m12, prod.m21, prod.m22)):
-                assert abs(a - b) <= 1e-12 * s
+            assert np.abs(sigma(p * q) - sigma(p) @ sigma(q)).max() <= 1e-12 * s
             assert abs(abs(p * q) - abs(p) * abs(q)) <= 1e-12 * s
 
         for _ in range(1000):

@@ -96,6 +96,38 @@ class TestExitCodes:
         assert "solver error" in capsys.readouterr().err
 
 
+CUBIC_ROWS = '[[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]'
+
+
+@pytest.mark.parametrize("text, flags", [
+    ('{"coefficients": [[NaN, 0, 0, 0], [1, 0, 0, 0]]}', []),
+    ('{"coefficients": [[1, 0, 0, 0], [0, Infinity, 0, 0]]}', []),
+    ('[[1, 0, 0, 0], [0, 0, -Infinity, 1]]', []),
+    ("nan 0 0 0\n1 0 0 0", []),
+    ("1 0 0 0; 0 0 inf 0", []),
+    ('{"coefficients": %s, "expected": {"spherical": [{"re": 0.0}]}}' % CUBIC_ROWS, []),
+    ('{"coefficients": %s, "expected": [[-1.0]]}' % CUBIC_ROWS, []),
+    ('{"coefficients": %s, "expected": {"spherical": [{"re": 2.0, "modulus": 1.0}]}}'
+     % CUBIC_ROWS, []),
+    ('{"coefficients": %s, "expected": {"spherical": [{"re": 0.0, "modulus": NaN}]}}'
+     % CUBIC_ROWS, []),
+    ('{"coefficients": %s, "expected": {"isolated": [[1, 2]]}}' % CUBIC_ROWS, []),
+    ('{"coefficients": %s, "expected": {"real": "-1"}}' % CUBIC_ROWS, []),
+    ('{"coefficients": %s, "expected": {"spherical": [[0.0, 1.0]]}}' % CUBIC_ROWS, []),
+    (CUBIC_ROWS, ["--samples-per-class", "0"]),
+    (CUBIC_ROWS, ["--samples-per-class", "-3"]),
+], ids=["json-nan", "json-infinity", "json-list-minus-infinity", "text-nan",
+        "text-inf", "sphere-without-modulus", "expected-as-list",
+        "modulus-below-re", "modulus-nan", "isolated-short-row",
+        "real-not-a-list", "sphere-as-list", "zero-samples", "negative-samples"])
+def test_bad_input_is_a_parse_error(tmp_path, capsys, text, flags):
+    path = write(tmp_path, text, name="bad.txt")
+    assert main([path, *flags]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: ")
+    assert captured.out == ""
+
+
 class TestJsonOutput:
     def test_round_trip_reaudit(self, tmp_path, capsys):
         code = main([write(tmp_path, CUBIC_IJK), "--algorithm", "compare",

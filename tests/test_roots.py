@@ -7,7 +7,7 @@ import pytest
 from quatroots.cpoly import ComplexPolynomial
 from quatroots.roots import (NoConvergenceError, RootList, UnpairedRootError,
                              _cluster, all_roots, classify_real,
-                             polish_double, polish_multiples)
+                             pair_conjugates, polish_multiples)
 
 # the machine-computed roots of the degree-12 discriminant of the
 # degree-6 test case, as produced by a general-purpose solver
@@ -180,22 +180,77 @@ class TestClassifyReal:
         with pytest.raises(UnpairedRootError):
             classify_real(rl)
 
+    def test_leftover_below_the_axis_raises(self):
+        rl = RootList(((1 + 1j, 1), (1 - 1j, 1), (3 - 2j, 1)), 3)
+        with pytest.raises(UnpairedRootError):
+            classify_real(rl)
+
+
+class TestPairConjugates:
+    def test_complex_coefficients_keep_unpaired_roots(self):
+        # (t - i)(t - 2)(t^2 + 4): the root i has no conjugate twin
+        p = (ComplexPolynomial([-1j, 1]) * ComplexPolynomial([-2, 1])
+             * ComplexPolynomial([4, 0, 1]))
+        reals, pairs, unpaired = pair_conjugates(all_roots(p).roots)
+        assert len(reals) == 1 and abs(reals[0][0] - 2) <= 1e-10
+        assert len(pairs) == 1 and abs(pairs[0][0] - 2j) <= 1e-10
+        assert len(unpaired) == 1 and abs(unpaired[0][0] - 1j) <= 1e-10
+
+    def test_unpaired_values_are_returned_as_found(self):
+        roots = ((0.5 - 3j, 2), (1 + 1j, 1), (1 - 1j, 1))
+        _, pairs, unpaired = pair_conjugates(roots)
+        assert pairs == [(1 + 1j, 1)]
+        assert unpaired == [(0.5 - 3j, 2)]
+
+    def test_pair_carries_the_larger_multiplicity(self):
+        roots = ((2 + 1j, 1), (2 - 1j, 3))
+        assert pair_conjugates(roots)[1] == [(2 + 1j, 3)]
+        assert pair_conjugates(roots[::-1])[1] == [(2 + 1j, 3)]
+
+    def test_pair_is_averaged_across_the_axis(self):
+        _, pairs, _ = pair_conjugates(((1 + 1e-7 + 1j, 1), (1 - (1 + 2e-7) * 1j, 1)))
+        assert len(pairs) == 1
+        assert abs(pairs[0][0] - (1 + 5e-8 + (1 + 1e-7) * 1j)) <= 1e-15
+
+    def test_same_half_plane_never_pairs(self):
+        # conj(z) is within tol_real * (1 + |z|) of w, but both lie above the axis
+        z, w = 100 + 1e-5j, 100 + 2e-5j
+        assert abs(w - z.conjugate()) <= 1e-5 * (1 + abs(z))
+        _, pairs, unpaired = pair_conjugates(((z, 1), (w, 1)))
+        assert pairs == []
+        assert unpaired == [(z, 1), (w, 1)]
+
+    def test_each_partner_is_used_once(self):
+        roots = ((1 + 1j, 1), (1 + 1j + 1e-9, 1), (1 - 1j, 1))
+        _, pairs, unpaired = pair_conjugates(roots)
+        assert len(pairs) == 1 and len(unpaired) == 1
+
+    def test_near_real_roots_snap_to_real(self):
+        reals, pairs, unpaired = pair_conjugates(((3 + 1e-6j, 2), (-1 - 1e-7j, 1)))
+        assert reals == [(-1.0, 1), (3.0, 2)]
+        assert pairs == [] and unpaired == []
+
+
+def double_polished(p: ComplexPolynomial, z0: complex) -> complex:
+    """polish_multiples on a single double root z0 of p."""
+    return polish_multiples(p, RootList(((z0, 2),), 2)).roots[0][0]
+
 
 class TestPolishDouble:
     def test_perturbed_double_real(self):
         p = ComplexPolynomial([1, -2, 1])
-        assert abs(polish_double(p, 1.0000001) - 1.0) <= 1e-12
+        assert abs(double_polished(p, 1.0000001) - 1.0) <= 1e-12
 
     def test_contaminated_double_at_i(self):
         # contamination pattern seen in practice for (t^2+1)^2
         p = ComplexPolynomial([1, 0, 2, 0, 1])
         z0 = 0.0000000000161 + 1.0000000085j
-        assert abs(polish_double(p, z0) - 1j) <= 1e-12
+        assert abs(double_polished(p, z0) - 1j) <= 1e-12
 
     def test_against_newton_oracle(self):
         # (t-2)^2 (t+1) = t^3 - 3 t^2 + 4
         p = ComplexPolynomial([4, 0, -3, 1])
-        got = polish_double(p, 2 + 1e-7)
+        got = double_polished(p, 2 + 1e-7)
         # brute-force oracle: plain Newton on the derivative 3t^2 - 6t
         z = 2 + 1e-7
         for _ in range(100):
@@ -206,7 +261,7 @@ class TestPolishDouble:
     def test_falls_back_on_nonsense_start(self):
         # derivative is constant: no refinement possible, z0 returned
         p = ComplexPolynomial([1, 1])
-        assert polish_double(p, 5.0) == 5.0
+        assert double_polished(p, 5.0) == 5.0
 
     def test_polish_multiples_only_touches_multiples(self):
         p = ComplexPolynomial([1, -2, 1]) * ComplexPolynomial([-3, 1])

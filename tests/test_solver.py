@@ -12,7 +12,7 @@ from quatroots.solver import (BothDenominatorsZeroError, DegreeError,
                               DerivedPolynomials, InexactDivisionError,
                               NormalizedPolynomial,
                               NotComplexCoefficientsError, SimplePolynomial,
-                              ZeroSet, classify_eta, derived, discriminant,
+                              ZeroSet, derived, discriminant,
                               factor_g, is_finite_zero_set, is_spherical_root,
                               isolated_zero, normalize, solve_complex_coeffs,
                               solve_discriminant, solve_factored)
@@ -122,16 +122,15 @@ class TestDiscriminant:
 class TestClassifyEta:
     def test_cubic_ijk_at_i_is_isolated(self, cubic_ijk):
         dp = derived(normalize(cubic_ijk))
-        assert classify_eta(dp, 1j) == "T2"
         assert not is_spherical_root(dp, 1j)
 
     def test_cubic_real_at_i_is_spherical(self, cubic_real):
         dp = derived(normalize(cubic_real))
-        assert classify_eta(dp, 1j) == "T1"
+        assert is_spherical_root(dp, 1j)
 
     def test_degree6_at_i_is_spherical(self, degree6_mixed):
         dp = derived(normalize(degree6_mixed))
-        assert classify_eta(dp, 1j) == "T1"
+        assert is_spherical_root(dp, 1j)
 
 
 class TestIsolatedZero:
