@@ -16,6 +16,8 @@ whose coefficients are all complex (or all real).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +83,16 @@ class SimplePolynomial:
     """q_n x^n + ... + q_1 x + q_0 with quaternion coefficients on the left.
 
     Coefficients are stored constant-term first; trailing (leading-power)
-    coefficients that are relatively zero are trimmed away.
+    coefficients that are relatively zero are trimmed away.  A NaN or
+    infinite component raises ValueError.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         qs = [_as_quaternion(c) for c in coeffs]
+        if not all(math.isfinite(x) for q in qs for x in q.components()):
+            raise ValueError("coefficients must be finite")
         top = max((abs(q) for q in qs), default=0.0)
         if top == 0.0:
             raise ValueError("the zero polynomial is not a valid input")
@@ -168,8 +173,11 @@ class ZeroSet:
                 cl.append(c)
         iso: list[Quaternion] = []
         for q in sorted(isolated, key=lambda q: q.components()):
-            s = max(1.0, abs(q))
-            if any(abs(q - r) <= dedup * s for r in iso):
+            near = dedup * max(1.0, abs(q))
+            # kept zeros are sorted by a0 and |q - r| >= |q.a0 - r.a0|, so
+            # only the band of r with a0 this close to q.a0 can be duplicates
+            lo = bisect_left(iso, True, key=lambda r: abs(Quaternion(q.a0 - r.a0)) <= near)
+            if any(abs(q - iso[k]) <= near for k in range(lo, len(iso))):
                 continue
             if any(c.contains(q, dedup) for c in cl):
                 continue
@@ -358,7 +366,6 @@ def solve_factored(p: SimplePolynomial,
     discriminant g1*conj(g1) + g2*conj(g2), skipping roots already seen in g.
     """
     np_ = normalize(p)
-    dp = derived(np_)
     g, g1, g2 = factor_g(np_, tols.gcd)
     g_roots = polished_roots(g).roots if g.degree >= 1 else ()
     reals_g, paired_g, unpaired_g = pair_conjugates(g_roots, tols.real)
@@ -372,7 +379,7 @@ def solve_factored(p: SimplePolynomial,
         except BothDenominatorsZeroError:
             # gcd artifact: fall back to classification by the full derived pair
             canon = eta if eta.imag > 0 else eta.conjugate()
-            _place_pair(dp, canon, tols.zero, isolated, classes)
+            _place_pair(derived(np_), canon, tols.zero, isolated, classes)
 
     gt = _norm_polynomial(g1, g1.conj_coeffs(), g2, g2.conj_coeffs(), 1e-10)
     if gt.degree >= 1:

@@ -2,36 +2,78 @@
 
 eval_qpoly evaluates the original quaternionic polynomial by accumulating
 powers with plain quaternion multiplication; it shares no code with the
-solver pipelines beyond the multiplication itself, so it serves as the
-acceptance oracle for every solver route.
+solver pipelines, so it serves as the acceptance oracle for every solver
+route.  audit runs the same arithmetic on all its points at once, one numpy
+row per point, with the terms in the order Quaternion.__mul__ uses, so a
+batched residual equals the one-point residual bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .quaternion import Quaternion
 from .solver import DEFAULT_TOLS, SimplePolynomial, Tolerances, ZeroSet
 
 
+def _mul(p, q):
+    """Row-wise p * q of component 4-tuples, in Quaternion.__mul__'s term order."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """|q| over the last axis of (..., 4) components, as abs(Quaternion) computes it."""
+    a0, a1, a2, a3 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    return np.sqrt(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3)
+
+
+def _components(qs) -> np.ndarray:
+    return np.array([q.components() for q in qs], dtype=float).reshape(-1, 4)
+
+
+def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
+    """p(z) = sum q_j z^j for every row of the (k, 4) components z.
+
+    Overflow gives inf or nan silently, as in Python float arithmetic.
+    """
+    zs = tuple(z.T)
+    acc = Quaternion(1.0).components()
+    total = tuple(np.full(len(z), c) for c in p.coeffs[0].components())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in p.coeffs[1:]:
+            acc = _mul(acc, zs)
+            total = tuple(t + u for t, u in zip(total, _mul(q.components(), acc)))
+    return np.stack(total, axis=-1)
+
+
 def eval_qpoly(p: SimplePolynomial, z: Quaternion) -> Quaternion:
-    """p(z) = sum q_j z^j by repeated quaternion multiplication."""
-    acc = Quaternion(1.0)
-    total = p.coeffs[0]
-    for q in p.coeffs[1:]:
-        acc = acc * z
-        total = total + q * acc
-    return total
+    """p(z) = sum q_j z^j by repeated quaternion multiplication.
+
+    This is audit's batched evaluator run on the single point z.
+    """
+    return Quaternion(*_eval_rows(p, _components([z]))[0].tolist())
 
 
 def residual(p: SimplePolynomial, z: Quaternion) -> float:
     return abs(eval_qpoly(p, z))
 
 
+def _bound(accept: float, coeff_sum: float, norm: float, degree: int) -> float:
+    # Python's ** raises OverflowError where numpy would give a silent inf
+    return accept * coeff_sum * max(1.0, norm) ** degree
+
+
 def residual_limit(p: SimplePolynomial, z: Quaternion, accept: float) -> float:
     """Acceptance bound accept * sum|q_i| * max(1, |z|)^degree."""
-    s = sum(abs(q) for q in p.coeffs)
-    return accept * s * max(1.0, abs(z)) ** p.degree
+    return _bound(accept, sum(abs(q) for q in p.coeffs), abs(z), p.degree)
 
 
 @dataclass(frozen=True)
@@ -69,7 +111,8 @@ class VerificationReport:
 
     @property
     def residuals_ok(self) -> bool:
-        return all(r <= limit for _, r, limit in self.entries)
+        # an overflowed (inf) bound certifies nothing, not even a finite residual
+        return all(r <= limit < math.inf for _, r, limit in self.entries)
 
     @property
     def passed(self) -> bool:
@@ -86,61 +129,88 @@ def audit(p: SimplePolynomial, zs: ZeroSet, tols: Tolerances = DEFAULT_TOLS,
     Also checks the structural bounds: at most degree-many zero classes in
     total and at most floor(degree/2) spheres.
     """
-    entries: list[tuple[str, float, float]] = []
+    labels: list[str] = []
+    points: list[Quaternion] = []
     for x in zs.real_zeros:
-        z = Quaternion(x)
-        entries.append((f"real {x:.12g}", residual(p, z),
-                        residual_limit(p, z, tols.accept)))
+        labels.append(f"real {x:.12g}")
+        points.append(Quaternion(x))
     for q in zs.isolated_zeros:
-        entries.append((f"isolated {q}", residual(p, q),
-                        residual_limit(p, q, tols.accept)))
+        labels.append(f"isolated {q}")
+        points.append(q)
     for cls in zs.spherical:
         for t, member in enumerate(cls.sample(samples_per_class)):
-            entries.append((f"sphere {cls} member {t}", residual(p, member),
-                            residual_limit(p, member, tols.accept)))
+            labels.append(f"sphere {cls} member {t}")
+            points.append(member)
+    z = _components(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = _norms(_eval_rows(p, z)).tolist()
+        norms = _norms(z).tolist()
+    coeff_sum = sum(abs(q) for q in p.coeffs)
+    entries = tuple((label, r, _bound(tols.accept, coeff_sum, norm, p.degree))
+                    for label, r, norm in zip(labels, residuals, norms))
     n = p.degree
     bounds_ok = (zs.class_count() <= n
                  and len(zs.spherical) <= n // 2
                  and len(zs.real_zeros) <= n)
     max_residual = max((r for _, r, _ in entries), default=0.0)
-    return VerificationReport(tuple(entries), max_residual, bounds_ok)
+    return VerificationReport(entries, max_residual, bounds_ok)
 
 
-def _greedy_match(left, right, dist, tol):
-    """Greedy global-minimum matching; returns unmatched items per side."""
-    left = list(left)
-    right = list(right)
-    lu = set(range(len(left)))
-    ru = set(range(len(right)))
-    while lu and ru:
-        best = None
-        for i in lu:
-            for j in ru:
-                d = dist(left[i], right[j])
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        d, i, j = best
-        if d > tol(left[i], right[j]):
-            break
-        lu.discard(i)
-        ru.discard(j)
-    return [left[i] for i in sorted(lu)], [right[j] for j in sorted(ru)]
+def _unmatched(left, right, dist: np.ndarray, tol: np.ndarray):
+    """Greedy global-minimum matching; returns unmatched items per side.
+
+    Each step matches the closest pair of unmatched items, the smallest
+    (i, j) on ties, and stops at the first such pair farther apart than its
+    tolerance.  Walking all pairs once in (distance, i, j) order and skipping
+    those with a matched side makes the same steps in O(nm log nm).  A NaN
+    distance sorts last and never matches.
+    """
+    n, m = dist.shape
+    left_used, right_used = [False] * n, [False] * m
+    if n and m:
+        within = (dist <= tol).ravel().tolist()
+        todo = min(n, m)
+        for f in np.argsort(dist, axis=None, kind="stable").tolist():
+            i, j = divmod(f, m)
+            if left_used[i] or right_used[j]:
+                continue
+            if not within[f]:
+                break
+            left_used[i] = right_used[j] = True
+            todo -= 1
+            if not todo:
+                break
+    return ([x for x, used in zip(left, left_used) if not used],
+            [x for x, used in zip(right, right_used) if not used])
+
+
+def _pair_tolerances(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """tol * max(1, a_i, b_j) for nonnegative sizes a, b."""
+    return tol * np.maximum(np.maximum(1.0, a)[:, None], b[None, :])
 
 
 def compare(zs1: ZeroSet, zs2: ZeroSet, tol: float = 1e-6) -> ZeroSetDiff:
-    """Nearest-match the two zero sets category by category."""
-    lr, rr = _greedy_match(
-        zs1.real_zeros, zs2.real_zeros,
-        dist=lambda a, b: abs(a - b),
-        tol=lambda a, b: tol * max(1.0, abs(a), abs(b)))
-    li, ri = _greedy_match(
-        zs1.isolated_zeros, zs2.isolated_zeros,
-        dist=lambda a, b: abs(a - b),
-        tol=lambda a, b: tol * max(1.0, abs(a), abs(b)))
-    ls, rs = _greedy_match(
-        zs1.spherical, zs2.spherical,
-        dist=lambda a, b: a.distance(b),
-        tol=lambda a, b: tol * max(1.0, a.modulus, b.modulus))
+    """Nearest-match the two zero sets category by category.
+
+    Points match within tol * max(1, |a|, |b|) of |a - b|, spheres within
+    tol * max(1, moduli) of the larger gap in real part or modulus.
+    """
+    ra = np.array(zs1.real_zeros, dtype=float)
+    rb = np.array(zs2.real_zeros, dtype=float)
+    qa, qb = _components(zs1.isolated_zeros), _components(zs2.isolated_zeros)
+    sa = np.array([(c.re, c.modulus) for c in zs1.spherical], dtype=float).reshape(-1, 2)
+    sb = np.array([(c.re, c.modulus) for c in zs2.spherical], dtype=float).reshape(-1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        real_d = np.abs(ra[:, None] - rb[None, :])
+        real_t = _pair_tolerances(np.abs(ra), np.abs(rb), tol)
+        iso_d = _norms(qa[:, None, :] - qb[None, :, :])
+        iso_t = _pair_tolerances(_norms(qa), _norms(qb), tol)
+        gaps = np.abs(sa[:, None, :] - sb[None, :, :])
+        sph_d = np.maximum(gaps[..., 0], gaps[..., 1])
+        sph_t = _pair_tolerances(sa[:, 1], sb[:, 1], tol)
+    lr, rr = _unmatched(zs1.real_zeros, zs2.real_zeros, real_d, real_t)
+    li, ri = _unmatched(zs1.isolated_zeros, zs2.isolated_zeros, iso_d, iso_t)
+    ls, rs = _unmatched(zs1.spherical, zs2.spherical, sph_d, sph_t)
     return ZeroSetDiff(
         real=tuple([("left", x) for x in lr] + [("right", x) for x in rr]),
         isolated=tuple([("left", q) for q in li] + [("right", q) for q in ri]),

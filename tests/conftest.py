@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quatroots import SimplePolynomial
+from quatroots import SimplePolynomial, ZeroSet, ZeroSetDiff
 from quatroots.quaternion import I, J, K, ONE, Quaternion
 
 SQRT2_2 = 0.7071067811865476
@@ -68,3 +68,71 @@ def sigma(q: Quaternion) -> np.ndarray:
     """Embedding q = z1 + z2*j -> [[z1, z2], [-conj(z2), conj(z1)]], an oracle for q * p."""
     z1, z2 = complex(q.a0, q.a1), complex(q.a2, q.a3)
     return np.array([[z1, z2], [-z2.conjugate(), z1.conjugate()]])
+
+
+# Reference implementations: the scalar loops the library replaced with
+# batched and sorted versions.  The library must agree with them exactly.
+
+def eval_qpoly_reference(p: SimplePolynomial, z: Quaternion) -> Quaternion:
+    """p(z) = sum q_j z^j by repeated scalar quaternion multiplication."""
+    acc = Quaternion(1.0)
+    total = p.coeffs[0]
+    for q in p.coeffs[1:]:
+        acc = acc * z
+        total = total + q * acc
+    return total
+
+
+def greedy_match_reference(left, right, dist, tol):
+    """Greedy global-minimum matching by repeated O(nm) search; unmatched items per side."""
+    left = list(left)
+    right = list(right)
+    lu = set(range(len(left)))
+    ru = set(range(len(right)))
+    while lu and ru:
+        best = None
+        for i in lu:
+            for j in ru:
+                d = dist(left[i], right[j])
+                if best is None or d < best[0]:
+                    best = (d, i, j)
+        d, i, j = best
+        if d > tol(left[i], right[j]):
+            break
+        lu.discard(i)
+        ru.discard(j)
+    return [left[i] for i in sorted(lu)], [right[j] for j in sorted(ru)]
+
+
+def compare_reference(zs1: ZeroSet, zs2: ZeroSet, tol: float = 1e-6) -> ZeroSetDiff:
+    """verify.compare computed with greedy_match_reference."""
+    lr, rr = greedy_match_reference(
+        zs1.real_zeros, zs2.real_zeros,
+        dist=lambda a, b: abs(a - b),
+        tol=lambda a, b: tol * max(1.0, abs(a), abs(b)))
+    li, ri = greedy_match_reference(
+        zs1.isolated_zeros, zs2.isolated_zeros,
+        dist=lambda a, b: abs(a - b),
+        tol=lambda a, b: tol * max(1.0, abs(a), abs(b)))
+    ls, rs = greedy_match_reference(
+        zs1.spherical, zs2.spherical,
+        dist=lambda a, b: a.distance(b),
+        tol=lambda a, b: tol * max(1.0, a.modulus, b.modulus))
+    return ZeroSetDiff(
+        real=tuple([("left", x) for x in lr] + [("right", x) for x in rr]),
+        isolated=tuple([("left", q) for q in li] + [("right", q) for q in ri]),
+        spherical=tuple([("left", (c.re, c.modulus)) for c in ls]
+                        + [("right", (c.re, c.modulus)) for c in rs]))
+
+
+def dedup_isolated_reference(isolated, classes, dedup: float = 1e-8):
+    """ZeroSet.build's isolated zeros by the O(n^2) scan over every kept zero."""
+    iso: list[Quaternion] = []
+    for q in sorted(isolated, key=lambda q: q.components()):
+        s = max(1.0, abs(q))
+        if any(abs(q - r) <= dedup * s for r in iso):
+            continue
+        if any(c.contains(q, dedup) for c in classes):
+            continue
+        iso.append(q)
+    return tuple(iso)

@@ -1,8 +1,11 @@
 import cmath
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import quatroots.solver as solver_mod
 from quatroots.cpoly import ComplexPolynomial
@@ -18,7 +21,26 @@ from quatroots.solver import (BothDenominatorsZeroError, DegreeError,
                               solve_discriminant, solve_factored)
 from quatroots.verify import audit, compare, eval_qpoly
 
-from conftest import SQRT2_2, qapprox, random_simple_polynomials
+from conftest import (SQRT2_2, dedup_isolated_reference, qapprox,
+                      random_simple_polynomials)
+
+# a power of two, so offsets sit exactly at, or just past, the dedup distance
+DEDUP = 2.0 ** -20
+_near = st.sampled_from([0.0, DEDUP / 2, DEDUP, -DEDUP, DEDUP * (1 + 2.0 ** -10), 2 * DEDUP])
+_component = st.builds(operator.add, st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 3.0]), _near)
+
+
+@st.composite
+def _isolated_and_classes(draw):
+    """Isolated zeros with near-duplicates, some lying on one of the spheres."""
+    classes = draw(st.lists(st.builds(lambda re, im: ConjugacyClass(complex(re, im)),
+                                      _component, st.sampled_from([0.5, 1.0])),
+                            max_size=3))
+    isolated = draw(st.lists(st.builds(Quaternion, _component, _component,
+                                       _component, _component), max_size=12))
+    for c in classes:
+        isolated += draw(st.lists(st.sampled_from(c.sample(4)), max_size=2))
+    return isolated, classes
 
 
 def coeffs_close(p: ComplexPolynomial, expected, tol=1e-12) -> bool:
@@ -45,6 +67,14 @@ class TestSimplePolynomial:
     def test_scalar_and_complex_coercion(self):
         p = SimplePolynomial([1, 1j])
         assert p.coeffs == (ONE, I)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("power", [0, 2, 4])  # constant, middle, leading term
+    def test_non_finite_coefficients_rejected(self, bad, power):
+        rows = [[1.0, 0.5, -0.25, 2.0] for _ in range(5)]
+        rows[power][power % 4] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            SimplePolynomial.from_rows(rows)
 
 
 class TestNormalize:
@@ -257,6 +287,17 @@ class TestSolveFactored:
         for q in zs.isolated_zeros:
             assert abs(eval_qpoly(degree6_mixed, q)) <= 1e-10
 
+    def test_derives_the_split_once(self, monkeypatch, degree6_mixed):
+        calls = []
+
+        def counting(np_):
+            calls.append(np_)
+            return derived(np_)
+
+        monkeypatch.setattr(solver_mod, "derived", counting)
+        solve_factored(degree6_mixed)
+        assert len(calls) == 1
+
 
 class TestSolveComplexCoeffs:
     def test_real_cubic(self, cubic_real):
@@ -309,6 +350,12 @@ class TestZeroSetBuild:
         zs = ZeroSet.build([1.0, 1.0 + 1e-12], [I + ONE, ONE + I], [])
         assert len(zs.real_zeros) == 1
         assert len(zs.isolated_zeros) == 1
+
+    @given(_isolated_and_classes(), st.sampled_from([DEDUP, 0.0]))
+    def test_isolated_dedup_matches_the_full_scan(self, inputs, dedup):
+        isolated, classes = inputs
+        zs = ZeroSet.build([], isolated, classes, dedup)
+        assert zs.isolated_zeros == dedup_isolated_reference(isolated, zs.spherical, dedup)
 
     def test_counts(self):
         zs = ZeroSet.build([0.5], [ONE + I], [ConjugacyClass.from_complex(2j)])

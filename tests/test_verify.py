@@ -1,12 +1,33 @@
+import contextlib
+import math
+import operator
+
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion,
                                   embed_complex)
 from quatroots.solver import (SimplePolynomial, ZeroSet, solve_discriminant)
 from quatroots.companion import solve_companion
-from quatroots.verify import audit, compare, eval_qpoly
+from quatroots.verify import audit, compare, eval_qpoly, residual_limit
 
-from conftest import SQRT2_2
+from conftest import SQRT2_2, compare_reference, eval_qpoly_reference
+
+# a power of two, so grid points sit exactly at, or just past, tolerance
+TOL = 2.0 ** -20
+_steps = st.sampled_from([0.0, TOL, -TOL, TOL * (1 + 2.0 ** -10), 2 * TOL, 0.5])
+_grid = st.builds(operator.add, st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 3.0]), _steps)
+_points = st.builds(Quaternion, _grid, _grid, _grid, _grid)
+_classes = st.builds(lambda re, im: ConjugacyClass(complex(re, im)),
+                     _grid, st.sampled_from([0.5, 0.5 + TOL, 1.0, 2.0]))
+# raw ZeroSets, so repeated entries survive
+_zero_sets = st.builds(lambda r, q, c: ZeroSet(tuple(r), tuple(q), tuple(c)),
+                       st.lists(_grid, max_size=6), st.lists(_points, max_size=6),
+                       st.lists(_classes, max_size=6))
+_finite = st.floats(-3.0, 3.0, allow_nan=False)
+_quaternions = st.builds(Quaternion, _finite, _finite, _finite, _finite)
 
 
 class TestEvalQPoly:
@@ -73,6 +94,36 @@ class TestAudit:
         assert len(rep.entries) == 1 + 5  # one real zero + 5 sphere samples
         assert rep.max_residual == max(r for _, r, _ in rep.entries)
 
+    @given(st.lists(_quaternions, min_size=1, max_size=7),
+           st.lists(_finite, max_size=3), st.lists(_quaternions, max_size=3),
+           st.lists(_classes, max_size=2))
+    def test_residuals_equal_the_scalar_evaluation(self, coeffs, reals, isolated,
+                                                   classes):
+        p = SimplePolynomial(coeffs + [ONE])
+        zs = ZeroSet(tuple(reals), tuple(isolated), tuple(classes))
+        rep = audit(p, zs, samples_per_class=3)
+        points = ([Quaternion(x) for x in reals] + isolated
+                  + [m for c in classes for m in c.sample(3)])
+        assert [r for _, r, _ in rep.entries] == [
+            abs(eval_qpoly_reference(p, z)) for z in points]
+        assert [b for _, _, b in rep.entries] == [
+            residual_limit(p, z, 1e-8) for z in points]
+        for z in points:
+            assert eval_qpoly(p, z) == eval_qpoly_reference(p, z)
+
+    @pytest.mark.parametrize("coeffs, zs", [
+        # max(1, |z|)^degree overflows
+        ([1.0] * 401, ZeroSet((), (Quaternion(25.0, 1.0),), ())),
+        # residual and bound both overflow to inf by multiplication
+        ([1e150] * 3, ZeroSet((1e84,), (), ())),
+        # the residual overflows, the bound does not
+        ([1e150, 0.0, 1e150], ZeroSet((1e80,), (), ())),
+    ])
+    def test_overflowed_entry_never_passes(self, coeffs, zs):
+        p = SimplePolynomial(coeffs)
+        with contextlib.suppress(OverflowError):
+            assert not audit(p, zs).passed
+
 
 class TestCompare:
     def test_solver_agreement(self, cubic_real):
@@ -102,3 +153,24 @@ class TestCompare:
         b = ZeroSet.build([], [], [])
         text = compare(a, b).describe()
         assert "left" in text and "real" in text
+
+    @given(_zero_sets, _zero_sets)
+    def test_same_diff_as_the_repeated_search(self, a, b):
+        assert compare(a, b, TOL) == compare_reference(a, b, TOL)
+        assert compare(a, a, TOL) == compare_reference(a, a, TOL)
+
+    def test_nan_entry_never_matches(self):
+        a = ZeroSet((math.nan, 1.0), (Quaternion(math.nan), I), ())
+        b = ZeroSet((1.0, 2.0), (I, J), ())
+        d = compare(a, b)
+        assert [side for side, _ in d.real] == ["left", "right"]
+        assert math.isnan(d.real[0][1]) and d.real[1][1] == 2.0
+        assert [side for side, _ in d.isolated] == ["left", "right"]
+        assert math.isnan(d.isolated[0][1].a0) and d.isolated[1][1] == J
+
+    def test_tie_goes_to_the_smallest_pair(self):
+        # 0.0 is equally close to both right entries: the first one matches
+        a = ZeroSet((0.0,), (), ())
+        b = ZeroSet((TOL, -TOL), (), ())
+        assert compare(a, b, TOL).real == (("right", -TOL),)
+        assert compare(a, b, TOL) == compare_reference(a, b, TOL)
