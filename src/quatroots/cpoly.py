@@ -15,15 +15,50 @@ TRIM_REL = 1e-30
 DEFAULT_GCD_TOL = 1e-8
 
 
-def _trim(arr: np.ndarray) -> np.ndarray:
-    if arr.size == 0:
-        return arr
+def _trim(arr: np.ndarray, rel: float = TRIM_REL) -> np.ndarray:
+    """arr without its trailing entries at or below rel times the largest one."""
     mags = np.abs(arr)
-    top = mags.max()
-    if top == 0.0:
-        return arr[:0]
-    keep = np.nonzero(mags > TRIM_REL * top)[0]
+    keep = np.nonzero(mags > rel * mags.max(initial=0.0))[0]
     return arr[: keep[-1] + 1] if keep.size else arr[:0]
+
+
+def horner(c: np.ndarray, z: np.ndarray):
+    """p(z), p'(z) and the majorant sum_k |c_k||z|^k; c[k] may be an array broadcasting on z."""
+    p = np.full_like(z, c[-1])
+    dp = np.zeros_like(z)
+    az = np.abs(z)
+    maj = np.full(z.shape, abs(c[-1]))
+    for k in range(len(c) - 2, -1, -1):
+        dp = dp * z + p
+        p = p * z + c[k]
+        maj = maj * az + abs(c[k])
+    return p, dp, maj
+
+
+def scaled_horner(c: np.ndarray, z: np.ndarray):
+    """horner at z where |z| <= 1, and on the reversed polynomial at 1/z elsewhere.
+
+    Returns (reversed, mask, u, horner's results) for each nonempty branch,
+    u being the points Horner ran at.  The reversed value is p(z) / z^n with
+    n = len(c) - 1: no power of z is formed and no degree overflows.  c of
+    shape (n + 1, r) holds r polynomials padded to one degree.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    coef = np.asarray(c, dtype=np.complex128)
+    rows = coef.shape[1:]
+    coef = coef[..., None] if rows else coef  # in a stack each c[k] broadcasts over points
+    inner = np.abs(z) <= 1.0
+    branches = ((False, inner, coef, z[inner]), (True, ~inner, coef[::-1], 1.0 / z[~inner]))
+    return [(rev, mask, u, horner(cf, np.broadcast_to(u, rows + u.shape) if rows else u))
+            for rev, mask, cf, u in branches if u.size]
+
+
+def scaled_values(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p(z) where |z| <= 1 and p(z) / z^n elsewhere: scaled_horner's values."""
+    out = np.empty(np.shape(c)[1:] + np.shape(z), dtype=np.complex128)
+    for _, mask, _, (p, _, _) in scaled_horner(c, z):
+        out[..., mask] = p
+    return out
 
 
 class ComplexPolynomial:
@@ -51,12 +86,8 @@ class ComplexPolynomial:
 
     def __call__(self, t):
         """Horner evaluation; accepts scalars or ndarrays."""
-        if self.is_zero:
-            return np.zeros_like(t, dtype=np.complex128) if isinstance(t, np.ndarray) else 0j
-        acc = self.c[-1] * (np.ones_like(t) if isinstance(t, np.ndarray) else 1.0)
-        for k in range(len(self.c) - 2, -1, -1):
-            acc = acc * t + self.c[k]
-        return acc
+        c = self.c if len(self.c) else np.zeros(1, dtype=np.complex128)
+        return horner(c, np.asarray(t, dtype=np.complex128))[0][()]
 
     def conj_coeffs(self) -> ComplexPolynomial:
         """Coefficient-wise complex conjugate (an involution)."""
@@ -136,17 +167,13 @@ class ComplexPolynomial:
 
 
 def _strip_leading(p: ComplexPolynomial, rel: float) -> ComplexPolynomial:
-    """Drop leading coefficients below rel times the largest coefficient.
+    """Drop leading coefficients at or below rel times the largest coefficient.
 
     Remainders in the Euclidean sequence routinely carry roundoff junk in
     their top coefficients; normalizing by such junk blows the sequence up,
     so the working degree is decided at the gcd tolerance.
     """
-    if p.is_zero:
-        return p
-    mags = np.abs(p.c)
-    keep = np.nonzero(mags > rel * mags.max())[0]
-    return ComplexPolynomial(p.c[: keep[-1] + 1]) if keep.size else ComplexPolynomial()
+    return ComplexPolynomial(_trim(p.c, rel))
 
 
 def gcd(p: ComplexPolynomial, q: ComplexPolynomial,

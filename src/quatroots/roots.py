@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import ComplexPolynomial, TRIM_REL
+from .cpoly import ComplexPolynomial, TRIM_REL, scaled_horner, scaled_values
 
 MAX_ITERATIONS = 500
 STEP_REL = 1e-14
@@ -48,53 +48,21 @@ class RootList:
     source_degree: int
 
 
-def _horner_with_derivative(c: np.ndarray, z: np.ndarray):
-    """p(z), p'(z) and the majorant sum_k |c_k||z|^k in one sweep."""
-    p = np.full_like(z, c[-1])
-    dp = np.zeros_like(z)
-    az = np.abs(z)
-    maj = np.full(z.shape, abs(c[-1]))
-    for k in range(len(c) - 2, -1, -1):
-        dp = dp * z + p
-        p = p * z + c[k]
-        maj = maj * az + abs(c[k])
-    return p, dp, maj
-
-
 def _eval_state(c: np.ndarray, z: np.ndarray):
-    """Newton correction p/p', noise-relative residual, and scaled residual.
+    """Newton correction p/p' and noise-relative residual |p(z)| / sum|c_k||z|^k.
 
-    Returns (corr, rel, scaled) where rel = |p(z)| / sum|c_k||z|^k and
-    scaled = |p(z)| / (max|c| * max(1,|z|)^deg), both computed without
-    overflow for any |z| by evaluating the reversed polynomial at 1/z.
+    Both are computed without overflow for any |z| by cpoly.scaled_horner.
     """
     z = np.asarray(z, dtype=np.complex128)
     n = len(c) - 1
-    cmax = float(np.abs(c).max())
     corr = np.zeros_like(z)
     rel = np.zeros(z.shape, dtype=np.float64)
-    scaled = np.zeros(z.shape, dtype=np.float64)
-    tiny = np.finfo(np.float64).tiny
-
-    inner = np.abs(z) <= 1.0
-    if inner.any():
-        zi = z[inner]
-        p, dp, maj = _horner_with_derivative(c, zi)
-        corr[inner] = _safe_ratio(p, dp, zi)
-        rel[inner] = np.abs(p) / np.maximum(maj, tiny)
-        scaled[inner] = np.abs(p) / cmax
-    outer = ~inner
-    if outer.any():
-        zo = z[outer]
-        w = 1.0 / zo
-        q = c[::-1]
-        qv, dqv, majq = _horner_with_derivative(q, w)
-        denom = n * qv - w * dqv
-        corr[outer] = zo * _safe_ratio(qv, denom, zo)
-        rel[outer] = np.abs(qv) / np.maximum(majq, tiny)
-        # |p(z)| / (max|c| |z|^n) = |q(w)| / max|c|
-        scaled[outer] = np.abs(qv) / cmax
-    return corr, rel, scaled
+    for rev, mask, u, (p, dp, maj) in scaled_horner(c, z):
+        zm = z[mask]
+        # reversed: p, dp are q(u), q'(u) for q(u) = u^n p(1/u), so p/p' = z q/(n q - u q')
+        corr[mask] = zm * _safe_ratio(p, n * p - u * dp, zm) if rev else _safe_ratio(p, dp, zm)
+        rel[mask] = np.abs(p) / np.maximum(maj, np.finfo(np.float64).tiny)
+    return corr, rel
 
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -149,7 +117,7 @@ def _aberth(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     converged = np.zeros(n, dtype=bool)
     noise = 4.0 * len(c) * _EPS
     for _ in range(MAX_ITERATIONS):
-        corr, rel, _ = _eval_state(c, z)
+        corr, rel = _eval_state(c, z)
         converged |= rel <= noise
         if converged.all():
             break
@@ -178,14 +146,14 @@ def _newton_polish(c: np.ndarray, z: np.ndarray, steps: int = 8) -> np.ndarray:
     best_rel = np.full(z.shape, np.inf)
     cur = z.copy()
     for _ in range(steps):
-        corr, rel, _ = _eval_state(c, cur)
+        corr, rel = _eval_state(c, cur)
         gain = rel < best_rel
         best[gain] = cur[gain]
         best_rel = np.minimum(best_rel, rel)
         cur = cur - corr
         if np.all(np.abs(corr) <= STEP_REL * (1.0 + np.abs(cur))):
             break
-    _, rel, _ = _eval_state(c, cur)
+    _, rel = _eval_state(c, cur)
     gain = rel < best_rel
     best[gain] = cur[gain]
     return best
@@ -250,25 +218,25 @@ def all_roots(p: ComplexPolynomial) -> RootList:
     if len(c) > 1:
         z, conv = _aberth(c)
         z = _newton_polish(c, z)
-        corr, rel, scaled = _eval_state(c, z)
+        corr, rel = _eval_state(c, z)
         if not conv.all():
             noise = 4.0 * len(c) * _EPS
             if not np.all((rel <= noise) | conv):
                 raise NoConvergenceError(
                     f"{int((~conv).sum())} of {len(z)} roots unconverged after "
                     f"{MAX_ITERATIONS} iterations",
-                    roots=list(z), residuals=list(scaled * scale))
+                    roots=list(z), residuals=list(np.abs(scaled_values(c, z))))
         found.extend(complex(v) for v in z)
         # the residual Newton correction measures each root's noise-ball size
         stall.extend(float(a) for a in np.abs(corr))
     clusters = _cluster(np.asarray(found, dtype=np.complex128),
                         radii=8.0 * np.asarray(stall))
     values = np.array([v for v, _ in clusters], dtype=np.complex128)
-    _, _, scaled = _eval_state(np.array(p.c, dtype=np.complex128), values)
-    if np.any(scaled > RESIDUAL_REL):
-        raise NoConvergenceError(
-            "residual acceptance bound exceeded",
-            roots=list(values), residuals=list(scaled * scale))
+    # |p(z)| / max(1,|z|)^deg, relative to the largest coefficient
+    residuals = np.abs(scaled_values(p.c, values))
+    if np.any(residuals / scale > RESIDUAL_REL):
+        raise NoConvergenceError("residual acceptance bound exceeded",
+                                 roots=list(values), residuals=list(residuals))
     return RootList(tuple(clusters), p.degree)
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import ComplexPolynomial, TRIM_REL, gcd as poly_gcd, gcd_many
+from .cpoly import (ComplexPolynomial, TRIM_REL, gcd as poly_gcd, gcd_many,
+                    scaled_values)
 from .quaternion import (ConjugacyClass, K, Quaternion, embed_complex, split)
 from .roots import all_roots, classify_real, pair_conjugates, polished_roots
 
@@ -140,16 +141,15 @@ class NormalizedPolynomial:
 
 @dataclass(frozen=True)
 class DerivedPolynomials:
-    """The four complex polynomials induced by splitting each coefficient.
+    """The complex pair induced by splitting each coefficient.
 
     f1 carries the z1 components plus the constant d0, f2 the z2 components
-    with zero constant term; the bars are coefficient-wise conjugates.
+    with zero constant term; their coefficient-wise conjugates, the other
+    two derived polynomials, are formed where needed.
     """
 
     f1: ComplexPolynomial
     f2: ComplexPolynomial
-    f1bar: ComplexPolynomial
-    f2bar: ComplexPolynomial
 
 
 @dataclass(frozen=True)
@@ -220,9 +220,7 @@ def derived(np_: NormalizedPolynomial) -> DerivedPolynomials:
         z1, z2 = split(q)
         z1s.append(z1)
         z2s.append(z2)
-    f1 = ComplexPolynomial(z1s)
-    f2 = ComplexPolynomial(z2s)
-    return DerivedPolynomials(f1, f2, f1.conj_coeffs(), f2.conj_coeffs())
+    return DerivedPolynomials(ComplexPolynomial(z1s), ComplexPolynomial(z2s))
 
 
 def discriminant(dp: DerivedPolynomials, tol: float = 1e-10) -> ComplexPolynomial:
@@ -231,32 +229,52 @@ def discriminant(dp: DerivedPolynomials, tol: float = 1e-10) -> ComplexPolynomia
     Nonnegative on the real axis; a failed real-coefficient check means an
     arithmetic bug, not bad input.
     """
-    return _norm_polynomial(dp.f1, dp.f1bar, dp.f2, dp.f2bar, tol)
+    return _norm_polynomial(dp.f1, dp.f2, tol)
 
 
-def _norm_polynomial(a: ComplexPolynomial, abar: ComplexPolynomial,
-                     b: ComplexPolynomial, bbar: ComplexPolynomial,
+def _norm_polynomial(a: ComplexPolynomial, b: ComplexPolynomial,
                      tol: float) -> ComplexPolynomial:
-    """a*abar + b*bbar, which must come out real up to tol."""
-    pt = a * abar + b * bbar
+    """a*abar + b*bbar with conjugated coefficients, which must come out real up to tol."""
+    pt = a * a.conj_coeffs() + b * b.conj_coeffs()
     if not pt.is_real_coeffs(tol):
         raise NonRealDiscriminantError(
             f"imaginary residue {np.abs(pt.c.imag).max():.3e} exceeds tolerance")
     return pt.real()
 
 
-def is_spherical_root(dp: DerivedPolynomials, eta: complex,
-                      tol_zero: float = 1e-10) -> bool:
-    """Whether all four derived polynomials vanish at eta.
+def _side_values(f1: ComplexPolynomial, f2: ComplexPolynomial, eta: np.ndarray) -> np.ndarray:
+    """f1 and f2, padded to degree n = max(deg f1, deg f2, 1), at eta and conj(eta).
+
+    One batch of shape (2, 2) + eta.shape, indexed [f][side].  Where |eta| > 1
+    each value carries a factor 1/eta^n or 1/conj(eta)^n (cpoly.scaled_values),
+    which the closed form, homogeneous of degree 0 in (f1, f2), cancels.
+    """
+    n = max(f1.degree, f2.degree, 1)
+    c = np.zeros((n + 1, 2), dtype=np.complex128)
+    c[: len(f1.c), 0] = f1.c
+    c[: len(f2.c), 1] = f2.c
+    return scaled_values(c, np.stack([eta, np.conj(eta)]))
+
+
+def is_spherical_root(dp: DerivedPolynomials, eta, tol_zero: float = 1e-10,
+                      values: np.ndarray | None = None):
+    """Whether all four derived polynomials vanish at eta (a complex or an array).
 
     True means the whole conjugacy sphere of eta consists of zeros; False
-    means the sphere contains exactly one (isolated) zero.  The threshold is
-    scaled by each polynomial's largest coefficient.
+    means the sphere contains exactly one (isolated) zero.  |conj-f(eta)| is
+    |f(conj eta)|, so the four are f1, f2 at eta and conj(eta): values, which
+    a caller that has them passes in, is _side_values(dp.f1, dp.f2, eta).
+    Each |f| is held against tol_zero * max|c_f| * max(1,|eta|)^deg f, its
+    Horner roundoff scale.
     """
-    for f in (dp.f1, dp.f2, dp.f1bar, dp.f2bar):
-        if abs(f(eta)) > tol_zero * f.max_coeff():
-            return False
-    return True
+    eta = np.asarray(eta, dtype=np.complex128)
+    if values is None:
+        values = _side_values(dp.f1, dp.f2, eta)
+    n = max(dp.f1.degree, dp.f2.degree, 1)
+    grow = np.maximum(1.0, np.abs(eta))
+    found = np.all([np.abs(v) <= tol_zero * f.max_coeff() * grow ** (f.degree - n)
+                    for f, v in zip((dp.f1, dp.f2), values)], axis=(0, 1))
+    return found if eta.ndim else bool(found)
 
 
 def _conj_side_zero(a: complex, b: complex, eta: complex) -> Quaternion:
@@ -268,58 +286,50 @@ def _conj_side_zero(a: complex, b: complex, eta: complex) -> Quaternion:
     return embed_complex(w) + embed_complex(cross) * K
 
 
-def _vanishing_denominator(f1: ComplexPolynomial, f2: ComplexPolynomial,
-                           eta: complex, rel: float) -> float:
-    """Denominators at or below this count as zero: (rel * scale of f at eta)^2."""
-    scale = max(f1.max_coeff(), f2.max_coeff(), 1.0) * max(1.0, abs(eta)) ** max(
-        f1.degree, f2.degree, 1)
-    return (rel * scale) ** 2
+def isolated_zero(dp: DerivedPolynomials, eta, values: np.ndarray | None = None):
+    """The single zero on the conjugacy sphere of eta; a list for an array of eta.
 
-
-def isolated_zero(dp: DerivedPolynomials, eta: complex) -> Quaternion:
-    """The single zero lying on the conjugacy sphere of eta.
-
-    Two equivalent closed forms exist, one evaluating f1, f2 at eta and one
-    at conj(eta); each is _conj_side_zero on its side of the sphere.  Their
-    denominators cannot both vanish, and the better conditioned (larger) one
-    is used.
+    Two equivalent closed forms exist, one from f1, f2 at eta and one at
+    conj(eta) (values as in is_spherical_root); each is _conj_side_zero on
+    its side of the sphere.  Their denominators cannot both vanish, and the
+    better conditioned (larger) one is used.
     """
-    ec = eta.conjugate()
-    f1e, f2e = dp.f1(eta), dp.f2(eta)
-    f1c, f2c = dp.f1(ec), dp.f2(ec)
-    dplus = abs(f1e) ** 2 + abs(f2e) ** 2
-    dminus = abs(f1c) ** 2 + abs(f2c) ** 2
-    if max(dplus, dminus) <= _vanishing_denominator(dp.f1, dp.f2, eta, TRIM_REL):
-        raise BothDenominatorsZeroError(
-            f"both denominators vanished at {eta}; classification bug")
-    if dplus >= dminus:
-        return _conj_side_zero(f1e, f2e, ec)
-    return _conj_side_zero(f1c, f2c, eta)
+    flat = np.asarray(eta, dtype=np.complex128).ravel()
+    values = (_side_values(dp.f1, dp.f2, flat) if values is None else values).reshape(2, 2, -1)
+    limit = (TRIM_REL * max(dp.f1.max_coeff(), dp.f2.max_coeff(), 1.0)) ** 2
+    out = []
+    for (f1e, f1c), (f2e, f2c), e in zip(*values.transpose(0, 2, 1).tolist(), flat.tolist()):
+        dplus = abs(f1e) ** 2 + abs(f2e) ** 2
+        dminus = abs(f1c) ** 2 + abs(f2c) ** 2
+        if max(dplus, dminus) <= limit:
+            raise BothDenominatorsZeroError(
+                f"both denominators vanished at {e}; classification bug")
+        out.append(_conj_side_zero(f1e, f2e, e.conjugate()) if dplus >= dminus
+                   else _conj_side_zero(f1c, f2c, e))
+    return out if np.ndim(eta) else out[0]
 
 
 def _isolated_zero_cofactor(g1: ComplexPolynomial, g2: ComplexPolynomial,
-                            eta: complex) -> Quaternion:
-    """Isolated zero from the gcd cofactors: the conj(eta) side of isolated_zero.
+                            eta: np.ndarray) -> list[Quaternion | None]:
+    """Isolated zeros from the gcd cofactors: the conj(eta) side of isolated_zero.
 
-    Valid at eta exactly as listed by the factored route; the representative
-    must not be flipped, since the common-factor cancellation underlying the
-    formula fails at the conjugate.
+    Valid at each eta of the 1-D array exactly as listed by the factored
+    route; the representative must not be flipped, since the common-factor
+    cancellation underlying the formula fails at the conjugate.  None where
+    both cofactors vanish at conj(eta), a gcd tolerance mismatch.
     """
-    ec = eta.conjugate()
-    g1c, g2c = g1(ec), g2(ec)
-    if abs(g1c) ** 2 + abs(g2c) ** 2 <= _vanishing_denominator(g1, g2, eta, 1e-12):
-        raise BothDenominatorsZeroError(
-            f"cofactors both vanish at {ec}; gcd tolerance mismatch")
-    return _conj_side_zero(g1c, g2c, eta)
+    limit = (1e-12 * max(g1.max_coeff(), g2.max_coeff(), 1.0)) ** 2
+    return [_conj_side_zero(a, b, e) if abs(a) ** 2 + abs(b) ** 2 > limit else None
+            for a, b, e in zip(*_side_values(g1, g2, eta)[:, 1].tolist(), eta.tolist())]
 
 
-def _place_pair(dp: DerivedPolynomials, eta: complex, tol_zero: float,
-                isolated: list[Quaternion], classes: list[ConjugacyClass]) -> None:
-    """Record the sphere of eta if it consists of zeros, else its isolated zero."""
-    if is_spherical_root(dp, eta, tol_zero):
-        classes.append(ConjugacyClass.from_complex(eta))
-    else:
-        isolated.append(isolated_zero(dp, eta))
+def _place_pairs(dp: DerivedPolynomials, eta, tol_zero: float):
+    """(isolated zeros, spheres) of the pair representatives eta, from one evaluation."""
+    eta = np.asarray(eta, dtype=np.complex128)
+    values = _side_values(dp.f1, dp.f2, eta)
+    sphere = is_spherical_root(dp, eta, tol_zero, values)
+    return (isolated_zero(dp, eta[~sphere], values[..., ~sphere]),
+            [ConjugacyClass.from_complex(e) for e in eta[sphere].tolist()])
 
 
 def solve_discriminant(p: SimplePolynomial,
@@ -328,10 +338,7 @@ def solve_discriminant(p: SimplePolynomial,
     np_ = normalize(p)
     dp = derived(np_)
     reals, pairs = classify_real(polished_roots(discriminant(dp)), tols.real)
-    isolated: list[Quaternion] = []
-    classes: list[ConjugacyClass] = []
-    for eta, _ in pairs:
-        _place_pair(dp, eta, tols.zero, isolated, classes)
+    isolated, classes = _place_pairs(dp, [v for v, _ in pairs], tols.zero)
     return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
 
 
@@ -371,30 +378,24 @@ def solve_factored(p: SimplePolynomial,
     reals_g, paired_g, unpaired_g = pair_conjugates(g_roots, tols.real)
     real_zeros = [x for x, _ in reals_g]
     classes = [ConjugacyClass.from_complex(v) for v, _ in paired_g]
-    isolated: list[Quaternion] = []
-
-    def emit(eta: complex) -> None:
-        try:
-            isolated.append(_isolated_zero_cofactor(g1, g2, eta))
-        except BothDenominatorsZeroError:
-            # gcd artifact: fall back to classification by the full derived pair
-            canon = eta if eta.imag > 0 else eta.conjugate()
-            _place_pair(derived(np_), canon, tols.zero, isolated, classes)
-
-    gt = _norm_polynomial(g1, g1.conj_coeffs(), g2, g2.conj_coeffs(), 1e-10)
+    todo = [eta for eta, _ in unpaired_g]
+    gt = _norm_polynomial(g1, g2, 1e-10)
     if gt.degree >= 1:
         treals, tpairs = classify_real(polished_roots(gt), tols.real)
         # a real root here can only be a gcd-tolerance artifact; it still
         # certifies a genuine real zero (both f1 and f2 vanish there)
         real_zeros.extend(x for x, _ in treals)
-        for eta, _ in tpairs:
-            if any(abs(eta - v) <= tols.dedup * (1.0 + abs(eta))
-                   or abs(eta.conjugate() - v) <= tols.dedup * (1.0 + abs(eta))
-                   for v, _ in g_roots):
-                continue
-            emit(eta)
-    for eta, _ in unpaired_g:
-        emit(eta)
+        todo += [eta for eta, _ in tpairs if not any(
+            abs(eta - v) <= tols.dedup * (1.0 + abs(eta))
+            or abs(eta.conjugate() - v) <= tols.dedup * (1.0 + abs(eta)) for v, _ in g_roots)]
+    eta = np.array(todo, dtype=np.complex128)
+    zeros = _isolated_zero_cofactor(g1, g2, eta)
+    isolated = [q for q in zeros if q is not None]
+    stuck = eta[[q is None for q in zeros]]
+    if stuck.size:
+        # gcd artifact: fall back to classification by the full derived pair
+        more = _place_pairs(derived(np_), np.where(stuck.imag > 0, stuck, stuck.conj()), tols.zero)
+        isolated, classes = isolated + more[0], classes + more[1]
     return ZeroSet.build(real_zeros, isolated, classes, tols.dedup)
 
 
@@ -427,7 +428,7 @@ def is_finite_zero_set(dp: DerivedPolynomials, tol_real: float = 1e-5,
     Equivalent to the common gcd of all four derived polynomials having no
     nonreal root.
     """
-    common = gcd_many((dp.f1, dp.f2, dp.f1bar, dp.f2bar), tol_gcd)
+    common = gcd_many((dp.f1, dp.f2, dp.f1.conj_coeffs(), dp.f2.conj_coeffs()), tol_gcd)
     if common.degree < 1:
         return True
     rl = all_roots(common)

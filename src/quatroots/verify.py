@@ -67,8 +67,11 @@ def residual(p: SimplePolynomial, z: Quaternion) -> float:
 
 
 def _bound(accept: float, coeff_sum: float, norm: float, degree: int) -> float:
-    # Python's ** raises OverflowError where numpy would give a silent inf
-    return accept * coeff_sum * max(1.0, norm) ** degree
+    try:
+        growth = max(1.0, norm) ** degree
+    except OverflowError:
+        growth = math.inf  # certifies nothing: residuals_ok rejects an inf bound
+    return accept * coeff_sum * growth
 
 
 def residual_limit(p: SimplePolynomial, z: Quaternion, accept: float) -> float:

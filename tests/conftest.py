@@ -136,3 +136,54 @@ def dedup_isolated_reference(isolated, classes, dedup: float = 1e-8):
             continue
         iso.append(q)
     return tuple(iso)
+
+
+def poly_call_reference(c: np.ndarray, t):
+    """ComplexPolynomial.__call__ as its own Horner loop, before it shared cpoly.horner."""
+    if len(c) == 0:
+        return np.zeros_like(t, dtype=np.complex128) if isinstance(t, np.ndarray) else 0j
+    acc = c[-1] * (np.ones_like(t) if isinstance(t, np.ndarray) else 1.0)
+    for k in range(len(c) - 2, -1, -1):
+        acc = acc * t + c[k]
+    return acc
+
+
+def _at_reference(c: np.ndarray, eta: complex) -> complex:
+    # a one-point array: numpy's vectorized complex product may round its
+    # last bit differently from the scalar one, and the solver batches
+    return complex(poly_call_reference(c, np.array([eta]))[0])
+
+
+def is_spherical_root_reference(dp, eta: complex, tol_zero: float = 1e-10) -> bool:
+    """is_spherical_root with unscaled values and thresholds tol_zero * max|c|."""
+    for c in (dp.f1.c, dp.f2.c, np.conj(dp.f1.c), np.conj(dp.f2.c)):
+        scale = float(np.abs(c).max()) if len(c) else 0.0
+        if abs(_at_reference(c, eta)) > tol_zero * scale:
+            return False
+    return True
+
+
+def isolated_zero_reference(dp, eta: complex) -> Quaternion:
+    """isolated_zero with unscaled values and the max(1, |eta|)^n thresholds.
+
+    Raises OverflowError where that power overflows and ValueError where
+    both denominators vanish.
+    """
+    def side_zero(a, b, eta):
+        d = abs(a) ** 2 + abs(b) ** 2
+        w = (abs(a) ** 2 * eta + abs(b) ** 2 * eta.conjugate()) / d
+        cross = (2.0 * b * a.conjugate() * eta.imag) / d
+        return Quaternion(w.real, w.imag) + Quaternion(cross.real, cross.imag) * K
+
+    ec = eta.conjugate()
+    f1e, f2e = _at_reference(dp.f1.c, eta), _at_reference(dp.f2.c, eta)
+    f1c, f2c = _at_reference(dp.f1.c, ec), _at_reference(dp.f2.c, ec)
+    dplus = abs(f1e) ** 2 + abs(f2e) ** 2
+    dminus = abs(f1c) ** 2 + abs(f2c) ** 2
+    scale = max(dp.f1.max_coeff(), dp.f2.max_coeff(), 1.0) * max(1.0, abs(eta)) ** max(
+        dp.f1.degree, dp.f2.degree, 1)
+    if max(dplus, dminus) <= (1e-30 * scale) ** 2:
+        raise ValueError(f"both denominators vanished at {eta}")
+    if dplus >= dminus:
+        return side_zero(f1e, f2e, ec)
+    return side_zero(f1c, f2c, eta)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatroots.cpoly import ComplexPolynomial, gcd, gcd_many
+from quatroots.cpoly import ComplexPolynomial, gcd, gcd_many, scaled_values
 
 # derived polynomials of the cubic test case i x^3 + j x^2 + k x + 1
 F1 = ComplexPolynomial([1, 0, 0, 1j])        # i t^3 + 1
@@ -48,6 +48,31 @@ class TestEval:
     def test_multiplicative(self, p, q, t):
         s = max(1.0, abs(p(t)) * abs(q(t)))
         assert abs((p * q)(t) - p(t) * q(t)) <= 1e-10 * s
+
+
+class TestScaledValues:
+    @given(poly_st, poly_st, st.lists(st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                                         allow_infinity=False), max_size=6))
+    def test_values_and_stacking(self, p, q, pts):
+        z = np.array(pts, dtype=complex)
+        n = max(p.degree, q.degree, 0)
+        c = np.zeros((n + 1, 2), dtype=complex)
+        c[: len(p.c), 0] = p.c
+        c[: len(q.c), 1] = q.c
+        inner = np.abs(z) <= 1.0
+        for k, f in enumerate((p, q)):
+            row = scaled_values(c, z)[k]
+            # a stacked row is that polynomial's own evaluation, bit for bit
+            assert np.array_equal(row, scaled_values(c[:, k], z))
+            assert np.array_equal(row[inner], f(z[inner]))
+            want = f(z[~inner]) / z[~inner] ** n
+            assert np.allclose(row[~inner], want, rtol=0,
+                               atol=1e-12 * max(1.0, np.abs(f.c).sum()))
+
+    def test_high_degree_stays_finite(self):
+        c = np.random.default_rng(0).standard_normal(2001) + 0j
+        got = scaled_values(c, np.array([3.0 + 1.0j, -2.5j, 0.5]))
+        assert np.all(np.isfinite(got)) and np.all(np.abs(got) > 0)
 
 
 class TestConjCoeffs:

@@ -19,10 +19,12 @@ from quatroots.solver import (BothDenominatorsZeroError, DegreeError,
                               factor_g, is_finite_zero_set, is_spherical_root,
                               isolated_zero, normalize, solve_complex_coeffs,
                               solve_discriminant, solve_factored)
+from quatroots.companion import solve_companion
 from quatroots.verify import audit, compare, eval_qpoly
 
-from conftest import (SQRT2_2, dedup_isolated_reference, qapprox,
-                      random_simple_polynomials)
+from conftest import (SQRT2_2, dedup_isolated_reference,
+                      is_spherical_root_reference, isolated_zero_reference,
+                      qapprox, random_simple_polynomials)
 
 # a power of two, so offsets sit exactly at, or just past, the dedup distance
 DEDUP = 2.0 ** -20
@@ -41,6 +43,22 @@ def _isolated_and_classes(draw):
     for c in classes:
         isolated += draw(st.lists(st.sampled_from(c.sample(4)), max_size=2))
     return isolated, classes
+
+
+@st.composite
+def _derived_and_eta(draw):
+    """A derived pair and a nonreal eta that is a sphere root, an isolated-zero
+    root (f1 and f2 both vanish on one side) or neither ("free")."""
+    small = st.floats(-4.0, 4.0, allow_nan=False)
+    coeffs = st.lists(st.builds(complex, small, small), max_size=12)
+    eta = cmath.rect(draw(st.sampled_from([0.3, 0.8, 1.0, 1.1, 1.7, 3.0, 6.0])),
+                     draw(st.floats(0.2, math.pi - 0.2)))
+    kind = draw(st.sampled_from(["sphere", "plus", "minus", "free"]))
+    factor = {"sphere": [abs(eta) ** 2, -2.0 * eta.real, 1.0], "plus": [-eta, 1.0],
+              "minus": [-eta.conjugate(), 1.0], "free": [1.0]}[kind]
+    f1 = ComplexPolynomial([1.0] + draw(coeffs)) * ComplexPolynomial(factor)
+    f2 = ComplexPolynomial(draw(coeffs)) * ComplexPolynomial(factor)
+    return DerivedPolynomials(f1, f2), eta, kind
 
 
 def coeffs_close(p: ComplexPolynomial, expected, tol=1e-12) -> bool:
@@ -104,8 +122,8 @@ class TestDerived:
         dp = derived(normalize(cubic_ijk))
         assert coeffs_close(dp.f1, [1, 0, 0, 1j])       # i t^3 + 1
         assert coeffs_close(dp.f2, [0, 1j, 1])          # t^2 + i t
-        assert coeffs_close(dp.f1bar, [1, 0, 0, -1j])
-        assert coeffs_close(dp.f2bar, [0, -1j, 1])
+        assert coeffs_close(dp.f1.conj_coeffs(), [1, 0, 0, -1j])
+        assert coeffs_close(dp.f2.conj_coeffs(), [0, -1j, 1])
 
     def test_real_coefficients_give_zero_f2(self, cubic_real):
         dp = derived(normalize(cubic_real))
@@ -119,10 +137,12 @@ class TestDerived:
         assert coeffs_close(dp.f2, [0, 1])
 
     def test_bars_are_exact_conjugates(self, degree6_mixed):
+        # the sphere test reads |fbar(eta)| as |f(conj eta)|: exactly equal
         dp = derived(normalize(degree6_mixed))
-        assert np.array_equal(dp.f1bar.c, np.conj(dp.f1.c))
-        assert np.array_equal(dp.f2bar.c, np.conj(dp.f2.c))
-        assert dp.f2.coeff(0) == 0 and dp.f2bar.coeff(0) == 0
+        eta = np.array([0.3 + 0.8j, -1.7 + 2.1j, 1j, 0.6 - 0.2j])
+        for f in (dp.f1, dp.f2):
+            assert np.array_equal(np.abs(f.conj_coeffs()(eta)), np.abs(f(eta.conj())))
+        assert dp.f2.coeff(0) == 0
 
 
 class TestDiscriminant:
@@ -142,11 +162,12 @@ class TestDiscriminant:
         pt = discriminant(derived(normalize(degree6_mixed)))
         assert pt.degree == 2 * degree6_mixed.degree
 
-    def test_non_real_check_guards_bad_bars(self, cubic_ijk):
+    def test_non_real_check_guards_bad_bars(self, monkeypatch, cubic_ijk):
         dp = derived(normalize(cubic_ijk))
-        broken = DerivedPolynomials(dp.f1, dp.f2, dp.f1, dp.f2)  # bars not conjugated
+        # bars not conjugated
+        monkeypatch.setattr(ComplexPolynomial, "conj_coeffs", lambda self: self)
         with pytest.raises(solver_mod.NonRealDiscriminantError):
-            discriminant(broken)
+            discriminant(dp)
 
 
 class TestClassifyEta:
@@ -189,6 +210,75 @@ class TestIsolatedZero:
         dp = derived(normalize(cubic_real))
         with pytest.raises(BothDenominatorsZeroError):
             isolated_zero(dp, 1j)
+
+
+class TestScaledEvaluation:
+    """The sphere test and closed form on the scaled evaluator, against the
+    unscaled evaluation they replaced."""
+
+    @given(_derived_and_eta())
+    def test_agrees_with_the_unscaled_reference(self, case):
+        dp, eta, kind = case
+        sphere = is_spherical_root(dp, eta)
+        ref_sphere = is_spherical_root_reference(dp, eta)
+        try:
+            ref_zero = isolated_zero_reference(dp, eta)
+        except (OverflowError, ValueError):
+            ref_zero = None
+        if np.abs(np.array([eta]))[0] <= 1.0:  # |eta| as the evaluator rounds it
+            # no scaling: the same values, so the same verdicts and zeros
+            assert sphere == ref_sphere
+            if ref_zero is None:
+                with pytest.raises(BothDenominatorsZeroError):
+                    isolated_zero(dp, eta)
+            else:
+                assert isolated_zero(dp, eta) == ref_zero
+            return
+        # every sphere found unscaled is found scaled; the scaled test also
+        # finds the spheres whose Horner roundoff grew past the unscaled one
+        assert sphere or not ref_sphere
+        if kind == "sphere":
+            assert sphere
+        elif kind != "free" and ref_zero is not None and all(
+                math.isfinite(x) for x in ref_zero.components()):
+            # free points may sit where both closed forms are equally large,
+            # and the two sides give different quaternions there
+            assert qapprox(isolated_zero(dp, eta), ref_zero, 1e-12)
+
+    def test_arrays_give_the_pointwise_answers(self, degree6_mixed):
+        dp = derived(normalize(degree6_mixed))
+        eta = np.array([1j, cmath.exp(1j * math.pi / 3), 2.5 + 0.5j])
+        assert list(is_spherical_root(dp, eta)) == [is_spherical_root(dp, e) for e in eta]
+        assert isolated_zero(dp, eta[1:]) == [isolated_zero(dp, e) for e in eta[1:]]
+
+    @pytest.mark.parametrize("seed, degree, re, modulus", [
+        (1, 38, 0.25, 1.35), (2, 42, -0.6, 1.55), (3, 48, 0.9, 1.8)])
+    def test_sphere_beyond_the_unit_circle(self, seed, degree, re, modulus):
+        # a Gaussian polynomial times x^2 - 2 re x + modulus^2: at this
+        # degree and modulus Horner's roundoff at the sphere root exceeds
+        # 1e-10 * max|c|, so an unscaled test reports an isolated zero
+        base = np.random.default_rng(seed).standard_normal((degree - 1, 4))
+        quad = [modulus ** 2, -2.0 * re, 1.0]
+        p = SimplePolynomial.from_rows(np.stack([np.convolve(base[:, k], quad)
+                                                 for k in range(4)], axis=1))
+        sets = [solve(p) for solve in (solve_discriminant, solve_factored, solve_companion)]
+        for zs in sets:
+            assert any(abs(c.re - re) <= 1e-6 and abs(c.modulus - modulus) <= 1e-6
+                       for c in zs.spherical)
+        assert not compare(sets[0], sets[1])
+        assert not compare(sets[0], sets[2])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_degree_800_gaussian(self, seed):
+        # unscaled, seed 2 overflowed to OverflowError and seed 5 to NaN zeros
+        p = SimplePolynomial.from_rows(np.random.default_rng(seed).standard_normal((801, 4)))
+        for solve in (solve_discriminant, solve_factored):
+            zs = solve(p)
+            assert zs.class_count() == 800
+            assert all(math.isfinite(x) for q in zs.isolated_zeros for x in q.components())
+            if seed == 5:
+                assert audit(p, zs).passed
 
 
 class TestSolveDiscriminant:
@@ -249,12 +339,11 @@ class TestFactorG:
         g, g1, g2 = factor_g(normalize(degree6_mixed))
         eta = cmath.exp(-1j * math.pi / 3)
         expected = Quaternion(0.5, -0.5, -0.5, -0.5)
-        got = solver_mod._isolated_zero_cofactor(g1, g2, eta)
+        got, flipped, other = solver_mod._isolated_zero_cofactor(
+            g1, g2, np.array([eta, eta.conjugate(), cmath.exp(-2j * math.pi / 3)]))
         assert qapprox(got, expected, 1e-12)
         # for cofactor root pairs either representative yields the same zero
-        flipped = solver_mod._isolated_zero_cofactor(g1, g2, eta.conjugate())
         assert qapprox(flipped, expected, 1e-12)
-        other = solver_mod._isolated_zero_cofactor(g1, g2, cmath.exp(-2j * math.pi / 3))
         assert qapprox(other, Quaternion(-0.5, 0.5, -0.5, -0.5), 1e-12)
 
 
