@@ -6,9 +6,8 @@ routes are provided and cross-checked: the discriminant-polynomial method,
 its gcd-factored refinement, and the older companion-polynomial method.
 """
 
-from .companion import (NonRealCompanionError, PowerDecomposition, ab,
-                        companion, monic_normalized, power_decomp,
-                        solve_companion)
+from .companion import (NonRealCompanionError, ab, companion,
+                        monic_normalized, power_decomp, solve_companion)
 from .cpoly import ComplexPolynomial, gcd, gcd_many
 from .quaternion import ConjugacyClass, Quaternion, embed_complex, split
 from .roots import (NoConvergenceError, RootList, UnpairedRootError,
@@ -28,9 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexPolynomial", "ConjugacyClass", "DerivedPolynomials",
-    "NormalizedPolynomial", "PowerDecomposition", "Quaternion", "RootList",
-    "SimplePolynomial", "Tolerances", "VerificationReport", "ZeroSet",
-    "ZeroSetDiff",
+    "NormalizedPolynomial", "Quaternion", "RootList", "SimplePolynomial",
+    "Tolerances", "VerificationReport", "ZeroSet", "ZeroSetDiff",
     "BothDenominatorsZeroError", "DegreeError", "InexactDivisionError",
     "NoConvergenceError", "NonRealCompanionError", "NonRealDiscriminantError",
     "NotComplexCoefficientsError", "UnpairedRootError",

@@ -1,34 +1,29 @@
 """Companion-polynomial method, kept as an independent cross-check.
 
-This is the earlier route to the same zero sets: form the real companion
-polynomial sum conj(q_j) q_k x^(j+k) of the monic-normalized input, take one
-root z per conjugate pair, and decide its fate through the power
-decomposition x^j = alpha_j x + beta_j, which rewrites p as A(x)x + B(x).
-A vanishing v = conj(A(z)) B(z) marks a sphere of zeros; otherwise v points
-at the single isolated zero on the sphere of z.
+This is the earlier route to the same zero sets (Janovská & Opfer): form the
+real companion polynomial sum conj(q_j) q_k x^(j+k) of the monic-normalized
+input, take one root z per conjugate pair, and decide its fate through the
+power decomposition x^j = alpha_j x + beta_j, which rewrites p as
+A(x)x + B(x).  A vanishing v = conj(A(z)) B(z) marks a sphere of zeros;
+otherwise v points at the single isolated zero on the sphere of z.  All of
+it runs on (n+1, 4) component arrays, for every pair representative at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .cpoly import ComplexPolynomial
-from .quaternion import ConjugacyClass, Quaternion, embed_complex
+from .quaternion import ConjugacyClass, Quaternion, hamilton, norms, rows
 from .roots import classify_real, polished_roots
 from .solver import (DEFAULT_TOLS, DegreeError, SimplePolynomial, Tolerances,
                      ZeroSet)
 
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
 
 class NonRealCompanionError(ArithmeticError):
     """A companion coefficient kept an imaginary residue (arithmetic bug)."""
-
-
-@dataclass(frozen=True)
-class PowerDecomposition:
-    """alpha_j, beta_j with x^j = alpha_j x + beta_j for a fixed quaternion x."""
-
-    alpha: tuple[float, ...]
-    beta: tuple[float, ...]
 
 
 def monic_normalized(p: SimplePolynomial) -> SimplePolynomial:
@@ -44,47 +39,50 @@ def companion(p: SimplePolynomial, tol: float = 1e-10) -> ComplexPolynomial:
     an imaginary residue survives, which would signal broken quaternion
     arithmetic rather than bad input.
     """
-    qn = p.coeffs[-1]
-    if abs(qn - Quaternion(1.0)) > 1e-12:
+    if abs(p.coeffs[-1] - Quaternion(1.0)) > 1e-12:
         raise ValueError("companion polynomial needs the monic normalization")
-    n = p.degree
-    sums = [Quaternion() for _ in range(2 * n + 1)]
-    for j, qj in enumerate(p.coeffs):
-        cj = qj.conjugate()
-        for k, qk in enumerate(p.coeffs):
-            sums[j + k] = sums[j + k] + cj * qk
-    scale = max(abs(s) for s in sums)
-    b = []
-    for s in sums:
-        if s.vec_norm() > tol * max(scale, 1e-300):
-            raise NonRealCompanionError(
-                f"imaginary residue {s.vec_norm():.3e} in companion coefficient")
-        b.append(s.a0)
-    return ComplexPolynomial(b)
+    q = rows(p.coeffs)
+    # terms[c][j, k] is component c of conj(q_j) q_k; bincount adds them in
+    # row-major order, so each b_(j+k) sums its terms in ascending j
+    power = np.add.outer(np.arange(len(q)), np.arange(len(q))).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = hamilton((q * _CONJ).T[:, :, None], q.T[:, None, :])
+        sums = np.stack([np.bincount(power, t.ravel(), 2 * len(q) - 1) for t in terms], -1)
+    residue = norms(sums[:, 1:]).max()
+    if residue > tol * max(norms(sums).max(), 1e-300):
+        raise NonRealCompanionError(f"imaginary residue {residue:.3e} in companion coefficient")
+    return ComplexPolynomial(sums[:, 0])
 
 
-def power_decomp(x: Quaternion, n: int) -> PowerDecomposition:
-    """Run the two-term recurrence expressing powers of x linearly in x."""
+def power_decomp(x, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta), each of shape (n + 1,) + x.shape, with x^j = alpha[j] x + beta[j].
+
+    Only Re x and |x| enter: a quaternion q decomposes as complex(q.re, q.vec_norm()).
+    """
     if n < 0:
         raise ValueError("need n >= 0")
-    re2 = 2.0 * x.re
-    m2 = x.norm_sq()
-    alpha = [0.0]
-    beta = [1.0]
-    for _ in range(n):
-        alpha.append(re2 * alpha[-1] + beta[-1])
-        beta.append(-m2 * alpha[-2])
-    return PowerDecomposition(tuple(alpha), tuple(beta))
+    x = np.asarray(x, dtype=complex)
+    re2, m2 = 2.0 * x.real, x.real * x.real + x.imag * x.imag
+    alpha, beta = np.zeros((n + 1,) + x.shape), np.ones((n + 1,) + x.shape)
+    for j in range(n):
+        alpha[j + 1] = re2 * alpha[j] + beta[j]
+        beta[j + 1] = -m2 * alpha[j]
+    return alpha, beta
 
 
-def ab(p: SimplePolynomial, z: Quaternion) -> tuple[Quaternion, Quaternion]:
-    """A(z), B(z) with p(z) = A(z) z + B(z)."""
-    pd = power_decomp(z, p.degree)
-    a = Quaternion()
-    b = Quaternion()
-    for qj, aj, bj in zip(p.coeffs, pd.alpha, pd.beta):
-        a = a + qj * aj
-        b = b + qj * bj
+def ab(p: SimplePolynomial, eta) -> tuple[np.ndarray, np.ndarray]:
+    """(..., 4) components of A, B with p(eta) = A eta + B, divided by r^n, r = max(1, |eta|).
+
+    eta^j = r^(j-1) alpha_j(x) eta + r^j beta_j(x) with x = eta / r, so after the
+    division no power of r exceeds 1.  For |eta| <= 1 the divisor is exactly 1.
+    """
+    eta = np.asarray(eta, dtype=complex)
+    r = np.maximum(1.0, np.abs(eta))
+    alpha, beta = power_decomp(np.where(r > 1.0, eta / r, eta), p.degree)
+    a = b = np.zeros(eta.shape + (4,))
+    for j, qj in enumerate(rows(p.coeffs)):
+        a = a + qj * (alpha[j] * r ** (j - 1 - p.degree))[..., None]
+        b = b + qj * (beta[j] * r ** (j - p.degree))[..., None]
     return a, b
 
 
@@ -95,27 +93,27 @@ def solve_companion(p: SimplePolynomial,
     Each conjugate pair of companion roots contributes one zero: the value
     itself when real, the whole sphere when v = conj(A(z))B(z) vanishes, and
     otherwise the isolated zero Re z - (|Im z|/|w|)(v2 i + v3 j + v4 k) with
-    |w| the modulus of the imaginary part of v.
+    |w| the modulus of the imaginary part of v.  The test |v| <= tol_zero s^2,
+    s = sum |q_j| max(1, |z|)^j, and the zero are homogeneous in v, so both
+    read ab's scaled values, s scaled to match.
     """
     if p.degree < 1:
         raise DegreeError("cannot solve a constant polynomial")
     pm = monic_normalized(p)
     reals, pairs = classify_real(polished_roots(companion(pm)), tols.real)
-    real_zeros = [x for x, _ in reals]
-    isolated: list[Quaternion] = []
-    classes: list[ConjugacyClass] = []
-    for eta, _ in pairs:
-        a, b = ab(pm, embed_complex(eta))
-        v = a.conjugate() * b
-        s = sum(abs(q) * max(1.0, abs(eta)) ** j for j, q in enumerate(pm.coeffs))
-        if abs(v) <= tols.zero * s * s:
-            classes.append(ConjugacyClass.from_complex(eta))
-            continue
-        wnorm = v.vec_norm()
-        if wnorm <= 1e-300 * abs(v):
-            raise RuntimeError(
-                f"nonzero v with vanishing imaginary part at {eta}; "
-                "inconsistent companion root")
-        f = abs(eta.imag) / wnorm
-        isolated.append(Quaternion(eta.real, -f * v.a1, -f * v.a2, -f * v.a3))
-    return ZeroSet.build(real_zeros, isolated, classes, tols.dedup)
+    eta = np.array([z for z, _ in pairs], dtype=complex)
+    a, b = ab(pm, eta)
+    v = np.stack(hamilton((a * _CONJ).T, b.T), axis=-1)
+    r = np.maximum(1.0, np.abs(eta))
+    s = sum(abs(q) * r ** (j - pm.degree) for j, q in enumerate(pm.coeffs))
+    vnorm, wnorm = norms(v), norms(v[:, 1:])
+    sphere = vnorm <= tols.zero * s * s
+    stuck = ~sphere & (wnorm <= 1e-300 * vnorm)
+    if stuck.any():
+        raise RuntimeError(f"nonzero v with vanishing imaginary part at "
+                           f"{complex(eta[stuck][0])}; inconsistent companion root")
+    f = np.abs(eta.imag[~sphere]) / wnorm[~sphere]
+    isolated = [Quaternion(x, *w) for x, w in
+                zip(eta.real[~sphere].tolist(), (-f[:, None] * v[~sphere, 1:]).tolist())]
+    classes = [ConjugacyClass.from_complex(z) for z in eta[sphere].tolist()]
+    return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)

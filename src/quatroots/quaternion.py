@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -66,13 +68,7 @@ class Quaternion:
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
-            p, q = self, other
-            return Quaternion(
-                p.a0 * q.a0 - p.a1 * q.a1 - p.a2 * q.a2 - p.a3 * q.a3,
-                p.a0 * q.a1 + p.a1 * q.a0 + p.a2 * q.a3 - p.a3 * q.a2,
-                p.a0 * q.a2 - p.a1 * q.a3 + p.a2 * q.a0 + p.a3 * q.a1,
-                p.a0 * q.a3 + p.a1 * q.a2 - p.a2 * q.a1 + p.a3 * q.a0,
-            )
+            return Quaternion(*hamilton(self.components(), other.components()))
         if isinstance(other, (int, float)):
             return Quaternion(self.a0 * other, self.a1 * other,
                               self.a2 * other, self.a3 * other)
@@ -110,6 +106,35 @@ class Quaternion:
             else:
                 parts.append(f" {'-' if value < 0 else '+'} {mag}{unit}")
         return "".join(parts) if parts else "0"
+
+
+def hamilton(p, q):
+    """The Hamilton product p * q of component 4-tuples of floats or of row arrays."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
+
+
+def rows(qs) -> np.ndarray:
+    """The (k, 4) component array of k quaternions."""
+    return np.array([q.components() for q in qs], dtype=float).reshape(-1, 4)
+
+
+def norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis: |q| of (..., 4) components, |Im q| of (..., 3).
+
+    The squares add in order, as in abs(Quaternion); rows where that sum of finite
+    squares overflows or is not normal take math.hypot, which does neither.
+    """
+    with np.errstate(over="ignore"):
+        s = sum(x[..., c] * x[..., c] for c in range(x.shape[-1]))
+    out = np.sqrt(s)
+    bad = (s < np.finfo(float).tiny) | (s == math.inf)
+    out[bad] = [math.hypot(*row) for row in x[bad].tolist()]
+    return out
 
 
 ONE = Quaternion(1.0)

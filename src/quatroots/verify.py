@@ -1,11 +1,11 @@
 """Independent residual evaluation and zero-set auditing.
 
 eval_qpoly evaluates the original quaternionic polynomial by accumulating
-powers with plain quaternion multiplication; it shares no code with the
-solver pipelines, so it serves as the acceptance oracle for every solver
-route.  audit runs the same arithmetic on all its points at once, one numpy
-row per point, with the terms in the order Quaternion.__mul__ uses, so a
-batched residual equals the one-point residual bit for bit.
+powers with plain quaternion multiplication.  It shares no algorithm with
+the solver routes, only quaternion.py's Hamilton product and norm, so it
+serves as the acceptance oracle for every route.  audit runs the same
+evaluation on all its points at once, one numpy row per point, so a batched
+residual equals the one-point residual bit for bit.
 """
 
 from __future__ import annotations
@@ -15,28 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import Quaternion
+from .quaternion import Quaternion, hamilton, norms, rows
 from .solver import DEFAULT_TOLS, SimplePolynomial, Tolerances, ZeroSet
-
-
-def _mul(p, q):
-    """Row-wise p * q of component 4-tuples, in Quaternion.__mul__'s term order."""
-    p0, p1, p2, p3 = p
-    q0, q1, q2, q3 = q
-    return (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """|q| over the last axis of (..., 4) components, as abs(Quaternion) computes it."""
-    a0, a1, a2, a3 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    return np.sqrt(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3)
-
-
-def _components(qs) -> np.ndarray:
-    return np.array([q.components() for q in qs], dtype=float).reshape(-1, 4)
 
 
 def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
@@ -49,8 +29,8 @@ def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
     total = tuple(np.full(len(z), c) for c in p.coeffs[0].components())
     with np.errstate(over="ignore", invalid="ignore"):
         for q in p.coeffs[1:]:
-            acc = _mul(acc, zs)
-            total = tuple(t + u for t, u in zip(total, _mul(q.components(), acc)))
+            acc = hamilton(acc, zs)
+            total = tuple(t + u for t, u in zip(total, hamilton(q.components(), acc)))
     return np.stack(total, axis=-1)
 
 
@@ -59,11 +39,11 @@ def eval_qpoly(p: SimplePolynomial, z: Quaternion) -> Quaternion:
 
     This is audit's batched evaluator run on the single point z.
     """
-    return Quaternion(*_eval_rows(p, _components([z]))[0].tolist())
+    return Quaternion(*_eval_rows(p, rows([z]))[0].tolist())
 
 
 def residual(p: SimplePolynomial, z: Quaternion) -> float:
-    return abs(eval_qpoly(p, z))
+    return float(norms(_eval_rows(p, rows([z])))[0])
 
 
 def _bound(accept: float, coeff_sum: float, norm: float, degree: int) -> float:
@@ -144,13 +124,11 @@ def audit(p: SimplePolynomial, zs: ZeroSet, tols: Tolerances = DEFAULT_TOLS,
         for t, member in enumerate(cls.sample(samples_per_class)):
             labels.append(f"sphere {cls} member {t}")
             points.append(member)
-    z = _components(points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = _norms(_eval_rows(p, z)).tolist()
-        norms = _norms(z).tolist()
+    z = rows(points)
+    residuals, moduli = norms(_eval_rows(p, z)).tolist(), norms(z).tolist()
     coeff_sum = sum(abs(q) for q in p.coeffs)
     entries = tuple((label, r, _bound(tols.accept, coeff_sum, norm, p.degree))
-                    for label, r, norm in zip(labels, residuals, norms))
+                    for label, r, norm in zip(labels, residuals, moduli))
     n = p.degree
     bounds_ok = (zs.class_count() <= n
                  and len(zs.spherical) <= n // 2
@@ -200,14 +178,14 @@ def compare(zs1: ZeroSet, zs2: ZeroSet, tol: float = 1e-6) -> ZeroSetDiff:
     """
     ra = np.array(zs1.real_zeros, dtype=float)
     rb = np.array(zs2.real_zeros, dtype=float)
-    qa, qb = _components(zs1.isolated_zeros), _components(zs2.isolated_zeros)
+    qa, qb = rows(zs1.isolated_zeros), rows(zs2.isolated_zeros)
     sa = np.array([(c.re, c.modulus) for c in zs1.spherical], dtype=float).reshape(-1, 2)
     sb = np.array([(c.re, c.modulus) for c in zs2.spherical], dtype=float).reshape(-1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         real_d = np.abs(ra[:, None] - rb[None, :])
         real_t = _pair_tolerances(np.abs(ra), np.abs(rb), tol)
-        iso_d = _norms(qa[:, None, :] - qb[None, :, :])
-        iso_t = _pair_tolerances(_norms(qa), _norms(qb), tol)
+        iso_d = norms(qa[:, None, :] - qb[None, :, :])
+        iso_t = _pair_tolerances(norms(qa), norms(qb), tol)
         gaps = np.abs(sa[:, None, :] - sb[None, :, :])
         sph_d = np.maximum(gaps[..., 0], gaps[..., 1])
         sph_t = _pair_tolerances(sa[:, 1], sb[:, 1], tol)

@@ -187,3 +187,67 @@ def isolated_zero_reference(dp, eta: complex) -> Quaternion:
     if dplus >= dminus:
         return side_zero(f1e, f2e, ec)
     return side_zero(f1c, f2c, eta)
+
+
+# The companion route as scalar Quaternion loops, before it ran on component
+# arrays: an O(n^2) companion product, the unscaled power decomposition and
+# A, B, and one pair at a time.
+
+def companion_reference(p: SimplePolynomial) -> np.ndarray:
+    """The real companion coefficients b_k = sum_j conj(q_j) q_(k-j), ascending j."""
+    sums = [Quaternion() for _ in range(2 * p.degree + 1)]
+    for j, qj in enumerate(p.coeffs):
+        cj = qj.conjugate()
+        for k, qk in enumerate(p.coeffs):
+            sums[j + k] = sums[j + k] + cj * qk
+    return np.array([s.a0 for s in sums])
+
+
+def power_decomp_reference(x: Quaternion, n: int):
+    """(alpha, beta) tuples with x^j = alpha_j x + beta_j, j = 0..n."""
+    re2 = 2.0 * x.re
+    m2 = x.norm_sq()
+    alpha = [0.0]
+    beta = [1.0]
+    for _ in range(n):
+        alpha.append(re2 * alpha[-1] + beta[-1])
+        beta.append(-m2 * alpha[-2])
+    return tuple(alpha), tuple(beta)
+
+
+def ab_reference(p: SimplePolynomial, z: Quaternion) -> tuple[Quaternion, Quaternion]:
+    """Unscaled A(z), B(z) with p(z) = A(z) z + B(z)."""
+    alpha, beta = power_decomp_reference(z, p.degree)
+    a = Quaternion()
+    b = Quaternion()
+    for qj, aj, bj in zip(p.coeffs, alpha, beta):
+        a = a + qj * aj
+        b = b + qj * bj
+    return a, b
+
+
+def solve_companion_reference(p: SimplePolynomial, tols=None) -> ZeroSet:
+    """solve_companion with the scalar loops and the unscaled sphere test."""
+    from quatroots import Tolerances, classify_real, monic_normalized
+    from quatroots.cpoly import ComplexPolynomial
+    from quatroots.quaternion import ConjugacyClass, embed_complex
+    from quatroots.roots import polished_roots
+
+    tols = tols or Tolerances()
+    pm = monic_normalized(p)
+    reals, pairs = classify_real(
+        polished_roots(ComplexPolynomial(companion_reference(pm))), tols.real)
+    isolated, classes = [], []
+    for eta, _ in pairs:
+        a, b = ab_reference(pm, embed_complex(eta))
+        v = a.conjugate() * b
+        s = sum(abs(q) * max(1.0, abs(eta)) ** j for j, q in enumerate(pm.coeffs))
+        if abs(v) <= tols.zero * s * s:
+            classes.append(ConjugacyClass.from_complex(eta))
+            continue
+        wnorm = v.vec_norm()
+        if wnorm <= 1e-300 * abs(v):
+            raise RuntimeError(f"nonzero v with vanishing imaginary part at {eta}")
+        f = abs(eta.imag) / wnorm
+        isolated.append(Quaternion(eta.real, -f * v.a1, -f * v.a2, -f * v.a3))
+    return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)

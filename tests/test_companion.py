@@ -5,12 +5,15 @@ import pytest
 
 from quatroots.companion import (ab, companion, monic_normalized,
                                  power_decomp, solve_companion)
-from quatroots.quaternion import I, J, ONE, Quaternion
+from quatroots.quaternion import I, J, ONE, Quaternion, embed_complex
+from quatroots.cpoly import ComplexPolynomial
 from quatroots.solver import (SimplePolynomial, derived, discriminant,
-                              normalize)
+                              normalize, solve_discriminant)
 from quatroots.verify import audit, compare, eval_qpoly
 
-from conftest import qapprox, random_simple_polynomials
+from conftest import (ab_reference, companion_reference,
+                      power_decomp_reference, qapprox,
+                      random_simple_polynomials, solve_companion_reference)
 
 SQRT3_2 = math.sqrt(3) / 2
 
@@ -36,6 +39,19 @@ class TestCompanion:
         with pytest.raises(ValueError):
             companion(cubic_ijk)
 
+    @pytest.mark.parametrize("inputs", ["random", "gaussian"])
+    def test_matches_the_scalar_reference(self, inputs):
+        if inputs == "random":
+            polys = random_simple_polynomials(200, max_degree=10, seed=19)
+        else:
+            rng = np.random.default_rng(8)
+            polys = [SimplePolynomial.from_rows(rng.standard_normal((n + 1, 4)))
+                     for n in range(8, 49)]
+        for p in polys:
+            pm = monic_normalized(p)
+            want = ComplexPolynomial(companion_reference(pm))
+            assert companion(pm).c.tolist() == want.c.tolist()
+
     def test_matches_discriminant_up_to_scale(self):
         for p in random_simple_polynomials(25, max_degree=10, seed=5):
             comp = companion(monic_normalized(p))
@@ -47,44 +63,56 @@ class TestCompanion:
             assert np.allclose(a, b, atol=1e-8 * scale, rtol=0)
 
 
+def _scaled(q: Quaternion, z: Quaternion, n: int) -> Quaternion:
+    """q / max(1, |z|)^n, the scale ab divides by."""
+    return q / max(1.0, abs(z)) ** n
+
+
 class TestPowerDecomp:
     def test_at_i(self):
-        pd = power_decomp(I, 3)
-        assert pd.alpha == (0, 1, 0, -1)
-        assert pd.beta == (1, 0, -1, 0)
+        alpha, beta = power_decomp(1j, 3)
+        assert alpha.tolist() == [0, 1, 0, -1]
+        assert beta.tolist() == [1, 0, -1, 0]
 
     def test_at_sixth_root(self):
-        x = Quaternion(0.5, SQRT3_2)
-        pd = power_decomp(x, 2)
-        assert pd.alpha[2] == pytest.approx(1)
-        assert pd.beta[2] == pytest.approx(-1)
+        alpha, beta = power_decomp(complex(0.5, SQRT3_2), 2)
+        assert alpha[2] == pytest.approx(1)
+        assert beta[2] == pytest.approx(-1)
 
     def test_at_real_two(self):
-        pd = power_decomp(Quaternion(2.0), 2)
-        assert pd.alpha == (0, 1, 4)
-        assert pd.beta == (1, 0, -4)
+        alpha, beta = power_decomp(2.0, 2)
+        assert alpha.tolist() == [0, 1, 4]
+        assert beta.tolist() == [1, 0, -4]
 
     def test_identity_against_direct_powers(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             x = Quaternion(*rng.uniform(-2, 2, size=4))
             n = int(rng.integers(0, 13))
-            pd = power_decomp(x, n)
+            alpha, beta = power_decomp(complex(x.re, x.vec_norm()), n)
             power = ONE
             for j in range(n + 1):
-                expected = x * pd.alpha[j] + ONE * pd.beta[j]
+                expected = x * float(alpha[j]) + ONE * float(beta[j])
                 assert abs(power - expected) <= 1e-10 * max(1.0, abs(x) ** j)
                 power = power * x
+
+    def test_array_matches_the_scalar_reference(self):
+        rng = np.random.default_rng(71)
+        xs = rng.uniform(-2, 2, size=50) + 1j * rng.uniform(-2, 2, size=50)
+        alpha, beta = power_decomp(xs, 12)
+        assert alpha.shape == beta.shape == (13, 50)
+        for x, a, b in zip(xs.tolist(), alpha.T.tolist(), beta.T.tolist()):
+            assert (tuple(a), tuple(b)) == power_decomp_reference(embed_complex(x), 12)
 
 
 class TestAB:
     def test_real_cubic_at_i(self, cubic_real):
-        a, b = ab(cubic_real, I)
-        assert abs(a) <= 1e-14 and abs(b) <= 1e-14
+        a, b = ab(cubic_real, 1j)
+        assert abs(Quaternion(*a)) <= 1e-14 and abs(Quaternion(*b)) <= 1e-14
 
     def test_degree6_at_sixth_root(self, degree6_mixed):
-        x = Quaternion(0.5, SQRT3_2)
-        a, b = ab(degree6_mixed, x)
+        a, b = ab(degree6_mixed, complex(0.5, SQRT3_2))
+        a, b = Quaternion(*a), Quaternion(*b)
         assert qapprox(a, Quaternion(-1, -1, -2, 0), 1e-12)
         assert qapprox(b, Quaternion(2, -1, 1, 0), 1e-12)
         v = a.conjugate() * b
@@ -92,17 +120,36 @@ class TestAB:
 
     def test_split_identity_at_real_point(self, degree6_mixed):
         z = Quaternion(1.7)
-        a, b = ab(degree6_mixed, z)
-        assert qapprox(a * z + b, eval_qpoly(degree6_mixed, z), 1e-12)
+        a, b = ab(degree6_mixed, 1.7)
+        fit = Quaternion(*a) * z + Quaternion(*b)
+        assert qapprox(fit, _scaled(eval_qpoly(degree6_mixed, z), z, 6), 1e-12)
 
     def test_split_identity_random(self):
         rng = np.random.default_rng(29)
         for p in random_simple_polynomials(20, seed=17):
             z = Quaternion(*rng.uniform(-2, 2, size=4))
-            a, b = ab(p, z)
+            a, b = ab(p, complex(z.re, z.vec_norm()))
             scale = sum(abs(q) * max(1.0, abs(z)) ** j
                         for j, q in enumerate(p.coeffs))
-            assert abs(a * z + b - eval_qpoly(p, z)) <= 1e-9 * scale
+            err = Quaternion(*a) * z + Quaternion(*b) - _scaled(eval_qpoly(p, z), z, p.degree)
+            assert abs(err) <= 1e-9 * scale / max(1.0, abs(z)) ** p.degree
+
+    def test_matches_the_unscaled_reference(self):
+        # bit for bit where |z| <= 1 (the divisor is exactly 1), and the
+        # reference divided by |z|^n elsewhere
+        rng = np.random.default_rng(37)
+        for p in random_simple_polynomials(40, max_degree=12, seed=23):
+            zs = np.array([complex(*rng.uniform(-1.5, 1.5, size=2)) for _ in range(6)])
+            a, b = ab(p, zs)
+            for z, ai, bi in zip(zs.tolist(), a, b):
+                ra, rb = ab_reference(p, embed_complex(z))
+                if abs(z) <= 1.0:
+                    assert Quaternion(*ai) == ra and Quaternion(*bi) == rb
+                    continue
+                scale = abs(z) ** p.degree
+                for got, ref in ((ai, ra), (bi, rb)):
+                    want = ref / scale
+                    assert abs(Quaternion(*got) - want) <= 1e-12 * abs(want)
 
 
 class TestSolveCompanion:
@@ -133,7 +180,6 @@ class TestSolveCompanion:
         assert sorted(round(x, 12) for x in zs.real_zeros) == [-1.0, 0.0]
 
     def test_agrees_with_discriminant_route(self):
-        from quatroots.solver import solve_discriminant
         for p in random_simple_polynomials(30, seed=41):
             assert not compare(solve_discriminant(p), solve_companion(p), tol=1e-6)
 
@@ -141,3 +187,32 @@ class TestSolveCompanion:
         for p in (cubic_ijk, degree6_mixed):
             rep = audit(p, solve_companion(p))
             assert rep.passed
+
+    def test_matches_the_scalar_reference(self):
+        # the same categories; isolated zeros inside the unit ball, where ab
+        # divides by exactly 1, bit for bit, and the rest to 1e-12
+        rng = np.random.default_rng(47)
+        polys = random_simple_polynomials(100, max_degree=10, seed=31)
+        polys += [SimplePolynomial.from_rows(rng.standard_normal((n + 1, 4)))
+                  for n in range(8, 49, 4)]
+        for p in polys:
+            got, ref = solve_companion(p), solve_companion_reference(p)
+            assert got.real_zeros == ref.real_zeros
+            assert got.spherical == ref.spherical
+            assert len(got.isolated_zeros) == len(ref.isolated_zeros)
+            for q, r in zip(got.isolated_zeros, ref.isolated_zeros):
+                if abs(r) < 1.0 - 1e-12:
+                    assert q == r
+                else:
+                    assert abs(q - r) <= 1e-12 * abs(r)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_degree_400_gaussian(self, seed):
+        # unscaled, A and B overflowed |conj(A) B| and the route raised
+        # RuntimeError("nonzero v with vanishing imaginary part")
+        p = SimplePolynomial.from_rows(np.random.default_rng(seed).standard_normal((401, 4)))
+        zs = solve_companion(p)
+        assert zs.class_count() == 400
+        assert not compare(solve_discriminant(p), zs)
+        assert audit(p, zs).passed

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion,
-                                  embed_complex, split)
+                                  embed_complex, norms, split)
 
 from conftest import qapprox, sigma
 
@@ -79,6 +79,27 @@ class TestMul:
         prod = q * q.conjugate()
         assert abs(prod.a0 - q.norm_sq()) <= 1e-12 * max(1.0, q.norm_sq())
         assert prod.vec_norm() <= np.finfo(float).eps * 8 * max(1.0, q.norm_sq())
+
+
+class TestNorms:
+    def test_equal_abs_on_moderate_rows(self):
+        rows = np.random.default_rng(9).uniform(-1e3, 1e3, size=(500, 4))
+        rows[::7] *= 1e-100
+        assert norms(rows).tolist() == [abs(Quaternion(*r)) for r in rows.tolist()]
+
+    @pytest.mark.parametrize("row, expected", [
+        ([1e200, 0.0, 0.0, 0.0], 1e200),
+        ([0.0, 0.0, -1e200, 0.0], 1e200),
+        ([3.0 * 2.0 ** 600, 4.0 * 2.0 ** 600, 0.0, 0.0], 5.0 * 2.0 ** 600),
+        ([3e-200, 4e-200, 0.0, 0.0], 5e-200),
+        ([0.0, 0.0, -3e-200, 4e-200], 5e-200),
+        ([0.0, 0.0, 0.0, 0.0], 0.0),
+    ])
+    def test_neither_overflow_nor_underflow(self, row, expected):
+        # abs(Quaternion) squares the components: inf above about 1e154 and 0
+        # below about 1e-162
+        got = norms(np.array([row, [1.0, 2.0, 2.0, 4.0]]))
+        assert got.tolist() == [expected, 5.0]
 
 
 class TestInverse:

@@ -3,7 +3,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion,
@@ -27,6 +27,12 @@ _zero_sets = st.builds(lambda r, q, c: ZeroSet(tuple(r), tuple(q), tuple(c)),
                        st.lists(_classes, max_size=6))
 _finite = st.floats(-3.0, 3.0, allow_nan=False)
 _quaternions = st.builds(Quaternion, _finite, _finite, _finite, _finite)
+
+
+def _modulus(q: Quaternion) -> float:
+    """abs(q), or math.hypot where its sum of squares is not a normal float, as audit's norm."""
+    exact = np.finfo(float).tiny <= q.norm_sq() < math.inf
+    return abs(q) if exact else math.hypot(*q.components())
 
 
 class TestEvalQPoly:
@@ -96,6 +102,8 @@ class TestAudit:
     @given(st.lists(_quaternions, min_size=1, max_size=7),
            st.lists(_finite, max_size=3), st.lists(_quaternions, max_size=3),
            st.lists(_classes, max_size=2))
+    # a residual of 1e-200, whose squares underflow to 0 in abs(Quaternion)
+    @example([Quaternion(1e-200)], [0.0], [], [])
     def test_residuals_equal_the_scalar_evaluation(self, coeffs, reals, isolated,
                                                    classes):
         p = SimplePolynomial(coeffs + [ONE])
@@ -104,7 +112,7 @@ class TestAudit:
         points = ([Quaternion(x) for x in reals] + isolated
                   + [m for c in classes for m in c.sample(3)])
         assert [r for _, r, _ in rep.entries] == [
-            abs(eval_qpoly_reference(p, z)) for z in points]
+            _modulus(eval_qpoly_reference(p, z)) for z in points]
         assert [b for _, _, b in rep.entries] == [
             residual_limit(p, z, 1e-8) for z in points]
         for z in points:
