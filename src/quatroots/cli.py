@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .companion import solve_companion
 from .quaternion import ConjugacyClass, Quaternion
 from .solver import SimplePolynomial, Tolerances, ZeroSet, solve_discriminant, solve_factored
@@ -138,14 +140,10 @@ def zero_set_json(zs: ZeroSet) -> dict:
 
 
 def zero_set_from_json(doc: dict) -> ZeroSet:
-    classes = []
-    for entry in doc.get("spherical", []):
-        re, im = entry["representative"]
-        classes.append(ConjugacyClass(complex(re, im)))
     return ZeroSet.build(
         doc.get("real", []),
-        [Quaternion(*row) for row in doc.get("isolated", [])],
-        classes)
+        np.array(doc.get("isolated", []), dtype=float).reshape(-1, 4),
+        [ConjugacyClass(complex(*entry["representative"])) for entry in doc.get("spherical", [])])
 
 
 def _diff_json(diff: ZeroSetDiff) -> dict:

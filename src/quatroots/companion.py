@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cpoly import ComplexPolynomial
-from .quaternion import ConjugacyClass, Quaternion, hamilton, norms, rows
+from .quaternion import ConjugacyClass, Quaternion, hamilton, norms
 from .roots import classify_real, polished_roots
 from .solver import (DEFAULT_TOLS, DegreeError, SimplePolynomial, Tolerances,
                      ZeroSet)
@@ -28,7 +28,7 @@ class NonRealCompanionError(ArithmeticError):
 
 def monic_normalized(p: SimplePolynomial) -> SimplePolynomial:
     """Left-multiply by the inverse of the leading coefficient."""
-    return p.left_scaled(p.coeffs[-1].inverse())
+    return p.left_scaled(Quaternion(*p.rows[-1].tolist()).inverse())
 
 
 def companion(p: SimplePolynomial, tol: float = 1e-10) -> ComplexPolynomial:
@@ -39,9 +39,9 @@ def companion(p: SimplePolynomial, tol: float = 1e-10) -> ComplexPolynomial:
     an imaginary residue survives, which would signal broken quaternion
     arithmetic rather than bad input.
     """
-    if abs(p.coeffs[-1] - Quaternion(1.0)) > 1e-12:
+    q = p.rows
+    if norms(q[-1:] - (1.0, 0.0, 0.0, 0.0))[0] > 1e-12:
         raise ValueError("companion polynomial needs the monic normalization")
-    q = rows(p.coeffs)
     # terms[c][j, k] is component c of conj(q_j) q_k; bincount adds them in
     # row-major order, so each b_(j+k) sums its terms in ascending j
     power = np.add.outer(np.arange(len(q)), np.arange(len(q))).ravel()
@@ -80,7 +80,7 @@ def ab(p: SimplePolynomial, eta) -> tuple[np.ndarray, np.ndarray]:
     r = np.maximum(1.0, np.abs(eta))
     alpha, beta = power_decomp(np.where(r > 1.0, eta / r, eta), p.degree)
     a = b = np.zeros(eta.shape + (4,))
-    for j, qj in enumerate(rows(p.coeffs)):
+    for j, qj in enumerate(p.rows):
         a = a + qj * (alpha[j] * r ** (j - 1 - p.degree))[..., None]
         b = b + qj * (beta[j] * r ** (j - p.degree))[..., None]
     return a, b
@@ -105,7 +105,7 @@ def solve_companion(p: SimplePolynomial,
     a, b = ab(pm, eta)
     v = np.stack(hamilton((a * _CONJ).T, b.T), axis=-1)
     r = np.maximum(1.0, np.abs(eta))
-    s = sum(abs(q) * r ** (j - pm.degree) for j, q in enumerate(pm.coeffs))
+    s = sum(m * r ** (j - pm.degree) for j, m in enumerate(norms(pm.rows).tolist()))
     vnorm, wnorm = norms(v), norms(v[:, 1:])
     sphere = vnorm <= tols.zero * s * s
     stuck = ~sphere & (wnorm <= 1e-300 * vnorm)
@@ -113,7 +113,6 @@ def solve_companion(p: SimplePolynomial,
         raise RuntimeError(f"nonzero v with vanishing imaginary part at "
                            f"{complex(eta[stuck][0])}; inconsistent companion root")
     f = np.abs(eta.imag[~sphere]) / wnorm[~sphere]
-    isolated = [Quaternion(x, *w) for x, w in
-                zip(eta.real[~sphere].tolist(), (-f[:, None] * v[~sphere, 1:]).tolist())]
+    isolated = np.column_stack([eta.real[~sphere], -f[:, None] * v[~sphere, 1:]])
     classes = [ConjugacyClass.from_complex(z) for z in eta[sphere].tolist()]
     return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)

@@ -1,11 +1,12 @@
 """Zero finding for simple (left-coefficient) quaternionic polynomials.
 
-The pipeline: normalize the constant term to 0 or 1, split each quaternion
-coefficient p = z1 + z2*j into the pair of complex "derived" polynomials
-(f1, f2), and form the real discriminant f1*conj(f1) + f2*conj(f2).  Its
-real roots are exactly the real zeros; each conjugate pair of complex roots
-yields either a whole sphere of zeros (when all four derived polynomials
-vanish there) or a single isolated zero given in closed form.
+The pipeline: normalize the constant term to 0 or 1, read the complex
+"derived" polynomials (f1, f2) off the columns of the (n+1, 4) coefficient
+components, since p = z1 + z2*j with z1 = a0 + a1*i and z2 = a2 + a3*i, and
+form the real discriminant f1*conj(f1) + f2*conj(f2).  Its real roots are
+exactly the real zeros; each conjugate pair of complex roots yields either a
+whole sphere of zeros (when all four derived polynomials vanish there) or a
+single isolated zero given in closed form as a component row.
 
 Two routes are provided: solve_discriminant works on the full discriminant,
 solve_factored first divides out g = gcd(f1, f2), which isolates the real
@@ -16,7 +17,6 @@ whose coefficients are all complex (or all real).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .cpoly import (ComplexPolynomial, TRIM_REL, gcd as poly_gcd, gcd_many,
                     scaled_values)
-from .quaternion import (ConjugacyClass, K, Quaternion, embed_complex, split)
+from .quaternion import ConjugacyClass, Quaternion, embed_complex, hamilton
 from .roots import all_roots, classify_real, pair_conjugates, polished_roots
 
 
@@ -70,83 +70,97 @@ class Tolerances:
 DEFAULT_TOLS = Tolerances()
 
 
-def _as_quaternion(value) -> Quaternion:
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, (int, float)):
-        return Quaternion(float(value))
-    if isinstance(value, complex):
-        return embed_complex(value)
-    raise TypeError(f"cannot interpret {value!r} as a quaternion")
+def _moduli(rows: np.ndarray) -> np.ndarray:
+    """abs(Quaternion) of every row, squares added in order: above about 1e154 it is inf,
+    and then every coefficient trims away (the pipeline behind the trim is not scale-safe)."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(sum(rows[..., c] * rows[..., c] for c in range(4)))
+
+
+def _left_mul(c: Quaternion, rows: np.ndarray) -> np.ndarray:
+    """c * q for every (k, 4) row q, with Quaternion.__mul__'s arithmetic."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack(hamilton(c.components(), rows.T), axis=-1)
 
 
 class SimplePolynomial:
     """q_n x^n + ... + q_1 x + q_0 with quaternion coefficients on the left.
 
-    Coefficients are stored constant-term first; trailing (leading-power)
-    coefficients that are relatively zero are trimmed away.  A NaN or
-    infinite component raises ValueError.
+    rows is the read-only (n+1, 4) array of coefficient components
+    [a0, a1, a2, a3], constant term first; coeffs gives them as Quaternions.
+    Real and complex coefficients lie along the i axis.  Trailing (leading-power)
+    coefficients at most TRIM_REL times the largest modulus are trimmed away.  A
+    NaN or infinite component raises ValueError.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("rows",)
 
     def __init__(self, coeffs):
-        qs = [_as_quaternion(c) for c in coeffs]
-        if not all(math.isfinite(x) for q in qs for x in q.components()):
-            raise ValueError("coefficients must be finite")
-        top = max((abs(q) for q in qs), default=0.0)
-        if top == 0.0:
-            raise ValueError("the zero polynomial is not a valid input")
-        while qs and abs(qs[-1]) <= TRIM_REL * top:
-            qs.pop()
-        self.coeffs = tuple(qs)
+        qs = [c if isinstance(c, Quaternion) else embed_complex(c) for c in coeffs]
+        self.rows = _checked_rows([q.components() for q in qs])
 
     @classmethod
     def from_rows(cls, rows) -> SimplePolynomial:
         """Build from [a0, a1, a2, a3] component rows, constant term first."""
-        return cls([Quaternion(*(float(x) for x in row)) for row in rows])
+        p = cls.__new__(cls)
+        p.rows = _checked_rows(rows)
+        return p
+
+    @property
+    def coeffs(self) -> tuple[Quaternion, ...]:
+        return tuple(Quaternion(*row) for row in self.rows.tolist())
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     def coefficient_scale(self) -> float:
-        return max(abs(q) for q in self.coeffs)
+        return float(_moduli(self.rows).max())
 
     def left_scaled(self, c: Quaternion) -> SimplePolynomial:
         """The polynomial c * p (same zero set for c != 0)."""
-        return SimplePolynomial([c * q for q in self.coeffs])
+        return SimplePolynomial.from_rows(_left_mul(c, self.rows))
 
     def conjugated_coeffs(self) -> SimplePolynomial:
-        return SimplePolynomial([q.conjugate() for q in self.coeffs])
+        return SimplePolynomial.from_rows(self.rows * (1.0, -1.0, -1.0, -1.0))
 
     def __repr__(self) -> str:
         return f"SimplePolynomial(degree={self.degree}, coeffs={[str(q) for q in self.coeffs]})"
 
 
+def _checked_rows(data) -> np.ndarray:
+    rows = np.array(data, dtype=float, order="C")
+    if rows.size and rows.shape[1:] != (4,):
+        raise ValueError("each coefficient needs 4 components")
+    if not np.isfinite(rows).all():
+        raise ValueError("coefficients must be finite")
+    mags = _moduli(rows.reshape(-1, 4))
+    if not mags.any():
+        raise ValueError("the zero polynomial is not a valid input")
+    rows = rows[: np.flatnonzero(mags > TRIM_REL * mags.max()).max(initial=-1) + 1]
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class NormalizedPolynomial:
-    """p_n x^n + ... + p_1 x + d0 with d0 either 0 or 1.
+    """p_n x^n + ... + p_1 x + d0 with d0 either 0 or 1: (n+1, 4) rows, (d0, 0, 0, 0) first."""
 
-    coeffs holds p_1 .. p_n (index k is the coefficient of x^(k+1)).
-    """
+    rows: np.ndarray
 
-    coeffs: tuple[Quaternion, ...]
-    d0: int
+    @property
+    def d0(self) -> int:
+        return int(self.rows[0, 0])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs)
+        return len(self.rows) - 1
 
 
 @dataclass(frozen=True)
 class DerivedPolynomials:
-    """The complex pair induced by splitting each coefficient.
-
-    f1 carries the z1 components plus the constant d0, f2 the z2 components
-    with zero constant term; their coefficient-wise conjugates, the other
-    two derived polynomials, are formed where needed.
-    """
+    """f1 and f2 from the z1 and z2 parts of the normalized coefficients; their
+    coefficient-wise conjugates, the other two derived polynomials, are formed where needed."""
 
     f1: ComplexPolynomial
     f2: ComplexPolynomial
@@ -162,7 +176,10 @@ class ZeroSet:
 
     @classmethod
     def build(cls, reals, isolated, classes, dedup: float = 1e-8) -> ZeroSet:
-        """Deduplicate, drop isolated zeros subsumed by a sphere, and sort."""
+        """Deduplicate, drop isolated zeros subsumed by a sphere, and sort; isolated
+        holds Quaternions, or (k, 4) component rows as the routes give them."""
+        if isinstance(isolated, np.ndarray):
+            isolated = [Quaternion(*row) for row in isolated.tolist()]
         rs: list[float] = []
         for x in sorted(float(v) for v in reals):
             if not rs or abs(x - rs[-1]) > dedup * max(1.0, abs(x)):
@@ -176,7 +193,7 @@ class ZeroSet:
             near = dedup * max(1.0, abs(q))
             # kept zeros are sorted by a0 and |q - r| >= |q.a0 - r.a0|, so
             # only the band of r with a0 this close to q.a0 can be duplicates
-            lo = bisect_left(iso, True, key=lambda r: abs(Quaternion(q.a0 - r.a0)) <= near)
+            lo = bisect_left(iso, True, key=lambda r: abs(q.a0 - r.a0) <= near)
             if any(abs(q - iso[k]) <= near for k in range(lo, len(iso))):
                 continue
             if any(c.contains(q, dedup) for c in cl):
@@ -205,22 +222,18 @@ def normalize(p: SimplePolynomial) -> NormalizedPolynomial:
     """
     if p.degree < 1:
         raise DegreeError("cannot normalize a constant polynomial")
-    q0 = p.coeffs[0]
+    q0 = Quaternion(*p.rows[0].tolist())
     if abs(q0) <= TRIM_REL * p.coefficient_scale():
-        return NormalizedPolynomial(p.coeffs[1:], 0)
-    inv = q0.inverse()
-    return NormalizedPolynomial(tuple(inv * q for q in p.coeffs[1:]), 1)
+        d0, body = 0.0, p.rows[1:]
+    else:
+        d0, body = 1.0, _left_mul(q0.inverse(), p.rows[1:])
+    return NormalizedPolynomial(np.vstack([(d0, 0.0, 0.0, 0.0), body]))
 
 
 def derived(np_: NormalizedPolynomial) -> DerivedPolynomials:
-    """Split p_i = z1 + z2*j coefficient-wise into the four derived polynomials."""
-    z1s: list[complex] = [complex(np_.d0)]
-    z2s: list[complex] = [0j]
-    for q in np_.coeffs:
-        z1, z2 = split(q)
-        z1s.append(z1)
-        z2s.append(z2)
-    return DerivedPolynomials(ComplexPolynomial(z1s), ComplexPolynomial(z2s))
+    """The derived pair: f1 and f2 are the complex columns of the normalized rows."""
+    z = np.ascontiguousarray(np_.rows, dtype=float).view(np.complex128)
+    return DerivedPolynomials(ComplexPolynomial(z[:, 0]), ComplexPolynomial(z[:, 1]))
 
 
 def discriminant(dp: DerivedPolynomials, tol: float = 1e-10) -> ComplexPolynomial:
@@ -257,74 +270,81 @@ def _side_values(f1: ComplexPolynomial, f2: ComplexPolynomial, eta: np.ndarray) 
 
 
 def is_spherical_root(dp: DerivedPolynomials, eta, tol_zero: float = 1e-10,
-                      values: np.ndarray | None = None):
-    """Whether all four derived polynomials vanish at eta (a complex or an array).
+                      values: np.ndarray | None = None) -> np.ndarray:
+    """Whether all four derived polynomials vanish, at each eta of an array.
 
-    True means the whole conjugacy sphere of eta consists of zeros; False
-    means the sphere contains exactly one (isolated) zero.  |conj-f(eta)| is
-    |f(conj eta)|, so the four are f1, f2 at eta and conj(eta): values, which
-    a caller that has them passes in, is _side_values(dp.f1, dp.f2, eta).
-    Each |f| is held against tol_zero * max|c_f| * max(1,|eta|)^deg f, its
-    Horner roundoff scale.
+    True means the whole conjugacy sphere of eta consists of zeros; False, that
+    it holds one isolated zero.  |conj-f(eta)| is |f(conj eta)|, so the four are
+    f1, f2 at eta and conj(eta): values, if the caller has them, is
+    _side_values(dp.f1, dp.f2, eta).  Each |f| is held against its Horner
+    roundoff scale tol_zero * max|c_f| * max(1,|eta|)^deg f.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     if values is None:
         values = _side_values(dp.f1, dp.f2, eta)
     n = max(dp.f1.degree, dp.f2.degree, 1)
     grow = np.maximum(1.0, np.abs(eta))
-    found = np.all([np.abs(v) <= tol_zero * f.max_coeff() * grow ** (f.degree - n)
-                    for f, v in zip((dp.f1, dp.f2), values)], axis=(0, 1))
-    return found if eta.ndim else bool(found)
+    return np.all([np.abs(v) <= tol_zero * f.max_coeff() * grow ** (f.degree - n)
+                   for f, v in zip((dp.f1, dp.f2), values)], axis=(0, 1))
 
 
-def _conj_side_zero(a: complex, b: complex, eta: complex) -> Quaternion:
-    """The zero on the sphere of eta from a = f1(conj eta), b = f2(conj eta), not both 0."""
-    d = abs(a) ** 2 + abs(b) ** 2
-    w = (abs(a) ** 2 * eta + abs(b) ** 2 * eta.conjugate()) / d
-    cross = (2.0 * b * a.conjugate() * eta.imag) / d
-    # w + cross*k with both complex values embedded along the i axis
-    return embed_complex(w) + embed_complex(cross) * K
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 rounded as abs(z) ** 2 rounds it for a Python complex: hypot, then pow."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
-def isolated_zero(dp: DerivedPolynomials, eta, values: np.ndarray | None = None):
-    """The single zero on the conjugacy sphere of eta; a list for an array of eta.
+def _conj_side_zero(a: np.ndarray, b: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """(k, 4) rows of the zero on the sphere of each eta from a = f1(conj eta), b = f2(conj eta).
+
+    It is w + cross*k, w = (|a|^2 eta + |b|^2 conj(eta)) / d and cross = 2 b conj(a) Im(eta) / d
+    with d = |a|^2 + |b|^2 > 0, and (x + y*i)*k = -y*j + x*k.  Products are written out and
+    rounded as for Python complexes; adding 0.0 turns a -0.0 component into 0.0.
+    """
+    sa, sb = _abs2(a), _abs2(b)
+    ar, ai, br, bi, er, ei = a.real, a.imag, b.real, b.imag, eta.real, eta.imag
+    return np.stack([sa * er + sb * er, sa * ei - sb * ei,
+                     -((2.0 * bi * ar - 2.0 * br * ai) * ei),
+                     (2.0 * br * ar + 2.0 * bi * ai) * ei], axis=-1) / (sa + sb)[:, None] + 0.0
+
+
+def isolated_zero(dp: DerivedPolynomials, eta, values: np.ndarray | None = None) -> np.ndarray:
+    """(k, 4) rows of the single zero on the conjugacy sphere of each eta of a 1-D array.
 
     Two equivalent closed forms exist, one from f1, f2 at eta and one at
     conj(eta) (values as in is_spherical_root); each is _conj_side_zero on
     its side of the sphere.  Their denominators cannot both vanish, and the
     better conditioned (larger) one is used.
     """
-    flat = np.asarray(eta, dtype=np.complex128).ravel()
-    values = (_side_values(dp.f1, dp.f2, flat) if values is None else values).reshape(2, 2, -1)
+    eta = np.asarray(eta, dtype=np.complex128)
+    if values is None:
+        values = _side_values(dp.f1, dp.f2, eta)
+    (f1e, f1c), (f2e, f2c) = values
+    dplus, dminus = _abs2(f1e) + _abs2(f2e), _abs2(f1c) + _abs2(f2c)
     limit = (TRIM_REL * max(dp.f1.max_coeff(), dp.f2.max_coeff(), 1.0)) ** 2
-    out = []
-    for (f1e, f1c), (f2e, f2c), e in zip(*values.transpose(0, 2, 1).tolist(), flat.tolist()):
-        dplus = abs(f1e) ** 2 + abs(f2e) ** 2
-        dminus = abs(f1c) ** 2 + abs(f2c) ** 2
-        if max(dplus, dminus) <= limit:
-            raise BothDenominatorsZeroError(
-                f"both denominators vanished at {e}; classification bug")
-        out.append(_conj_side_zero(f1e, f2e, e.conjugate()) if dplus >= dminus
-                   else _conj_side_zero(f1c, f2c, e))
-    return out if np.ndim(eta) else out[0]
+    if (dead := np.maximum(dplus, dminus) <= limit).any():
+        raise BothDenominatorsZeroError(
+            f"both denominators vanished at {eta[dead][0]}; classification bug")
+    plus = dplus >= dminus
+    return _conj_side_zero(np.where(plus, f1e, f1c), np.where(plus, f2e, f2c),
+                           np.where(plus, eta.conj(), eta))
 
 
 def _isolated_zero_cofactor(g1: ComplexPolynomial, g2: ComplexPolynomial,
-                            eta: np.ndarray) -> list[Quaternion | None]:
-    """Isolated zeros from the gcd cofactors: the conj(eta) side of isolated_zero.
+                            eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, 4) zeros from the gcd cofactors (the conj(eta) side of isolated_zero), and a mask.
 
-    Valid at each eta of the 1-D array exactly as listed by the factored
-    route; the representative must not be flipped, since the common-factor
-    cancellation underlying the formula fails at the conjugate.  None where
-    both cofactors vanish at conj(eta), a gcd tolerance mismatch.
+    Valid at each eta exactly as listed by the factored route; the representative
+    must not be flipped, since the common-factor cancellation underlying the
+    formula fails at the conjugate.  The mask marks the eta the zeros come from:
+    False where both cofactors vanish at conj(eta), a gcd tolerance mismatch.
     """
-    limit = (1e-12 * max(g1.max_coeff(), g2.max_coeff(), 1.0)) ** 2
-    return [_conj_side_zero(a, b, e) if abs(a) ** 2 + abs(b) ** 2 > limit else None
-            for a, b, e in zip(*_side_values(g1, g2, eta)[:, 1].tolist(), eta.tolist())]
+    a, b = _side_values(g1, g2, eta)[:, 1]
+    ok = _abs2(a) + _abs2(b) > (1e-12 * max(g1.max_coeff(), g2.max_coeff(), 1.0)) ** 2
+    return _conj_side_zero(a[ok], b[ok], eta[ok]), ok
 
 
 def _place_pairs(dp: DerivedPolynomials, eta, tol_zero: float):
-    """(isolated zeros, spheres) of the pair representatives eta, from one evaluation."""
+    """((k, 4) isolated zeros, spheres) of the pair representatives eta, from one evaluation."""
     eta = np.asarray(eta, dtype=np.complex128)
     values = _side_values(dp.f1, dp.f2, eta)
     sphere = is_spherical_root(dp, eta, tol_zero, values)
@@ -389,13 +409,12 @@ def solve_factored(p: SimplePolynomial,
             abs(eta - v) <= tols.dedup * (1.0 + abs(eta))
             or abs(eta.conjugate() - v) <= tols.dedup * (1.0 + abs(eta)) for v, _ in g_roots)]
     eta = np.array(todo, dtype=np.complex128)
-    zeros = _isolated_zero_cofactor(g1, g2, eta)
-    isolated = [q for q in zeros if q is not None]
-    stuck = eta[[q is None for q in zeros]]
-    if stuck.size:
+    isolated, ok = _isolated_zero_cofactor(g1, g2, eta)
+    if not ok.all():
         # gcd artifact: fall back to classification by the full derived pair
+        stuck = eta[~ok]
         more = _place_pairs(derived(np_), np.where(stuck.imag > 0, stuck, stuck.conj()), tols.zero)
-        isolated, classes = isolated + more[0], classes + more[1]
+        isolated, classes = np.vstack([isolated, more[0]]), classes + more[1]
     return ZeroSet.build(real_zeros, isolated, classes, tols.dedup)
 
 
@@ -407,29 +426,23 @@ def solve_complex_coeffs(p: SimplePolynomial,
     roots stay, conjugate pairs become spheres, and a nonreal root whose
     conjugate is not a root stays as an isolated complex zero.
     """
-    scale = p.coefficient_scale()
-    for q in p.coeffs:
-        if max(abs(q.a2), abs(q.a3)) > TRIM_REL * scale:
-            raise NotComplexCoefficientsError(
-                "coefficients have j/k components; use a general solver")
     if p.degree < 1:
         raise DegreeError("cannot solve a constant polynomial")
-    cp = ComplexPolynomial([split(q)[0] for q in p.coeffs])
+    if np.abs(p.rows[:, 2:]).max() > TRIM_REL * p.coefficient_scale():
+        raise NotComplexCoefficientsError(
+            "coefficients have j/k components; use a general solver")
+    cp = ComplexPolynomial(p.rows.view(np.complex128)[:, 0])
     reals, paired, unpaired = pair_conjugates(polished_roots(cp).roots, tols.real)
     classes = [ConjugacyClass.from_complex(v) for v, _ in paired]
-    isolated = [embed_complex(v) for v, _ in unpaired]
+    isolated = np.array([(v.real, v.imag, 0.0, 0.0) for v, _ in unpaired]).reshape(-1, 4)
     return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
 
 
-def is_finite_zero_set(dp: DerivedPolynomials, tol_real: float = 1e-5,
-                       tol_gcd: float = 1e-8) -> bool:
-    """Whether the zero set is finite (no spheres).
-
-    Equivalent to the common gcd of all four derived polynomials having no
-    nonreal root.
-    """
-    common = gcd_many((dp.f1, dp.f2, dp.f1.conj_coeffs(), dp.f2.conj_coeffs()), tol_gcd)
+def is_finite_zero_set(p: SimplePolynomial, tols: Tolerances = DEFAULT_TOLS) -> bool:
+    """Whether the zero set of p is finite (no spheres): the common gcd of all
+    four derived polynomials has no nonreal root."""
+    dp = derived(normalize(p))
+    common = gcd_many((dp.f1, dp.f2, dp.f1.conj_coeffs(), dp.f2.conj_coeffs()), tols.gcd)
     if common.degree < 1:
         return True
-    rl = all_roots(common)
-    return all(abs(z.imag) < tol_real for z, _ in rl.roots)
+    return all(abs(z.imag) < tols.real for z, _ in all_roots(common).roots)

@@ -25,12 +25,13 @@ def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
     Overflow gives inf or nan silently, as in Python float arithmetic.
     """
     zs = tuple(z.T)
+    qs = p.rows.tolist()
     acc = Quaternion(1.0).components()
-    total = tuple(np.full(len(z), c) for c in p.coeffs[0].components())
+    total = tuple(np.full(len(z), c) for c in qs[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for q in p.coeffs[1:]:
+        for q in qs[1:]:
             acc = hamilton(acc, zs)
-            total = tuple(t + u for t, u in zip(total, hamilton(q.components(), acc)))
+            total = tuple(t + u for t, u in zip(total, hamilton(q, acc)))
     return np.stack(total, axis=-1)
 
 
@@ -56,7 +57,7 @@ def _bound(accept: float, coeff_sum: float, norm: float, degree: int) -> float:
 
 def residual_limit(p: SimplePolynomial, z: Quaternion, accept: float) -> float:
     """Acceptance bound accept * sum|q_i| * max(1, |z|)^degree."""
-    return _bound(accept, sum(abs(q) for q in p.coeffs), abs(z), p.degree)
+    return _bound(accept, sum(norms(p.rows).tolist()), abs(z), p.degree)
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def audit(p: SimplePolynomial, zs: ZeroSet, tols: Tolerances = DEFAULT_TOLS,
             points.append(member)
     z = rows(points)
     residuals, moduli = norms(_eval_rows(p, z)).tolist(), norms(z).tolist()
-    coeff_sum = sum(abs(q) for q in p.coeffs)
+    coeff_sum = sum(norms(p.rows).tolist())
     entries = tuple((label, r, _bound(tols.accept, coeff_sum, norm, p.degree))
                     for label, r, norm in zip(labels, residuals, moduli))
     n = p.degree

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from quatroots import SimplePolynomial, ZeroSet, ZeroSetDiff
-from quatroots.quaternion import I, J, K, ONE, Quaternion
+from quatroots import SimplePolynomial, ZeroSet
+from quatroots.quaternion import I, J, K, ONE, Quaternion, split
+from quatroots.verify import ZeroSetDiff
 
 SQRT2_2 = 0.7071067811865476
 
@@ -81,6 +82,25 @@ def eval_qpoly_reference(p: SimplePolynomial, z: Quaternion) -> Quaternion:
         acc = acc * z
         total = total + q * acc
     return total
+
+
+def normalize_reference(p: SimplePolynomial) -> tuple[tuple[Quaternion, ...], int]:
+    """(p_1 .. p_n, d0) of solver.normalize by scalar products inv * q."""
+    q0 = p.coeffs[0]
+    if abs(q0) <= 1e-30 * max(abs(q) for q in p.coeffs):
+        return p.coeffs[1:], 0
+    inv = q0.inverse()
+    return tuple(inv * q for q in p.coeffs[1:]), 1
+
+
+def derived_reference(coeffs, d0: int) -> tuple[list[complex], list[complex]]:
+    """Coefficients of f1 and f2 of solver.derived by splitting each p_k."""
+    z1s, z2s = [complex(d0)], [0j]
+    for q in coeffs:
+        z1, z2 = split(q)
+        z1s.append(z1)
+        z2s.append(z2)
+    return z1s, z2s
 
 
 def greedy_match_reference(left, right, dist, tol):
@@ -228,10 +248,11 @@ def ab_reference(p: SimplePolynomial, z: Quaternion) -> tuple[Quaternion, Quater
 
 def solve_companion_reference(p: SimplePolynomial, tols=None) -> ZeroSet:
     """solve_companion with the scalar loops and the unscaled sphere test."""
-    from quatroots import Tolerances, classify_real, monic_normalized
+    from quatroots import Tolerances
+    from quatroots.companion import monic_normalized
     from quatroots.cpoly import ComplexPolynomial
     from quatroots.quaternion import ConjugacyClass, embed_complex
-    from quatroots.roots import polished_roots
+    from quatroots.roots import classify_real, polished_roots
 
     tols = tols or Tolerances()
     pm = monic_normalized(p)

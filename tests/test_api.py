@@ -7,21 +7,29 @@ import pytest
 import quatroots
 
 PUBLIC = {
+    # solvers
+    "solve_companion", "solve_complex_coeffs", "solve_discriminant",
+    "solve_factored",
     # types
-    "ComplexPolynomial", "ConjugacyClass", "DerivedPolynomials",
-    "NormalizedPolynomial", "Quaternion", "RootList", "SimplePolynomial",
-    "Tolerances", "VerificationReport", "ZeroSet", "ZeroSetDiff",
+    "ConjugacyClass", "Quaternion", "SimplePolynomial", "Tolerances", "ZeroSet",
+    # checks
+    "audit", "compare", "is_finite_zero_set",
     # errors
     "BothDenominatorsZeroError", "DegreeError", "InexactDivisionError",
     "NoConvergenceError", "NonRealCompanionError", "NonRealDiscriminantError",
     "NotComplexCoefficientsError", "UnpairedRootError",
-    # functions
-    "ab", "all_roots", "audit", "classify_real", "companion", "compare",
-    "derived", "discriminant", "embed_complex", "eval_qpoly", "factor_g",
-    "gcd", "gcd_many", "is_finite_zero_set", "is_spherical_root",
-    "isolated_zero", "monic_normalized", "normalize", "polish_multiples",
-    "power_decomp", "residual", "solve_companion", "solve_complex_coeffs",
-    "solve_discriminant", "solve_factored", "split",
+}
+
+# internals, out of __all__ and the package namespace, importable from their modules
+INTERNAL = {
+    "companion": ["ab", "companion", "monic_normalized", "power_decomp"],
+    "cpoly": ["ComplexPolynomial", "gcd", "gcd_many"],
+    "quaternion": ["embed_complex", "split"],
+    "roots": ["RootList", "all_roots", "classify_real", "polish_multiples"],
+    "solver": ["DEFAULT_TOLS", "DerivedPolynomials", "NormalizedPolynomial", "all_roots",
+               "derived", "discriminant", "factor_g", "is_spherical_root",
+               "isolated_zero", "normalize"],
+    "verify": ["VerificationReport", "ZeroSetDiff", "eval_qpoly", "residual"],
 }
 
 # test-only helpers and aliases that were folded into the names above
@@ -36,13 +44,20 @@ REMOVED = {
 
 
 def test_all_is_the_pinned_list():
-    assert len(quatroots.__all__) == len(set(quatroots.__all__)) == 45
+    assert len(quatroots.__all__) == len(set(quatroots.__all__)) == 20
     assert set(quatroots.__all__) == PUBLIC
 
 
 def test_every_public_name_resolves():
     missing = [name for name in quatroots.__all__ if not hasattr(quatroots, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", sorted(INTERNAL))
+def test_internals_stay_importable_from_their_modules(module):
+    mod = importlib.import_module(f"quatroots.{module}")
+    for name in INTERNAL[module]:
+        assert getattr(quatroots, name, None) is not getattr(mod, name)
 
 
 @pytest.mark.parametrize("module", sorted(REMOVED))

@@ -22,9 +22,9 @@ from quatroots.solver import (BothDenominatorsZeroError, DegreeError,
 from quatroots.companion import solve_companion
 from quatroots.verify import audit, compare, eval_qpoly
 
-from conftest import (SQRT2_2, dedup_isolated_reference,
+from conftest import (SQRT2_2, dedup_isolated_reference, derived_reference,
                       is_spherical_root_reference, isolated_zero_reference,
-                      qapprox, random_simple_polynomials)
+                      normalize_reference, qapprox, random_simple_polynomials)
 
 # a power of two, so offsets sit exactly at, or just past, the dedup distance
 DEDUP = 2.0 ** -20
@@ -68,11 +68,55 @@ def coeffs_close(p: ComplexPolynomial, expected, tol=1e-12) -> bool:
     return np.allclose(p.c, exp, atol=tol * max(1.0, np.abs(exp).max()), rtol=0)
 
 
+def _zeros(rows) -> list[Quaternion]:
+    return [Quaternion(*row) for row in rows.tolist()]
+
+
+def _gaussian(seed: int, degree: int) -> SimplePolynomial:
+    return SimplePolynomial.from_rows(np.random.default_rng(seed).standard_normal((degree + 1, 4)))
+
+
+# float components, a zero constant term, a tiny one, and the integer corpus
+ARRAY_INPUTS = ([_gaussian(seed, 3 + 5 * seed) for seed in range(6)]
+                + [SimplePolynomial.from_rows(rows) for rows in (
+                    [[0, 0, 0, 0], [0.3, -1.2, 0.7, 2.0], [1.5, 0, -2, 0.25]],
+                    [[1e-31, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [0, 1, 0, 0]])]
+                + random_simple_polynomials(40, seed=5))
+
+
 class TestSimplePolynomial:
     def test_from_rows(self):
         p = SimplePolynomial.from_rows([[1, 0, 0, 0], [0, 0, 0, 1]])
         assert p.degree == 1
         assert p.coeffs == (ONE, K)
+
+    def test_from_rows_round_trips_components_bit_for_bit(self):
+        rows = np.random.default_rng(3).standard_normal((9, 4)) * np.logspace(-12, 12, 9)[:, None]
+        rows[2] = [-0.0, 0.0, -0.0, 5e-324]
+        p = SimplePolynomial.from_rows(rows)
+        assert p.rows.tobytes() == rows.tobytes()
+        assert SimplePolynomial(p.coeffs).rows.tobytes() == rows.tobytes()
+        assert [q.components() for q in p.coeffs] == [tuple(r) for r in rows.tolist()]
+
+    def test_rows_are_read_only_and_copied(self):
+        rows = np.ones((3, 4))
+        p = SimplePolynomial.from_rows(rows)
+        rows[0, 0] = 7.0
+        assert p.rows[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            p.rows[0, 0] = 2.0
+
+    def test_fortran_ordered_rows_solve_alike(self):
+        rows = np.random.default_rng(4).standard_normal((7, 4))
+        rows[:, 2:] = 0.0
+        p, pf = (SimplePolynomial.from_rows(r) for r in (rows, np.asfortranarray(rows)))
+        assert pf.rows.tobytes() == p.rows.tobytes()
+        assert solve_complex_coeffs(pf) == solve_complex_coeffs(p)
+        assert solve_discriminant(pf) == solve_discriminant(p)
+
+    def test_rows_need_four_components(self):
+        with pytest.raises(ValueError, match="4 components"):
+            SimplePolynomial.from_rows([[1, 0, 0], [0, 1, 0]])
 
     def test_trailing_zero_coefficients_trimmed(self):
         p = SimplePolynomial([ONE, I, Quaternion()])
@@ -99,18 +143,26 @@ class TestNormalize:
     def test_constant_term_already_one(self, cubic_ijk):
         np_ = normalize(cubic_ijk)
         assert np_.d0 == 1
-        assert np_.coeffs == (K, J, I)
+        assert _zeros(np_.rows) == [ONE, K, J, I]
 
     def test_zero_constant_term(self):
         p = SimplePolynomial([0, 1, 1])  # x^2 + x
         np_ = normalize(p)
         assert np_.d0 == 0
-        assert np_.coeffs == (ONE, ONE)
+        assert _zeros(np_.rows) == [Quaternion(), ONE, ONE]
 
     def test_real_scaling(self):
         np_ = normalize(SimplePolynomial([2, 2]))
         assert np_.d0 == 1
-        assert qapprox(np_.coeffs[0], ONE, 1e-15)
+        assert qapprox(Quaternion(*np_.rows[1]), ONE, 1e-15)
+
+    @pytest.mark.parametrize("p", ARRAY_INPUTS, ids=range(len(ARRAY_INPUTS)))
+    def test_equals_the_scalar_products_bit_for_bit(self, p):
+        np_ = normalize(p)
+        coeffs, d0 = normalize_reference(p)
+        assert np_.d0 == d0 and np_.degree == p.degree
+        assert np_.rows[0].tolist() == [d0, 0.0, 0.0, 0.0]
+        assert [q.components() for q in _zeros(np_.rows[1:])] == [q.components() for q in coeffs]
 
     def test_constant_rejected(self):
         with pytest.raises(DegreeError):
@@ -132,7 +184,7 @@ class TestDerived:
 
     def test_pure_j_coefficient(self):
         # j x + 1: the j component lands in f2, the constant in f1
-        dp = derived(NormalizedPolynomial((J,), 1))
+        dp = derived(NormalizedPolynomial(np.array([[1.0, 0, 0, 0], [0, 0, 1, 0]])))
         assert coeffs_close(dp.f1, [1])
         assert coeffs_close(dp.f2, [0, 1])
 
@@ -143,6 +195,14 @@ class TestDerived:
         for f in (dp.f1, dp.f2):
             assert np.array_equal(np.abs(f.conj_coeffs()(eta)), np.abs(f(eta.conj())))
         assert dp.f2.coeff(0) == 0
+
+    @pytest.mark.parametrize("p", ARRAY_INPUTS, ids=range(len(ARRAY_INPUTS)))
+    def test_equals_the_split_loop_bit_for_bit(self, p):
+        dp = derived(normalize(p))
+        z1s, z2s = derived_reference(*normalize_reference(p))
+        for f, ref in ((dp.f1, z1s), (dp.f2, z2s)):
+            ref = ComplexPolynomial(ref).c
+            assert f.c.tobytes() == ref.tobytes()
 
 
 class TestDiscriminant:
@@ -190,26 +250,26 @@ class TestIsolatedZero:
         # f1(i) = 2, f2(i) = -2, so the closed form collapses to k
         assert dp.f1(1j) == pytest.approx(2)
         assert dp.f2(1j) == pytest.approx(-2)
-        assert qapprox(isolated_zero(dp, 1j), K, 1e-12)
+        assert qapprox(*_zeros(isolated_zero(dp, [1j])), K, 1e-12)
 
     def test_cubic_ijk_at_eighth_root(self, cubic_ijk):
         dp = derived(normalize(cubic_ijk))
         eta = cmath.exp(1j * math.pi / 4)
         expected = Quaternion(SQRT2_2, 0.5, 0.0, 0.5)
-        assert qapprox(isolated_zero(dp, eta), expected, 1e-12)
+        assert qapprox(*_zeros(isolated_zero(dp, [eta])), expected, 1e-12)
 
     def test_representative_invariance(self, cubic_ijk):
         # both branch selections must produce the same zero
         dp = derived(normalize(cubic_ijk))
         eta = cmath.exp(3j * math.pi / 4)
         expected = Quaternion(-SQRT2_2, 0.5, 0.0, 0.5)
-        assert qapprox(isolated_zero(dp, eta), expected, 1e-12)
+        assert qapprox(*_zeros(isolated_zero(dp, [eta])), expected, 1e-12)
 
     def test_guard_on_spherical_point(self, cubic_real):
         # misuse: at a spherical root all four evaluations vanish
         dp = derived(normalize(cubic_real))
         with pytest.raises(BothDenominatorsZeroError):
-            isolated_zero(dp, 1j)
+            isolated_zero(dp, [1j])
 
 
 class TestScaledEvaluation:
@@ -219,7 +279,7 @@ class TestScaledEvaluation:
     @given(_derived_and_eta())
     def test_agrees_with_the_unscaled_reference(self, case):
         dp, eta, kind = case
-        sphere = is_spherical_root(dp, eta)
+        sphere = is_spherical_root(dp, [eta])[0]
         ref_sphere = is_spherical_root_reference(dp, eta)
         try:
             ref_zero = isolated_zero_reference(dp, eta)
@@ -230,9 +290,9 @@ class TestScaledEvaluation:
             assert sphere == ref_sphere
             if ref_zero is None:
                 with pytest.raises(BothDenominatorsZeroError):
-                    isolated_zero(dp, eta)
+                    isolated_zero(dp, [eta])
             else:
-                assert isolated_zero(dp, eta) == ref_zero
+                assert _zeros(isolated_zero(dp, [eta])) == [ref_zero]
             return
         # every sphere found unscaled is found scaled; the scaled test also
         # finds the spheres whose Horner roundoff grew past the unscaled one
@@ -243,13 +303,14 @@ class TestScaledEvaluation:
                 math.isfinite(x) for x in ref_zero.components()):
             # free points may sit where both closed forms are equally large,
             # and the two sides give different quaternions there
-            assert qapprox(isolated_zero(dp, eta), ref_zero, 1e-12)
+            assert qapprox(*_zeros(isolated_zero(dp, [eta])), ref_zero, 1e-12)
 
     def test_arrays_give_the_pointwise_answers(self, degree6_mixed):
         dp = derived(normalize(degree6_mixed))
         eta = np.array([1j, cmath.exp(1j * math.pi / 3), 2.5 + 0.5j])
-        assert list(is_spherical_root(dp, eta)) == [is_spherical_root(dp, e) for e in eta]
-        assert isolated_zero(dp, eta[1:]) == [isolated_zero(dp, e) for e in eta[1:]]
+        assert list(is_spherical_root(dp, eta)) == [is_spherical_root(dp, [e])[0] for e in eta]
+        assert isolated_zero(dp, eta[1:]).tolist() == [
+            isolated_zero(dp, [e])[0].tolist() for e in eta[1:]]
 
     @pytest.mark.parametrize("seed, degree, re, modulus", [
         (1, 38, 0.25, 1.35), (2, 42, -0.6, 1.55), (3, 48, 0.9, 1.8)])
@@ -325,7 +386,7 @@ class TestFactorG:
 
     def test_coprime_pair_gives_constant(self):
         # f1 = 1, f2 = t  (from j x + 1)
-        g, g1, g2 = factor_g(NormalizedPolynomial((J,), 1))
+        g, g1, g2 = factor_g(NormalizedPolynomial(np.array([[1.0, 0, 0, 0], [0, 0, 1, 0]])))
         assert g.degree == 0
         assert coeffs_close(g1, [1])
         assert coeffs_close(g2, [0, 1])
@@ -341,8 +402,10 @@ class TestFactorG:
         g, g1, g2 = factor_g(normalize(degree6_mixed))
         eta = cmath.exp(-1j * math.pi / 3)
         expected = Quaternion(0.5, -0.5, -0.5, -0.5)
-        got, flipped, other = solver_mod._isolated_zero_cofactor(
+        zeros, ok = solver_mod._isolated_zero_cofactor(
             g1, g2, np.array([eta, eta.conjugate(), cmath.exp(-2j * math.pi / 3)]))
+        assert ok.all()
+        got, flipped, other = _zeros(zeros)
         assert qapprox(got, expected, 1e-12)
         # for cofactor root pairs either representative yields the same zero
         assert qapprox(flipped, expected, 1e-12)
@@ -420,14 +483,13 @@ class TestSolveComplexCoeffs:
 
 class TestIsFiniteZeroSet:
     def test_cubic_ijk_finite(self, cubic_ijk):
-        assert is_finite_zero_set(derived(normalize(cubic_ijk)))
+        assert is_finite_zero_set(cubic_ijk)
 
     def test_cubic_real_infinite(self, cubic_real):
-        assert not is_finite_zero_set(derived(normalize(cubic_real)))
+        assert not is_finite_zero_set(cubic_real)
 
     def test_x2_plus_1_infinite(self):
-        dp = derived(normalize(SimplePolynomial([1, 0, 1])))
-        assert not is_finite_zero_set(dp)
+        assert not is_finite_zero_set(SimplePolynomial([1, 0, 1]))
 
 
 class TestZeroSetBuild:
@@ -504,6 +566,17 @@ class TestEdgeShapes:
             assert audit(p, zs).passed
         assert not compare(sets[0], sets[1])
         assert not compare(sets[0], sets[2])
+
+    @pytest.mark.parametrize("coeffs", [[1e160, 3e160, 2e160], [1, 2, 1e200], [1e300, 1]])
+    @pytest.mark.parametrize("solve", [solve_discriminant, solve_factored, solve_companion,
+                                       solve_complex_coeffs])
+    def test_coefficients_that_all_trim_away_raise_degree_error(self, coeffs, solve):
+        # a modulus whose square overflows is inf, so every coefficient trims
+        # away; solve_complex_coeffs raised a bare ValueError from max()
+        p = SimplePolynomial(coeffs)
+        assert p.degree == -1
+        with pytest.raises(DegreeError):
+            solve(p)
 
     def test_linear_full_quaternion_value(self):
         # (1+i+j+k) x = 1 has the single zero (1+i+j+k)^-1
