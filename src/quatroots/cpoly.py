@@ -3,6 +3,9 @@
 Coefficients are indexed by power with the constant term first.  The zero
 polynomial is the empty coefficient list.  Supplies the evaluation, product,
 division and tolerance-aware gcd that the quaternionic solvers are built on.
+Every evaluation runs one batch-independent kernel with no loop over the
+coefficients: the power matrix of points |u| <= 1 (1/z on the reversed
+polynomial where |z| > 1), read by contractions for p, p' and sum |c_k||u|^k.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 TRIM_REL = 1e-30
 
 DEFAULT_GCD_TOL = 1e-8
+BLOCK = 1 << 16  # entries of the power matrix the evaluation kernel forms at a time
 
 
 def _trim(arr: np.ndarray, rel: float = TRIM_REL) -> np.ndarray:
@@ -22,35 +26,41 @@ def _trim(arr: np.ndarray, rel: float = TRIM_REL) -> np.ndarray:
     return arr[: keep[-1] + 1] if keep.size else arr[:0]
 
 
-def horner(c: np.ndarray, z: np.ndarray):
-    """p(z), p'(z) and the majorant sum_k |c_k||z|^k; c[k] may be an array broadcasting on z."""
-    p = np.full_like(z, c[-1])
-    dp = np.zeros_like(z)
-    az = np.abs(z)
-    maj = np.full(z.shape, abs(c[-1]))
-    for k in range(len(c) - 2, -1, -1):
-        dp = dp * z + p
-        p = p * z + c[k]
-        maj = maj * az + abs(c[k])
-    return p, dp, maj
+def _power_sums(c: np.ndarray, u: np.ndarray):
+    """p(u), p'(u) and sum_k |c_k||u|^k at points |u| <= 1; c of shape (n + 1, r) gives (r, len(u)).
+
+    The power matrix u_i^k, BLOCK // (n + 1) points at a time, is read by einsum
+    contractions, which sum each point's terms in order of k: a point's values
+    do not depend on the other points of its batch (a matmul's would).
+    """
+    n = len(c) - 1
+    rows = c.reshape(n + 1, -1).T
+    terms = (rows, rows[:, 1:] * np.arange(1, n + 1), np.abs(rows))
+    out = np.empty((3, len(rows), len(u)), dtype=np.complex128)
+    step = max(1, BLOCK // (n + 1))
+    for blk in (slice(s, s + step) for s in range(0, len(u), step)):
+        pw = np.full((len(u[blk]), n + 1), u[blk, None], dtype=np.complex128)
+        pw[:, 0] = 1.0
+        np.cumprod(pw, axis=1, out=pw)
+        for res, pws, coef in zip(out, (pw, pw[:, :n], np.abs(pw)), terms):
+            for j, cj in enumerate(coef):
+                res[j, blk] = np.einsum("ik,k->i", pws, cj)
+    return tuple(v.reshape(c.shape[1:] + u.shape) for v in (out[0], out[1], out[2].real))
 
 
 def scaled_horner(c: np.ndarray, z: np.ndarray):
-    """horner at z where |z| <= 1, and on the reversed polynomial at 1/z elsewhere.
+    """The kernel at z where |z| <= 1, and on the reversed polynomial at 1/z elsewhere.
 
-    Returns (reversed, mask, u, horner's results) for each nonempty branch,
-    u being the points Horner ran at.  The reversed value is p(z) / z^n with
-    n = len(c) - 1: no power of z is formed and no degree overflows.  c of
+    Returns (reversed, mask, u, (p, p', majorant)) for each nonempty branch,
+    u being the points the kernel ran at.  The reversed value is p(z) / z^n
+    with n = len(c) - 1: no power of z is formed and no degree overflows.  c of
     shape (n + 1, r) holds r polynomials padded to one degree.
     """
     z = np.asarray(z, dtype=np.complex128)
     coef = np.asarray(c, dtype=np.complex128)
-    rows = coef.shape[1:]
-    coef = coef[..., None] if rows else coef  # in a stack each c[k] broadcasts over points
     inner = np.abs(z) <= 1.0
     branches = ((False, inner, coef, z[inner]), (True, ~inner, coef[::-1], 1.0 / z[~inner]))
-    return [(rev, mask, u, horner(cf, np.broadcast_to(u, rows + u.shape) if rows else u))
-            for rev, mask, cf, u in branches if u.size]
+    return [(rev, mask, u, _power_sums(cf, u)) for rev, mask, cf, u in branches if u.size]
 
 
 def scaled_values(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -85,9 +95,9 @@ class ComplexPolynomial:
         return complex(self.c[k]) if 0 <= k < len(self.c) else 0j
 
     def __call__(self, t):
-        """Horner evaluation; accepts scalars or ndarrays."""
+        """Evaluation by the power-matrix kernel; accepts scalars or ndarrays."""
         c = self.c if len(self.c) else np.zeros(1, dtype=np.complex128)
-        return horner(c, np.asarray(t, dtype=np.complex128))[0][()]
+        return _power_sums(c, np.ravel(t))[0].reshape(np.shape(t))[()]
 
     def conj_coeffs(self) -> ComplexPolynomial:
         """Coefficient-wise complex conjugate (an involution)."""
@@ -166,34 +176,25 @@ class ComplexPolynomial:
         return f"ComplexPolynomial(degree={self.degree}, coeffs={list(self.c)!r})"
 
 
-def _strip_leading(p: ComplexPolynomial, rel: float) -> ComplexPolynomial:
-    """Drop leading coefficients at or below rel times the largest coefficient.
-
-    Remainders in the Euclidean sequence routinely carry roundoff junk in
-    their top coefficients; normalizing by such junk blows the sequence up,
-    so the working degree is decided at the gcd tolerance.
-    """
-    return ComplexPolynomial(_trim(p.c, rel))
-
-
 def gcd(p: ComplexPolynomial, q: ComplexPolynomial,
         tol: float = DEFAULT_GCD_TOL) -> ComplexPolynomial:
     """Monic approximate gcd via the Euclidean remainder sequence.
 
     A remainder counts as zero once its coefficient norm drops below tol
     times the norm of the dividend at that step.  gcd(p, 0) is monic p.
+    Remainders carry roundoff junk in their top coefficients, and normalizing
+    by it blows the sequence up, so every degree, the inputs' included, is
+    decided at tol: leading coefficients at or below tol times the largest go.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    # the degree decision applies to the inputs as well: a roundoff-level
-    # leading coefficient would otherwise blow up the first normalization
-    p = _strip_leading(p, tol)
-    q = _strip_leading(q, tol)
+    p = ComplexPolynomial(_trim(p.c, tol))
+    q = ComplexPolynomial(_trim(q.c, tol))
     a, b = (p, q) if p.degree >= q.degree else (q, p)
     a = a.monic()
     b = b.monic()
     while not b.is_zero:
-        r = _strip_leading(a.divrem(b)[1], tol)
+        r = ComplexPolynomial(_trim(a.divrem(b)[1].c, tol))
         if not r.is_zero and r.coeff_norm() <= tol * a.coeff_norm():
             r = ComplexPolynomial()
         a, b = b, r.monic()

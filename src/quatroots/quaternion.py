@@ -84,14 +84,16 @@ class Quaternion:
         return NotImplemented
 
     def inverse(self) -> Quaternion:
-        """Multiplicative inverse conj(q) / |q|^2.
+        """Multiplicative inverse conj(q) / |q|^2, bit for bit wherever |q|^2 is normal.
 
+        Each component is (a / s) / (|q / s|^2 * s), s the power of two just above
+        the largest |a|: both scalings are exact, and nothing underflows.
         Raises ZeroDivisionError for the zero quaternion.
         """
-        n2 = self.norm_sq()
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.a0 / n2, -self.a1 / n2, -self.a2 / n2, -self.a3 / n2)
+        s = math.ldexp(1.0, math.frexp(max(abs(a) for a in self.components()))[1])
+        q = self / s
+        d = q.norm_sq() * s
+        return Quaternion(q.a0 / d, -q.a1 / d, -q.a2 / d, -q.a3 / d)
 
     def __str__(self) -> str:
         parts = []

@@ -2,7 +2,9 @@
 
 Simultaneous Ehrlich-Aberth iteration started from Newton-polygon radius
 estimates with golden-angle phases, followed by per-root Newton polishing,
-then clustering of near-coincident roots into multiplicity entries.
+then clustering of near-coincident roots into multiplicity entries.  Each
+Aberth step evaluates and moves the unconverged roots only; converged ones
+stay frozen.
 
 Evaluation switches to the power-reversed polynomial at 1/z whenever |z| > 1,
 so high degrees never overflow.  A root is accepted either when its step
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import ComplexPolynomial, TRIM_REL, scaled_horner, scaled_values
+from .cpoly import BLOCK, ComplexPolynomial, TRIM_REL, scaled_horner, scaled_values
 
 MAX_ITERATIONS = 500
 STEP_REL = 1e-14
@@ -51,7 +53,8 @@ class RootList:
 def _eval_state(c: np.ndarray, z: np.ndarray):
     """Newton correction p/p' and noise-relative residual |p(z)| / sum|c_k||z|^k.
 
-    Both are computed without overflow for any |z| by cpoly.scaled_horner.
+    Both are computed without overflow for any |z|, and independently of the
+    other points of z, by cpoly.scaled_horner.
     """
     z = np.asarray(z, dtype=np.complex128)
     n = len(c) - 1
@@ -112,51 +115,76 @@ def _initial_guesses(c: np.ndarray) -> np.ndarray:
 
 
 def _aberth(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ehrlich-Aberth iteration that evaluates and steps the unconverged roots only.
+
+    Converged roots are frozen, so the iterates are those of stepping the whole set.
+    Every colliding pair holds a root that moved since the last search for one.
+    """
     z = _initial_guesses(c)
     n = len(z)
     converged = np.zeros(n, dtype=bool)
+    moved = np.ones(n, dtype=bool)
     noise = 4.0 * len(c) * _EPS
     for _ in range(MAX_ITERATIONS):
-        corr, rel = _eval_state(c, z)
-        converged |= rel <= noise
+        todo = ~converged
+        corr, rel = _eval_state(c, z[todo])
+        converged[todo] |= rel <= noise
         if converged.all():
             break
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        collide = np.abs(diff) == 0.0
-        if collide.any():
-            hit = np.unique(np.nonzero(collide)[0])
+        active = ~converged
+        corr = corr[active[todo]]
+        rows = np.flatnonzero(moved | active)
+        s, hit = _aberth_sums(z, rows)
+        if hit.size:
             z[hit] += 1e-8 * (1.0 + np.abs(z[hit])) * np.exp(1j * _GOLDEN_ANGLE * (1 + hit))
+            moved = np.isin(np.arange(n), hit)
             continue
-        s = (1.0 / diff).sum(axis=1)
+        s = s[active[rows]]
         w = corr / (1.0 - corr * s)
         bad = ~np.isfinite(w)
         w[bad] = corr[bad]
-        active = ~converged
-        z[active] -= w[active]
-        converged[active] |= np.abs(w[active]) <= STEP_REL * (1.0 + np.abs(z[active]))
+        z[active] -= w
+        converged[active] |= np.abs(w) <= STEP_REL * (1.0 + np.abs(z[active]))
+        moved = active
         if converged.all():
             break
     return z, converged
 
 
-def _newton_polish(c: np.ndarray, z: np.ndarray, steps: int = 8) -> np.ndarray:
-    """A few guarded Newton steps per root; keeps the best residual seen."""
-    best = z.copy()
-    best_rel = np.full(z.shape, np.inf)
+def _aberth_sums(z: np.ndarray, rows: np.ndarray):
+    """sum_(j != i) 1/(z_i - z_j) for i in rows, BLOCK // len(z) rows at a time,
+    and every index of a colliding pair."""
+    s = np.empty(len(rows), dtype=np.complex128)
+    hit = []
+    step = max(1, BLOCK // len(z))
+    for b in range(0, len(rows), step):
+        r = rows[b:b + step]
+        diff = z[r, None] - z[None, :]
+        diff[np.arange(len(r)), r] = np.inf
+        i, j = np.nonzero(diff == 0.0)
+        if i.size:
+            hit += [r[i], j]
+        else:
+            s[b:b + step] = (1.0 / diff).sum(axis=1)
+    return s, np.unique(np.concatenate(hit or [rows[:0]]))
+
+
+def _newton_polish(c: np.ndarray, z: np.ndarray, steps: int = 8):
+    """A few guarded Newton steps per root: the best-residual points and _eval_state there."""
     cur = z.copy()
+    corr, rel = _eval_state(c, cur)
+    best, best_corr, best_rel = cur, corr, rel
     for _ in range(steps):
+        cur = cur - corr
+        done = np.all(np.abs(corr) <= STEP_REL * (1.0 + np.abs(cur)))
         corr, rel = _eval_state(c, cur)
         gain = rel < best_rel
-        best[gain] = cur[gain]
-        best_rel = np.minimum(best_rel, rel)
-        cur = cur - corr
-        if np.all(np.abs(corr) <= STEP_REL * (1.0 + np.abs(cur))):
+        best = np.where(gain, cur, best)
+        best_corr = np.where(gain, corr, best_corr)
+        best_rel = np.where(gain, rel, best_rel)
+        if done:
             break
-    _, rel = _eval_state(c, cur)
-    gain = rel < best_rel
-    best[gain] = cur[gain]
-    return best
+    return best, best_corr, best_rel
 
 
 def _cluster(points: np.ndarray, radii=None,
@@ -217,8 +245,7 @@ def all_roots(p: ComplexPolynomial) -> RootList:
     stall = [0.0] * m0
     if len(c) > 1:
         z, conv = _aberth(c)
-        z = _newton_polish(c, z)
-        corr, rel = _eval_state(c, z)
+        z, corr, rel = _newton_polish(c, z)
         if not conv.all():
             noise = 4.0 * len(c) * _EPS
             if not np.all((rel <= noise) | conv):
@@ -244,8 +271,8 @@ def _newton_refine(g: ComplexPolynomial, z0: complex) -> complex:
     """Newton on g from z0, keeping the best residual seen (z0 if g is constant)."""
     if g.degree < 1:
         return z0
-    z = _newton_polish(np.array(g.c, dtype=np.complex128),
-                       np.array([z0], dtype=np.complex128), steps=60)
+    z, _, _ = _newton_polish(np.array(g.c, dtype=np.complex128),
+                             np.array([z0], dtype=np.complex128), steps=60)
     return complex(z[0])
 
 

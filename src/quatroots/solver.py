@@ -276,7 +276,7 @@ def is_spherical_root(dp: DerivedPolynomials, eta, tol_zero: float = 1e-10,
     True means the whole conjugacy sphere of eta consists of zeros; False, that
     it holds one isolated zero.  |conj-f(eta)| is |f(conj eta)|, so the four are
     f1, f2 at eta and conj(eta): values, if the caller has them, is
-    _side_values(dp.f1, dp.f2, eta).  Each |f| is held against its Horner
+    _side_values(dp.f1, dp.f2, eta).  Each |f| is held against its evaluation
     roundoff scale tol_zero * max|c_f| * max(1,|eta|)^deg f.
     """
     eta = np.asarray(eta, dtype=np.complex128)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quatroots import SimplePolynomial, ZeroSet
+from quatroots.cpoly import ComplexPolynomial
 from quatroots.quaternion import I, J, K, ONE, Quaternion, split
 from quatroots.verify import ZeroSetDiff
 
@@ -158,20 +159,55 @@ def dedup_isolated_reference(isolated, classes, dedup: float = 1e-8):
     return tuple(iso)
 
 
-def poly_call_reference(c: np.ndarray, t):
-    """ComplexPolynomial.__call__ as its own Horner loop, before it shared cpoly.horner."""
-    if len(c) == 0:
-        return np.zeros_like(t, dtype=np.complex128) if isinstance(t, np.ndarray) else 0j
-    acc = c[-1] * (np.ones_like(t) if isinstance(t, np.ndarray) else 1.0)
+def horner_reference(c: np.ndarray, z: np.ndarray):
+    """p(z), p'(z) and sum_k |c_k||z|^k by the Horner loop the evaluation kernel replaced."""
+    p = np.full_like(z, c[-1])
+    dp = np.zeros_like(z)
+    az = np.abs(z)
+    maj = np.full(z.shape, abs(c[-1]))
     for k in range(len(c) - 2, -1, -1):
-        acc = acc * t + c[k]
-    return acc
+        dp = dp * z + p
+        p = p * z + c[k]
+        maj = maj * az + abs(c[k])
+    return p, dp, maj
+
+
+def aberth_reference(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """roots._aberth evaluating every root and forming the n x n sums at every step."""
+    from quatroots.roots import MAX_ITERATIONS, STEP_REL, _EPS, _GOLDEN_ANGLE
+    from quatroots.roots import _eval_state, _initial_guesses
+
+    z = _initial_guesses(c)
+    n = len(z)
+    converged = np.zeros(n, dtype=bool)
+    noise = 4.0 * len(c) * _EPS
+    for _ in range(MAX_ITERATIONS):
+        corr, rel = _eval_state(c, z)
+        converged |= rel <= noise
+        if converged.all():
+            break
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        collide = np.abs(diff) == 0.0
+        if collide.any():
+            hit = np.unique(np.nonzero(collide)[0])
+            z[hit] += 1e-8 * (1.0 + np.abs(z[hit])) * np.exp(1j * _GOLDEN_ANGLE * (1 + hit))
+            continue
+        s = (1.0 / diff).sum(axis=1)
+        w = corr / (1.0 - corr * s)
+        bad = ~np.isfinite(w)
+        w[bad] = corr[bad]
+        active = ~converged
+        z[active] -= w[active]
+        converged[active] |= np.abs(w[active]) <= STEP_REL * (1.0 + np.abs(z[active]))
+        if converged.all():
+            break
+    return z, converged
 
 
 def _at_reference(c: np.ndarray, eta: complex) -> complex:
-    # a one-point array: numpy's vectorized complex product may round its
-    # last bit differently from the scalar one, and the solver batches
-    return complex(poly_call_reference(c, np.array([eta]))[0])
+    # the evaluation kernel at one point, on the unpadded coefficients
+    return complex(ComplexPolynomial(c)(np.array([eta]))[0])
 
 
 def is_spherical_root_reference(dp, eta: complex, tol_zero: float = 1e-10) -> bool:
@@ -250,7 +286,6 @@ def solve_companion_reference(p: SimplePolynomial, tols=None) -> ZeroSet:
     """solve_companion with the scalar loops and the unscaled sphere test."""
     from quatroots import Tolerances
     from quatroots.companion import monic_normalized
-    from quatroots.cpoly import ComplexPolynomial
     from quatroots.quaternion import ConjugacyClass, embed_complex
     from quatroots.roots import classify_real, polished_roots
 

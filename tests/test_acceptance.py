@@ -111,7 +111,7 @@ def test_criterion_4_root_table_pattern(degree6_mixed):
         # raw iteration output, before any multiple-root polishing
         c = np.array(pt.c)
         raw, conv = _aberth(c)
-        raw = _newton_polish(c, raw)
+        raw, _, _ = _newton_polish(c, raw)
         assert conv.all()
         contamination = []
         for z in raw:

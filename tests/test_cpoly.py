@@ -1,9 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatroots.cpoly import ComplexPolynomial, gcd, gcd_many, scaled_values
+from quatroots.cpoly import (BLOCK, ComplexPolynomial, _power_sums, gcd, gcd_many,
+                             scaled_values)
+from quatroots.roots import _eval_state
+
+from conftest import horner_reference
+
+_EPS = float(np.finfo(np.float64).eps)
 
 # derived polynomials of the cubic test case i x^3 + j x^2 + k x + 1
 F1 = ComplexPolynomial([1, 0, 0, 1j])        # i t^3 + 1
@@ -73,6 +81,65 @@ class TestScaledValues:
         c = np.random.default_rng(0).standard_normal(2001) + 0j
         got = scaled_values(c, np.array([3.0 + 1.0j, -2.5j, 0.5]))
         assert np.all(np.isfinite(got)) and np.all(np.abs(got) > 0)
+
+
+def _kernel_points(rng, m: int) -> np.ndarray:
+    """0, points on the unit circle, just inside it, and spread over the disc."""
+    ring = np.exp(2j * np.pi * rng.random(m))
+    return np.concatenate([[0.0], ring, ring * (1.0 - 1e-9), ring * np.sqrt(rng.random(m))])
+
+
+class TestPowerKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 333, 1000, 2000])
+    def test_within_the_horner_bound(self, n):
+        # |delta| <= 4(n+1) eps times the majorant of the value compared:
+        # sum |c_k||u|^k for p and maj, sum k|c_k||u|^(k-1) for p'
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        u = _kernel_points(rng, 24)
+        p, dp, maj = _power_sums(c, u)
+        rp, rdp, rmaj = horner_reference(c, u)
+        dmaj = horner_reference(np.abs(c[1:]) * np.arange(1, n + 1), np.abs(u))[0].real
+        bound = 4 * (n + 1) * _EPS
+        assert np.all(np.abs(p - rp) <= bound * rmaj)
+        assert np.all(np.abs(dp - rdp) <= bound * dmaj)
+        assert np.all(np.abs(maj - rmaj) <= bound * rmaj)
+
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_a_point_has_one_value_in_any_batch(self, n):
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal((n + 1, 2)) + 1j * rng.standard_normal((n + 1, 2))
+        step = max(1, BLOCK // (n + 1))
+        u = _kernel_points(rng, max(8, step))
+        full = _power_sums(c, u)
+        # alone, inside a batch, and either side of a block boundary
+        for i in sorted({0, 1, step - 1, step, step + 1, len(u) - 1}):
+            for lo in (i, max(0, i - 1), max(0, i - step + 1)):
+                part = _power_sums(c, u[lo:i + 1])
+                for whole, sub in zip(full, part):
+                    assert np.array_equal(whole[:, i], sub[:, -1])
+
+    def test_eval_state_of_a_subset_is_the_subset_of_eval_state(self):
+        # both branches: the root finder steps a subset of its roots
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal(201) + 1j * rng.standard_normal(201)
+        z = 3.0 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
+        corr, rel = _eval_state(c, z)
+        keep = rng.random(500) < 0.3
+        sub_corr, sub_rel = _eval_state(c, z[keep])
+        assert np.array_equal(sub_corr, corr[keep]) and np.array_equal(sub_rel, rel[keep])
+
+    def test_no_warning_at_degree_2000(self):
+        rng = np.random.default_rng(2000)
+        c = rng.standard_normal(2001) + 1j * rng.standard_normal(2001)
+        z = np.concatenate([_kernel_points(rng, 50), 1e200 * np.exp(1j * rng.random(5)),
+                            [1e-300, 1.0 + 1e-15, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            corr, rel = _eval_state(c, z)
+            vals = scaled_values(c, z)
+        assert np.all(np.isfinite(corr)) and np.all(np.isfinite(rel))
+        assert np.all(np.isfinite(vals))
 
 
 class TestConjCoeffs:

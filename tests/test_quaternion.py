@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion,
@@ -124,6 +125,20 @@ class TestInverse:
         if abs(q) < 1e-3:
             return
         assert abs(q * q.inverse() - ONE) <= 1e-12
+
+    @given(st.builds(Quaternion, *[st.floats(-1e154, 1e154, allow_nan=False)] * 4))
+    def test_is_conj_over_norm_squared_where_that_is_normal(self, q):
+        n2 = q.norm_sq()
+        assume(sys.float_info.min <= n2 < math.inf)
+        expected = (q.a0 / n2, -q.a1 / n2, -q.a2 / n2, -q.a3 / n2)
+        assert q.inverse().components() == expected
+
+    def test_tiny_modulus_keeps_full_precision(self):
+        # |q|^2 = 1.4e-319 is subnormal: dividing by it lost about 5 digits
+        q = Quaternion(1e-160, 3e-160, -2e-160, 5e-161)
+        inv = q.inverse()
+        assert abs(q * inv - ONE) <= 4e-16
+        assert qapprox(inv, Quaternion(1e160, -3e160, 2e160, -5e159) * (1 / 14.25), 1e-15)
 
 
 class TestSplit:

@@ -6,8 +6,11 @@ import pytest
 
 from quatroots.cpoly import ComplexPolynomial
 from quatroots.roots import (NoConvergenceError, RootList, UnpairedRootError,
-                             _cluster, all_roots, classify_real,
+                             _aberth, _aberth_sums, _cluster, _eval_state,
+                             _newton_polish, all_roots, classify_real,
                              pair_conjugates, polish_multiples)
+
+from conftest import aberth_reference
 
 # the machine-computed roots of the degree-12 discriminant of the
 # degree-6 test case, as produced by a general-purpose solver
@@ -122,6 +125,44 @@ class TestAllRoots:
         err = NoConvergenceError("stalled", roots=[1j], residuals=[0.25])
         assert err.roots == [1j]
         assert err.residuals == [0.25]
+
+
+def _aberth_corpus():
+    """Complex, real and double-root inputs of degree 2 to 300."""
+    rng = np.random.default_rng(11)
+    out = [np.array([1, 0, 1, 0, -1, 0, -2, 0, -1, 0, 1, 0, 1], dtype=complex)]
+    for n in (2, 3, 5, 9, 17, 40, 90, 300):
+        g = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        out += [g, g.real + 0j, np.convolve(g[:n - 1], [0.49, -1.4, 1.0])]
+    return out
+
+
+class TestActiveSetAberth:
+    @pytest.mark.parametrize("c", _aberth_corpus(), ids=lambda c: f"n{len(c) - 1}")
+    def test_equals_the_full_set_iteration(self, c):
+        z, conv = _aberth(c.copy())
+        ref_z, ref_conv = aberth_reference(c.copy())
+        assert np.array_equal(z, ref_z) and np.array_equal(conv, ref_conv)
+
+    def test_sums_and_collisions_match_the_full_matrix(self):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(700) + 1j * rng.standard_normal(700)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        rows = np.flatnonzero(rng.random(700) < 0.5)
+        s, hit = _aberth_sums(z, rows)
+        assert hit.size == 0
+        assert np.array_equal(s, (1.0 / diff).sum(axis=1)[rows])
+        z[[5, 650]] = z[[400, 20]]
+        _, hit = _aberth_sums(z, np.array([5, 20, 300]))
+        assert hit.tolist() == [5, 20, 400, 650]
+
+    def test_polish_returns_the_state_of_its_points(self):
+        c = np.convolve([2, -3, 1, 5j, 1], [0.25, -1.0, 1.0]).astype(complex)
+        z, _ = _aberth(c)
+        best, corr, rel = _newton_polish(c, z)
+        want_corr, want_rel = _eval_state(c, best)
+        assert np.array_equal(corr, want_corr) and np.array_equal(rel, want_rel)
 
 
 class TestFShapeNonnegativity:

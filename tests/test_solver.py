@@ -578,6 +578,16 @@ class TestEdgeShapes:
         with pytest.raises(DegreeError):
             solve(p)
 
+    @pytest.mark.parametrize("solve", [solve_discriminant, solve_factored, solve_companion])
+    def test_tiny_coefficients_keep_their_zeros(self, solve):
+        # (x + 1)(2x + 1) scaled by 1e-160: normalizing by the constant term
+        # inverted a quaternion whose squared modulus is subnormal
+        p = SimplePolynomial([1e-160, 3e-160, 2e-160])
+        zs = solve(p)
+        assert not zs.isolated_zeros and not zs.spherical
+        assert np.allclose(zs.real_zeros, [-1.0, -0.5], rtol=0, atol=7e-16)
+        assert audit(p, zs).passed
+
     def test_linear_full_quaternion_value(self):
         # (1+i+j+k) x = 1 has the single zero (1+i+j+k)^-1
         p = SimplePolynomial([-1, Quaternion(1, 1, 1, 1)])
