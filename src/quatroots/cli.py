@@ -17,8 +17,9 @@ import numpy as np
 
 from .companion import solve_companion
 from .quaternion import ConjugacyClass, Quaternion
-from .solver import SimplePolynomial, Tolerances, ZeroSet, solve_discriminant, solve_factored
-from .verify import ZeroSetDiff, audit, compare
+from .solver import (DEFAULT_TOLS, SimplePolynomial, Tolerances, ZeroSet, solve_discriminant,
+                     solve_factored)
+from .verify import SAMPLES_PER_CLASS, ZeroSetDiff, audit, compare
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -33,11 +34,6 @@ _ALGORITHMS = {
 
 class ProblemError(ValueError):
     pass
-
-
-def _fmt(x: float) -> float:
-    # round-trip through 17 significant digits
-    return float(f"{x:.17g}")
 
 
 def parse_problem(text: str):
@@ -129,12 +125,12 @@ def _parse_expected(doc) -> ZeroSet:
 
 def zero_set_json(zs: ZeroSet) -> dict:
     return {
-        "real": [_fmt(x) for x in zs.real_zeros],
-        "isolated": [[_fmt(c) for c in q.components()] for q in zs.isolated_zeros],
+        "real": list(zs.real_zeros),
+        "isolated": [list(q.components()) for q in zs.isolated_zeros],
         "spherical": [{
-            "re": _fmt(c.re),
-            "modulus": _fmt(c.modulus),
-            "representative": [_fmt(c.representative.real), _fmt(c.representative.imag)],
+            "re": c.re,
+            "modulus": c.modulus,
+            "representative": [c.representative.real, c.representative.imag],
         } for c in zs.spherical],
     }
 
@@ -149,11 +145,9 @@ def zero_set_from_json(doc: dict) -> ZeroSet:
 def _diff_json(diff: ZeroSetDiff) -> dict:
     return {
         "empty": not diff,
-        "real": [[side, _fmt(x)] for side, x in diff.real],
-        "isolated": [[side, [_fmt(c) for c in q.components()]]
-                     for side, q in diff.isolated],
-        "spherical": [[side, [_fmt(re), _fmt(mod)]]
-                      for side, (re, mod) in diff.spherical],
+        "real": [[side, x] for side, x in diff.real],
+        "isolated": [[side, list(q.components())] for side, q in diff.isolated],
+        "spherical": [[side, [re, mod]] for side, (re, mod) in diff.spherical],
     }
 
 
@@ -178,13 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--algorithm", choices=["new", "new-prime", "jo", "compare"],
                     default="compare",
                     help="solver route; compare runs all three and diffs them")
-    ap.add_argument("--tol-real", type=float, default=1e-5,
+    ap.add_argument("--tol-real", type=float, default=DEFAULT_TOLS.real,
                     help="imaginary-part threshold for real roots")
-    ap.add_argument("--tol-zero", type=float, default=1e-10,
+    ap.add_argument("--tol-zero", type=float, default=DEFAULT_TOLS.zero,
                     help="vanishing threshold for sphere detection")
-    ap.add_argument("--tol-gcd", type=float, default=1e-8,
+    ap.add_argument("--tol-gcd", type=float, default=DEFAULT_TOLS.gcd,
                     help="relative remainder cutoff in the approximate gcd")
-    ap.add_argument("--samples-per-class", type=int, default=8,
+    ap.add_argument("--samples-per-class", type=int, default=SAMPLES_PER_CLASS,
                     help="sphere members sampled during verification")
     ap.add_argument("--format", choices=["text", "json"], default="text")
     ap.add_argument("--right-sided", action="store_true",
@@ -251,7 +245,7 @@ def main(argv=None) -> int:
                 alg: {
                     "zeros": zero_set_json(zs),
                     "verification": {
-                        "max_residual": _fmt(reports[alg].max_residual),
+                        "max_residual": reports[alg].max_residual,
                         "bounds_ok": reports[alg].bounds_ok,
                         "passed": reports[alg].passed,
                     },

@@ -16,8 +16,8 @@ import numpy as np
 from .cpoly import ComplexPolynomial
 from .quaternion import ConjugacyClass, Quaternion, hamilton, norms
 from .roots import classify_real, polished_roots
-from .solver import (DEFAULT_TOLS, DegreeError, SimplePolynomial, Tolerances,
-                     ZeroSet)
+from .solver import (DEFAULT_TOLS, NORM_REAL_TOL, BothDenominatorsZeroError, DegreeError,
+                     SimplePolynomial, Tolerances, ZeroSet)
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -31,7 +31,7 @@ def monic_normalized(p: SimplePolynomial) -> SimplePolynomial:
     return p.left_scaled(Quaternion(*p.rows[-1].tolist()).inverse())
 
 
-def companion(p: SimplePolynomial, tol: float = 1e-10) -> ComplexPolynomial:
+def companion(p: SimplePolynomial, tol: float = NORM_REAL_TOL) -> ComplexPolynomial:
     """The polynomial sum b_k x^k with b_k = sum_j conj(q_j) q_(k-j).
 
     Every b_k is real for any quaternion coefficients.  Requires the monic
@@ -110,8 +110,8 @@ def solve_companion(p: SimplePolynomial,
     sphere = vnorm <= tols.zero * s * s
     stuck = ~sphere & (wnorm <= 1e-300 * vnorm)
     if stuck.any():
-        raise RuntimeError(f"nonzero v with vanishing imaginary part at "
-                           f"{complex(eta[stuck][0])}; inconsistent companion root")
+        raise BothDenominatorsZeroError(f"nonzero v with vanishing imaginary part at "
+                                        f"{complex(eta[stuck][0])}; inconsistent companion root")
     f = np.abs(eta.imag[~sphere]) / wnorm[~sphere]
     isolated = np.column_stack([eta.real[~sphere], -f[:, None] * v[~sphere, 1:]])
     classes = [ConjugacyClass.from_complex(z) for z in eta[sphere].tolist()]

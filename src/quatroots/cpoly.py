@@ -3,9 +3,10 @@
 Coefficients are indexed by power with the constant term first.  The zero
 polynomial is the empty coefficient list.  Supplies the evaluation, product,
 division and tolerance-aware gcd that the quaternionic solvers are built on.
-Every evaluation runs one batch-independent kernel with no loop over the
-coefficients: the power matrix of points |u| <= 1 (1/z on the reversed
-polynomial where |z| > 1), read by contractions for p, p' and sum |c_k||u|^k.
+Every evaluation is one scaled_horner call on whole arrays.  It runs one
+batch-independent kernel with no loop over the coefficients: the power matrix
+of points |u| <= 1 (u = 1/z on the reversed polynomial where |z| > 1), read by
+contractions for p, p' and sum |c_k||u|^k.
 """
 
 from __future__ import annotations
@@ -49,25 +50,23 @@ def _power_sums(c: np.ndarray, u: np.ndarray):
 
 
 def scaled_horner(c: np.ndarray, z: np.ndarray):
-    """The kernel at z where |z| <= 1, and on the reversed polynomial at 1/z elsewhere.
+    """(p, p', majorant) at every z, each of shape c.shape[1:] + z.shape.
 
-    Returns (reversed, mask, u, (p, p', majorant)) for each nonempty branch,
-    u being the points the kernel ran at.  The reversed value is p(z) / z^n
-    with n = len(c) - 1: no power of z is formed and no degree overflows.  c of
-    shape (n + 1, r) holds r polynomials padded to one degree.
+    Where |z| <= 1 they are the kernel's values at z.  Elsewhere they are the
+    reversed polynomial q(u) = u^n p(1/u), its derivative and its majorant at
+    u = 1/z, so the value there is p(z) / z^n with n = len(c) - 1: no power
+    of z is formed and no degree overflows.  c of shape (n + 1, r) holds r
+    polynomials padded to one degree.
     """
     z = np.asarray(z, dtype=np.complex128)
     coef = np.asarray(c, dtype=np.complex128)
     inner = np.abs(z) <= 1.0
-    branches = ((False, inner, coef, z[inner]), (True, ~inner, coef[::-1], 1.0 / z[~inner]))
-    return [(rev, mask, u, _power_sums(cf, u)) for rev, mask, cf, u in branches if u.size]
-
-
-def scaled_values(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p(z) where |z| <= 1 and p(z) / z^n elsewhere: scaled_horner's values."""
-    out = np.empty(np.shape(c)[1:] + np.shape(z), dtype=np.complex128)
-    for _, mask, _, (p, _, _) in scaled_horner(c, z):
-        out[..., mask] = p
+    shape = coef.shape[1:] + z.shape
+    out = (np.empty(shape, np.complex128), np.empty(shape, np.complex128), np.empty(shape))
+    for mask, cf, u in ((inner, coef, z[inner]), (~inner, coef[::-1], 1.0 / z[~inner])):
+        if u.size:
+            for res, v in zip(out, _power_sums(cf, u)):
+                res[..., mask] = v
     return out
 
 
@@ -93,11 +92,6 @@ class ComplexPolynomial:
 
     def coeff(self, k: int) -> complex:
         return complex(self.c[k]) if 0 <= k < len(self.c) else 0j
-
-    def __call__(self, t):
-        """Evaluation by the power-matrix kernel; accepts scalars or ndarrays."""
-        c = self.c if len(self.c) else np.zeros(1, dtype=np.complex128)
-        return _power_sums(c, np.ravel(t))[0].reshape(np.shape(t))[()]
 
     def conj_coeffs(self) -> ComplexPolynomial:
         """Coefficient-wise complex conjugate (an involution)."""

@@ -84,10 +84,11 @@ class Quaternion:
         return NotImplemented
 
     def inverse(self) -> Quaternion:
-        """Multiplicative inverse conj(q) / |q|^2, bit for bit wherever |q|^2 is normal.
+        """Multiplicative inverse conj(q) / |q|^2, within 4 ulp of the exact value.
 
         Each component is (a / s) / (|q / s|^2 * s), s the power of two just above
-        the largest |a|: both scalings are exact, and nothing underflows.
+        the largest |a|: both scalings are exact, and nothing underflows.  It is
+        conj(q) / q.norm_sq() bit for bit where no nonzero a^2 is subnormal.
         Raises ZeroDivisionError for the zero quaternion.
         """
         s = math.ldexp(1.0, math.frexp(max(abs(a) for a in self.components()))[1])

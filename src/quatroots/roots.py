@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import BLOCK, ComplexPolynomial, TRIM_REL, scaled_horner, scaled_values
+from .cpoly import BLOCK, ComplexPolynomial, TRIM_REL, scaled_horner
 
 MAX_ITERATIONS = 500
 STEP_REL = 1e-14
@@ -47,7 +47,6 @@ class RootList:
     """Distinct root values with multiplicities; multiplicities sum to degree."""
 
     roots: tuple[tuple[complex, int], ...]
-    source_degree: int
 
 
 def _eval_state(c: np.ndarray, z: np.ndarray):
@@ -58,14 +57,12 @@ def _eval_state(c: np.ndarray, z: np.ndarray):
     """
     z = np.asarray(z, dtype=np.complex128)
     n = len(c) - 1
-    corr = np.zeros_like(z)
-    rel = np.zeros(z.shape, dtype=np.float64)
-    for rev, mask, u, (p, dp, maj) in scaled_horner(c, z):
-        zm = z[mask]
-        # reversed: p, dp are q(u), q'(u) for q(u) = u^n p(1/u), so p/p' = z q/(n q - u q')
-        corr[mask] = zm * _safe_ratio(p, n * p - u * dp, zm) if rev else _safe_ratio(p, dp, zm)
-        rel[mask] = np.abs(p) / np.maximum(maj, np.finfo(np.float64).tiny)
-    return corr, rel
+    p, dp, maj = scaled_horner(c, z)
+    rev = ~(np.abs(z) <= 1.0)  # scaled_horner's reversed points, NaN included
+    u = np.divide(1.0, z, out=np.zeros_like(z), where=rev)
+    # reversed: p, dp are q(u), q'(u) for q(u) = u^n p(1/u), so p/p' = z q/(n q - u q')
+    corr = np.where(rev, z * _safe_ratio(p, n * p - u * dp, z), _safe_ratio(p, dp, z))
+    return corr, np.abs(p) / np.maximum(maj, np.finfo(np.float64).tiny)
 
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -252,7 +249,7 @@ def all_roots(p: ComplexPolynomial) -> RootList:
                 raise NoConvergenceError(
                     f"{int((~conv).sum())} of {len(z)} roots unconverged after "
                     f"{MAX_ITERATIONS} iterations",
-                    roots=list(z), residuals=list(np.abs(scaled_values(c, z))))
+                    roots=list(z), residuals=list(np.abs(scaled_horner(c, z)[0])))
         found.extend(complex(v) for v in z)
         # the residual Newton correction measures each root's noise-ball size
         stall.extend(float(a) for a in np.abs(corr))
@@ -260,11 +257,11 @@ def all_roots(p: ComplexPolynomial) -> RootList:
                         radii=8.0 * np.asarray(stall))
     values = np.array([v for v, _ in clusters], dtype=np.complex128)
     # |p(z)| / max(1,|z|)^deg, relative to the largest coefficient
-    residuals = np.abs(scaled_values(p.c, values))
+    residuals = np.abs(scaled_horner(p.c, values)[0])
     if np.any(residuals / scale > RESIDUAL_REL):
         raise NoConvergenceError("residual acceptance bound exceeded",
                                  roots=list(values), residuals=list(residuals))
-    return RootList(tuple(clusters), p.degree)
+    return RootList(tuple(clusters))
 
 
 def _newton_refine(g: ComplexPolynomial, z0: complex) -> complex:
@@ -290,7 +287,7 @@ def polish_multiples(p: ComplexPolynomial, rl: RootList) -> RootList:
                 g = g.derivative()
             v = _newton_refine(g, v)
         out.append((v, m))
-    return RootList(tuple(out), rl.source_degree)
+    return RootList(tuple(out))
 
 
 def polished_roots(p: ComplexPolynomial) -> RootList:

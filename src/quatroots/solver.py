@@ -1,12 +1,13 @@
 """Zero finding for simple (left-coefficient) quaternionic polynomials.
 
-The pipeline: normalize the constant term to 0 or 1, read the complex
-"derived" polynomials (f1, f2) off the columns of the (n+1, 4) coefficient
-components, since p = z1 + z2*j with z1 = a0 + a1*i and z2 = a2 + a3*i, and
-form the real discriminant f1*conj(f1) + f2*conj(f2).  Its real roots are
+The pipeline runs on plain data: normalize gives the (n+1, 4) coefficient
+rows with the constant term 0 or 1, derived reads the complex pair (f1, f2)
+off their columns, since p = z1 + z2*j with z1 = a0 + a1*i and z2 = a2 + a3*i,
+and discriminant forms the real f1*conj(f1) + f2*conj(f2).  Its real roots are
 exactly the real zeros; each conjugate pair of complex roots yields either a
 whole sphere of zeros (when all four derived polynomials vanish there) or a
-single isolated zero given in closed form as a component row.
+single isolated zero given in closed form as a component row.  The pair is
+evaluated at every representative by one cpoly.scaled_horner call.
 
 Two routes are provided: solve_discriminant works on the full discriminant,
 solve_factored first divides out g = gcd(f1, f2), which isolates the real
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import (ComplexPolynomial, TRIM_REL, gcd as poly_gcd, gcd_many,
-                    scaled_values)
+from .cpoly import ComplexPolynomial, TRIM_REL, gcd as poly_gcd, gcd_many, scaled_horner
 from .quaternion import ConjugacyClass, Quaternion, embed_complex, hamilton
 from .roots import all_roots, classify_real, pair_conjugates, polished_roots
 
@@ -41,8 +41,9 @@ class InexactDivisionError(ArithmeticError):
 
 
 class BothDenominatorsZeroError(ArithmeticError):
-    """Both closed-form denominators vanished; impossible for a genuine
-    isolated-zero root, so this flags an internal inconsistency."""
+    """A closed form's denominator vanished at a root classified as isolated (both sides
+    of the derived pair, or the imaginary part of the companion route's v); impossible
+    for a genuine isolated-zero root, so this flags an internal inconsistency."""
 
 
 class NotComplexCoefficientsError(ValueError):
@@ -68,6 +69,8 @@ class Tolerances:
 
 
 DEFAULT_TOLS = Tolerances()
+# imaginary residue, relative to the largest coefficient, that a norm polynomial may keep
+NORM_REAL_TOL = 1e-10
 
 
 def _moduli(rows: np.ndarray) -> np.ndarray:
@@ -143,30 +146,6 @@ def _checked_rows(data) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NormalizedPolynomial:
-    """p_n x^n + ... + p_1 x + d0 with d0 either 0 or 1: (n+1, 4) rows, (d0, 0, 0, 0) first."""
-
-    rows: np.ndarray
-
-    @property
-    def d0(self) -> int:
-        return int(self.rows[0, 0])
-
-    @property
-    def degree(self) -> int:
-        return len(self.rows) - 1
-
-
-@dataclass(frozen=True)
-class DerivedPolynomials:
-    """f1 and f2 from the z1 and z2 parts of the normalized coefficients; their
-    coefficient-wise conjugates, the other two derived polynomials, are formed where needed."""
-
-    f1: ComplexPolynomial
-    f2: ComplexPolynomial
-
-
-@dataclass(frozen=True)
 class ZeroSet:
     """The full solution set: real points, nonreal isolated points, spheres."""
 
@@ -214,11 +193,11 @@ class ZeroSet:
                        self.spherical)
 
 
-def normalize(p: SimplePolynomial) -> NormalizedPolynomial:
+def normalize(p: SimplePolynomial) -> np.ndarray:
     """Left-multiply by the inverse of the constant term (when nonzero).
 
     Left unit multiples do not change the zero set, so the result solves the
-    same problem with d0 in {0, 1}.
+    same problem with d0 in {0, 1}: (n+1, 4) rows, (d0, 0, 0, 0) first.
     """
     if p.degree < 1:
         raise DegreeError("cannot normalize a constant polynomial")
@@ -227,22 +206,23 @@ def normalize(p: SimplePolynomial) -> NormalizedPolynomial:
         d0, body = 0.0, p.rows[1:]
     else:
         d0, body = 1.0, _left_mul(q0.inverse(), p.rows[1:])
-    return NormalizedPolynomial(np.vstack([(d0, 0.0, 0.0, 0.0), body]))
+    return np.vstack([(d0, 0.0, 0.0, 0.0), body])
 
 
-def derived(np_: NormalizedPolynomial) -> DerivedPolynomials:
-    """The derived pair: f1 and f2 are the complex columns of the normalized rows."""
-    z = np.ascontiguousarray(np_.rows, dtype=float).view(np.complex128)
-    return DerivedPolynomials(ComplexPolynomial(z[:, 0]), ComplexPolynomial(z[:, 1]))
+def derived(rows: np.ndarray) -> tuple[ComplexPolynomial, ComplexPolynomial]:
+    """The derived pair (f1, f2), the complex columns of the normalized rows; their
+    coefficient-wise conjugates, the other two derived polynomials, are formed where needed."""
+    z = np.ascontiguousarray(rows, dtype=float).view(np.complex128)
+    return ComplexPolynomial(z[:, 0]), ComplexPolynomial(z[:, 1])
 
 
-def discriminant(dp: DerivedPolynomials, tol: float = 1e-10) -> ComplexPolynomial:
+def discriminant(pair, tol: float = NORM_REAL_TOL) -> ComplexPolynomial:
     """The real polynomial f1*f1bar + f2*f2bar whose roots index all zeros.
 
     Nonnegative on the real axis; a failed real-coefficient check means an
     arithmetic bug, not bad input.
     """
-    return _norm_polynomial(dp.f1, dp.f2, tol)
+    return _norm_polynomial(*pair, tol)
 
 
 def _norm_polynomial(a: ComplexPolynomial, b: ComplexPolynomial,
@@ -255,37 +235,36 @@ def _norm_polynomial(a: ComplexPolynomial, b: ComplexPolynomial,
     return pt.real()
 
 
-def _side_values(f1: ComplexPolynomial, f2: ComplexPolynomial, eta: np.ndarray) -> np.ndarray:
-    """f1 and f2, padded to degree n = max(deg f1, deg f2, 1), at eta and conj(eta).
+def _side_values(pair, z: np.ndarray) -> np.ndarray:
+    """The pair, padded to degree n = max(deg f1, deg f2, 1), at every z: shape (2,) + z.shape.
 
-    One batch of shape (2, 2) + eta.shape, indexed [f][side].  Where |eta| > 1
-    each value carries a factor 1/eta^n or 1/conj(eta)^n (cpoly.scaled_values),
+    Where |z| > 1 each value carries a factor 1/z^n (cpoly.scaled_horner),
     which the closed form, homogeneous of degree 0 in (f1, f2), cancels.
     """
-    n = max(f1.degree, f2.degree, 1)
+    n = max(pair[0].degree, pair[1].degree, 1)
     c = np.zeros((n + 1, 2), dtype=np.complex128)
-    c[: len(f1.c), 0] = f1.c
-    c[: len(f2.c), 1] = f2.c
-    return scaled_values(c, np.stack([eta, np.conj(eta)]))
+    for k, f in enumerate(pair):
+        c[: len(f.c), k] = f.c
+    return scaled_horner(c, z)[0]
 
 
-def is_spherical_root(dp: DerivedPolynomials, eta, tol_zero: float = 1e-10,
+def is_spherical_root(pair, eta, tol_zero: float = 1e-10,
                       values: np.ndarray | None = None) -> np.ndarray:
     """Whether all four derived polynomials vanish, at each eta of an array.
 
     True means the whole conjugacy sphere of eta consists of zeros; False, that
     it holds one isolated zero.  |conj-f(eta)| is |f(conj eta)|, so the four are
     f1, f2 at eta and conj(eta): values, if the caller has them, is
-    _side_values(dp.f1, dp.f2, eta).  Each |f| is held against its evaluation
-    roundoff scale tol_zero * max|c_f| * max(1,|eta|)^deg f.
+    _side_values(pair, [eta, conj(eta)]), indexed [f][side].  Each |f| is held
+    against its evaluation roundoff scale tol_zero * max|c_f| * max(1,|eta|)^deg f.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     if values is None:
-        values = _side_values(dp.f1, dp.f2, eta)
-    n = max(dp.f1.degree, dp.f2.degree, 1)
+        values = _side_values(pair, np.stack([eta, eta.conj()]))
+    n = max(pair[0].degree, pair[1].degree, 1)
     grow = np.maximum(1.0, np.abs(eta))
     return np.all([np.abs(v) <= tol_zero * f.max_coeff() * grow ** (f.degree - n)
-                   for f, v in zip((dp.f1, dp.f2), values)], axis=(0, 1))
+                   for f, v in zip(pair, values)], axis=(0, 1))
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -307,7 +286,7 @@ def _conj_side_zero(a: np.ndarray, b: np.ndarray, eta: np.ndarray) -> np.ndarray
                      (2.0 * br * ar + 2.0 * bi * ai) * ei], axis=-1) / (sa + sb)[:, None] + 0.0
 
 
-def isolated_zero(dp: DerivedPolynomials, eta, values: np.ndarray | None = None) -> np.ndarray:
+def isolated_zero(pair, eta, values: np.ndarray | None = None) -> np.ndarray:
     """(k, 4) rows of the single zero on the conjugacy sphere of each eta of a 1-D array.
 
     Two equivalent closed forms exist, one from f1, f2 at eta and one at
@@ -317,10 +296,10 @@ def isolated_zero(dp: DerivedPolynomials, eta, values: np.ndarray | None = None)
     """
     eta = np.asarray(eta, dtype=np.complex128)
     if values is None:
-        values = _side_values(dp.f1, dp.f2, eta)
+        values = _side_values(pair, np.stack([eta, eta.conj()]))
     (f1e, f1c), (f2e, f2c) = values
     dplus, dminus = _abs2(f1e) + _abs2(f2e), _abs2(f1c) + _abs2(f2c)
-    limit = (TRIM_REL * max(dp.f1.max_coeff(), dp.f2.max_coeff(), 1.0)) ** 2
+    limit = (TRIM_REL * max(pair[0].max_coeff(), pair[1].max_coeff(), 1.0)) ** 2
     if (dead := np.maximum(dplus, dminus) <= limit).any():
         raise BothDenominatorsZeroError(
             f"both denominators vanished at {eta[dead][0]}; classification bug")
@@ -338,32 +317,31 @@ def _isolated_zero_cofactor(g1: ComplexPolynomial, g2: ComplexPolynomial,
     formula fails at the conjugate.  The mask marks the eta the zeros come from:
     False where both cofactors vanish at conj(eta), a gcd tolerance mismatch.
     """
-    a, b = _side_values(g1, g2, eta)[:, 1]
+    a, b = _side_values((g1, g2), eta.conj())
     ok = _abs2(a) + _abs2(b) > (1e-12 * max(g1.max_coeff(), g2.max_coeff(), 1.0)) ** 2
     return _conj_side_zero(a[ok], b[ok], eta[ok]), ok
 
 
-def _place_pairs(dp: DerivedPolynomials, eta, tol_zero: float):
+def _place_pairs(pair, eta, tol_zero: float):
     """((k, 4) isolated zeros, spheres) of the pair representatives eta, from one evaluation."""
     eta = np.asarray(eta, dtype=np.complex128)
-    values = _side_values(dp.f1, dp.f2, eta)
-    sphere = is_spherical_root(dp, eta, tol_zero, values)
-    return (isolated_zero(dp, eta[~sphere], values[..., ~sphere]),
+    values = _side_values(pair, np.stack([eta, eta.conj()]))
+    sphere = is_spherical_root(pair, eta, tol_zero, values)
+    return (isolated_zero(pair, eta[~sphere], values[..., ~sphere]),
             [ConjugacyClass.from_complex(e) for e in eta[sphere].tolist()])
 
 
 def solve_discriminant(p: SimplePolynomial,
                        tols: Tolerances = DEFAULT_TOLS) -> ZeroSet:
     """Full solution set via the roots of the discriminant polynomial."""
-    np_ = normalize(p)
-    dp = derived(np_)
-    reals, pairs = classify_real(polished_roots(discriminant(dp)), tols.real)
-    isolated, classes = _place_pairs(dp, [v for v, _ in pairs], tols.zero)
+    pair = derived(normalize(p))
+    reals, pairs = classify_real(polished_roots(discriminant(pair)), tols.real)
+    isolated, classes = _place_pairs(pair, [v for v, _ in pairs], tols.zero)
     return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
 
 
-def factor_g(np_: NormalizedPolynomial, tol: float = 1e-8):
-    """Factor the derived pair as (g*g1, g*g2) with g = gcd(f1, f2) monic.
+def factor_g(pair, tol: float = 1e-8):
+    """Factor the derived pair (f1, f2) as (g*g1, g*g2) with g = gcd(f1, f2) monic.
 
     The Euclidean gcd can overshoot on ill-conditioned remainder sequences
     (coefficient growth makes a later remainder look relatively zero); a
@@ -373,13 +351,13 @@ def factor_g(np_: NormalizedPolynomial, tol: float = 1e-8):
 
     Returns (g, g1, g2).
     """
-    dp = derived(np_)
+    f1, f2 = pair
     for attempt_tol in (tol, tol * 1e-2, tol * 1e-4):
-        g = poly_gcd(dp.f1, dp.f2, attempt_tol)
-        g1, r1 = dp.f1.divrem(g)
-        g2, r2 = dp.f2.divrem(g)
-        if (r1.coeff_norm() <= tol * max(dp.f1.coeff_norm(), 1e-300)
-                and r2.coeff_norm() <= tol * max(dp.f2.coeff_norm(), 1e-300)):
+        g = poly_gcd(f1, f2, attempt_tol)
+        g1, r1 = f1.divrem(g)
+        g2, r2 = f2.divrem(g)
+        if (r1.coeff_norm() <= tol * max(f1.coeff_norm(), 1e-300)
+                and r2.coeff_norm() <= tol * max(f2.coeff_norm(), 1e-300)):
             return g, g1, g2
     raise InexactDivisionError("gcd does not divide the derived pair to tolerance")
 
@@ -392,14 +370,14 @@ def solve_factored(p: SimplePolynomial,
     isolated zeros come from unpaired roots of g and from the cofactor
     discriminant g1*conj(g1) + g2*conj(g2), skipping roots already seen in g.
     """
-    np_ = normalize(p)
-    g, g1, g2 = factor_g(np_, tols.gcd)
+    pair = derived(normalize(p))
+    g, g1, g2 = factor_g(pair, tols.gcd)
     g_roots = polished_roots(g).roots if g.degree >= 1 else ()
     reals_g, paired_g, unpaired_g = pair_conjugates(g_roots, tols.real)
     real_zeros = [x for x, _ in reals_g]
     classes = [ConjugacyClass.from_complex(v) for v, _ in paired_g]
     todo = [eta for eta, _ in unpaired_g]
-    gt = _norm_polynomial(g1, g2, 1e-10)
+    gt = _norm_polynomial(g1, g2, NORM_REAL_TOL)
     if gt.degree >= 1:
         treals, tpairs = classify_real(polished_roots(gt), tols.real)
         # a real root here can only be a gcd-tolerance artifact; it still
@@ -413,7 +391,7 @@ def solve_factored(p: SimplePolynomial,
     if not ok.all():
         # gcd artifact: fall back to classification by the full derived pair
         stuck = eta[~ok]
-        more = _place_pairs(derived(np_), np.where(stuck.imag > 0, stuck, stuck.conj()), tols.zero)
+        more = _place_pairs(pair, np.where(stuck.imag > 0, stuck, stuck.conj()), tols.zero)
         isolated, classes = np.vstack([isolated, more[0]]), classes + more[1]
     return ZeroSet.build(real_zeros, isolated, classes, tols.dedup)
 
@@ -441,8 +419,8 @@ def solve_complex_coeffs(p: SimplePolynomial,
 def is_finite_zero_set(p: SimplePolynomial, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """Whether the zero set of p is finite (no spheres): the common gcd of all
     four derived polynomials has no nonreal root."""
-    dp = derived(normalize(p))
-    common = gcd_many((dp.f1, dp.f2, dp.f1.conj_coeffs(), dp.f2.conj_coeffs()), tols.gcd)
+    f1, f2 = derived(normalize(p))
+    common = gcd_many((f1, f2, f1.conj_coeffs(), f2.conj_coeffs()), tols.gcd)
     if common.degree < 1:
         return True
     return all(abs(z.imag) < tols.real for z, _ in all_roots(common).roots)

@@ -18,6 +18,8 @@ import numpy as np
 from .quaternion import Quaternion, hamilton, norms, rows
 from .solver import DEFAULT_TOLS, SimplePolynomial, Tolerances, ZeroSet
 
+SAMPLES_PER_CLASS = 8  # sphere members audit evaluates per reported sphere
+
 
 def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
     """p(z) = sum q_j z^j for every row of the (k, 4) components z.
@@ -107,7 +109,7 @@ class VerificationReport:
 
 
 def audit(p: SimplePolynomial, zs: ZeroSet, tols: Tolerances = DEFAULT_TOLS,
-          samples_per_class: int = 8) -> VerificationReport:
+          samples_per_class: int = SAMPLES_PER_CLASS) -> VerificationReport:
     """Evaluate p at every reported zero and sampled sphere member.
 
     Also checks the structural bounds: at most degree-many zero classes in

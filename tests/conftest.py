@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quatroots import SimplePolynomial, ZeroSet
-from quatroots.cpoly import ComplexPolynomial
+from quatroots.cpoly import ComplexPolynomial, _power_sums
 from quatroots.quaternion import I, J, K, ONE, Quaternion, split
 from quatroots.verify import ZeroSetDiff
 
@@ -205,21 +205,24 @@ def aberth_reference(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, converged
 
 
-def _at_reference(c: np.ndarray, eta: complex) -> complex:
-    # the evaluation kernel at one point, on the unpadded coefficients
-    return complex(ComplexPolynomial(c)(np.array([eta]))[0])
+def kernel_value(c: np.ndarray, t):
+    """p(t), unscaled, by the evaluation kernel on the unpadded coefficients c (the
+    zero polynomial if empty); t a scalar or an array."""
+    c = c if len(c) else np.zeros(1, dtype=np.complex128)
+    return _power_sums(c, np.ravel(t))[0].reshape(np.shape(t))[()]
 
 
-def is_spherical_root_reference(dp, eta: complex, tol_zero: float = 1e-10) -> bool:
+def is_spherical_root_reference(pair, eta: complex, tol_zero: float = 1e-10) -> bool:
     """is_spherical_root with unscaled values and thresholds tol_zero * max|c|."""
-    for c in (dp.f1.c, dp.f2.c, np.conj(dp.f1.c), np.conj(dp.f2.c)):
+    f1, f2 = pair
+    for c in (f1.c, f2.c, np.conj(f1.c), np.conj(f2.c)):
         scale = float(np.abs(c).max()) if len(c) else 0.0
-        if abs(_at_reference(c, eta)) > tol_zero * scale:
+        if abs(kernel_value(c, eta)) > tol_zero * scale:
             return False
     return True
 
 
-def isolated_zero_reference(dp, eta: complex) -> Quaternion:
+def isolated_zero_reference(pair, eta: complex) -> Quaternion:
     """isolated_zero with unscaled values and the max(1, |eta|)^n thresholds.
 
     Raises OverflowError where that power overflows and ValueError where
@@ -231,13 +234,14 @@ def isolated_zero_reference(dp, eta: complex) -> Quaternion:
         cross = (2.0 * b * a.conjugate() * eta.imag) / d
         return Quaternion(w.real, w.imag) + Quaternion(cross.real, cross.imag) * K
 
+    f1, f2 = pair
     ec = eta.conjugate()
-    f1e, f2e = _at_reference(dp.f1.c, eta), _at_reference(dp.f2.c, eta)
-    f1c, f2c = _at_reference(dp.f1.c, ec), _at_reference(dp.f2.c, ec)
+    f1e, f2e = complex(kernel_value(f1.c, eta)), complex(kernel_value(f2.c, eta))
+    f1c, f2c = complex(kernel_value(f1.c, ec)), complex(kernel_value(f2.c, ec))
     dplus = abs(f1e) ** 2 + abs(f2e) ** 2
     dminus = abs(f1c) ** 2 + abs(f2c) ** 2
-    scale = max(dp.f1.max_coeff(), dp.f2.max_coeff(), 1.0) * max(1.0, abs(eta)) ** max(
-        dp.f1.degree, dp.f2.degree, 1)
+    scale = max(f1.max_coeff(), f2.max_coeff(), 1.0) * max(1.0, abs(eta)) ** max(
+        f1.degree, f2.degree, 1)
     if max(dplus, dminus) <= (1e-30 * scale) ** 2:
         raise ValueError(f"both denominators vanished at {eta}")
     if dplus >= dminus:

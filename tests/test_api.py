@@ -5,6 +5,8 @@ import importlib
 import pytest
 
 import quatroots
+from quatroots.cpoly import ComplexPolynomial
+from quatroots.roots import RootList
 
 PUBLIC = {
     # solvers
@@ -26,9 +28,8 @@ INTERNAL = {
     "cpoly": ["ComplexPolynomial", "gcd", "gcd_many"],
     "quaternion": ["embed_complex", "split"],
     "roots": ["RootList", "all_roots", "classify_real", "polish_multiples"],
-    "solver": ["DEFAULT_TOLS", "DerivedPolynomials", "NormalizedPolynomial", "all_roots",
-               "derived", "discriminant", "factor_g", "is_spherical_root",
-               "isolated_zero", "normalize"],
+    "solver": ["DEFAULT_TOLS", "all_roots", "derived", "discriminant", "factor_g",
+               "is_spherical_root", "isolated_zero", "normalize"],
     "verify": ["VerificationReport", "ZeroSetDiff", "eval_qpoly", "residual"],
 }
 
@@ -37,9 +38,11 @@ REMOVED = {
     "quaternion": ["ComplexMatrix2", "ComplexPair", "sigma", "unsplit",
                    "same_class", "class_sample", "ZERO"],
     "solver": ["classify_eta", "_classify_complex_root_values",
-               "_cofactor_discriminant"],
+               "_cofactor_discriminant", "NormalizedPolynomial", "DerivedPolynomials"],
     "roots": ["polish_double"],
     "companion": ["CompanionPolynomial", "PowerDecomposition"],
+    "cpoly": ["scaled_values"],
+    "cli": ["_fmt"],
 }
 
 
@@ -71,3 +74,5 @@ def test_removed_names_stay_gone(module):
 def test_removed_methods_stay_gone():
     assert not hasattr(quatroots.ConjugacyClass, "from_quaternion")
     assert not hasattr(quatroots.Quaternion, "is_real")
+    assert not callable(ComplexPolynomial([1.0, 2.0]))
+    assert "source_degree" not in RootList.__dataclass_fields__

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import quatroots.companion as companion_mod
 from quatroots.companion import (ab, companion, monic_normalized,
                                  power_decomp, solve_companion)
 from quatroots.quaternion import I, J, ONE, Quaternion, embed_complex
 from quatroots.cpoly import ComplexPolynomial
-from quatroots.solver import (SimplePolynomial, derived, discriminant,
-                              normalize, solve_discriminant)
+from quatroots.solver import (BothDenominatorsZeroError, SimplePolynomial, derived,
+                              discriminant, normalize, solve_discriminant)
 from quatroots.verify import audit, compare, eval_qpoly
 
 from conftest import (ab_reference, companion_reference,
@@ -187,6 +188,14 @@ class TestSolveCompanion:
         for p in (cubic_ijk, degree6_mixed):
             rep = audit(p, solve_companion(p))
             assert rep.passed
+
+    def test_real_nonzero_v_raises_the_typed_error(self, monkeypatch, cubic_ijk):
+        # A = 1 and B = 2 at every root make v = conj(A) B = 2: nonzero and real, so
+        # the isolated-zero formula has no imaginary direction to divide by
+        monkeypatch.setattr(companion_mod, "ab", lambda pm, eta: tuple(
+            np.tile([c, 0.0, 0.0, 0.0], (len(eta), 1)) for c in (1.0, 2.0)))
+        with pytest.raises(BothDenominatorsZeroError, match="vanishing imaginary part"):
+            solve_companion(cubic_ijk)
 
     def test_matches_the_scalar_reference(self):
         # the same categories; isolated zeros inside the unit ball, where ab

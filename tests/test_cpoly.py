@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatroots.cpoly import (BLOCK, ComplexPolynomial, _power_sums, gcd, gcd_many,
-                             scaled_values)
+from quatroots.cpoly import BLOCK, ComplexPolynomial, _power_sums, gcd, gcd_many, scaled_horner
 from quatroots.roots import _eval_state
 
-from conftest import horner_reference
+from conftest import horner_reference, kernel_value
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -38,24 +37,25 @@ divisor_st = st.tuples(st.lists(coeff_st, min_size=0, max_size=20), lead_st).map
     lambda cl: ComplexPolynomial(list(cl[0]) + [cl[1]]))
 
 
+def _at(p: ComplexPolynomial, t):
+    return kernel_value(p.c, t)
+
+
 class TestEval:
     def test_t2_plus_1_at_i(self):
-        assert ComplexPolynomial([1, 0, 1])(1j) == 0
+        assert _at(ComplexPolynomial([1, 0, 1]), 1j) == 0
 
     def test_f1_at_i(self):
-        assert F1(1j) == pytest.approx(2)
+        assert _at(F1, 1j) == pytest.approx(2)
 
     def test_f2_at_i(self):
-        assert F2(1j) == pytest.approx(-2)
-
-    def test_zero_polynomial(self):
-        assert ComplexPolynomial()(3.7) == 0
+        assert _at(F2, 1j) == pytest.approx(-2)
 
     @given(poly_st, poly_st, st.complex_numbers(max_magnitude=1.0,
                                                 allow_nan=False, allow_infinity=False))
     def test_multiplicative(self, p, q, t):
-        s = max(1.0, abs(p(t)) * abs(q(t)))
-        assert abs((p * q)(t) - p(t) * q(t)) <= 1e-10 * s
+        s = max(1.0, abs(_at(p, t)) * abs(_at(q, t)))
+        assert abs(_at(p * q, t) - _at(p, t) * _at(q, t)) <= 1e-10 * s
 
 
 class TestScaledValues:
@@ -69,17 +69,17 @@ class TestScaledValues:
         c[: len(q.c), 1] = q.c
         inner = np.abs(z) <= 1.0
         for k, f in enumerate((p, q)):
-            row = scaled_values(c, z)[k]
+            row = scaled_horner(c, z)[0][k]
             # a stacked row is that polynomial's own evaluation, bit for bit
-            assert np.array_equal(row, scaled_values(c[:, k], z))
-            assert np.array_equal(row[inner], f(z[inner]))
-            want = f(z[~inner]) / z[~inner] ** n
+            assert np.array_equal(row, scaled_horner(c[:, k], z)[0])
+            assert np.array_equal(row[inner], _at(f, z[inner]))
+            want = _at(f, z[~inner]) / z[~inner] ** n
             assert np.allclose(row[~inner], want, rtol=0,
                                atol=1e-12 * max(1.0, np.abs(f.c).sum()))
 
     def test_high_degree_stays_finite(self):
         c = np.random.default_rng(0).standard_normal(2001) + 0j
-        got = scaled_values(c, np.array([3.0 + 1.0j, -2.5j, 0.5]))
+        got = scaled_horner(c, np.array([3.0 + 1.0j, -2.5j, 0.5]))[0]
         assert np.all(np.isfinite(got)) and np.all(np.abs(got) > 0)
 
 
@@ -137,7 +137,7 @@ class TestPowerKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             corr, rel = _eval_state(c, z)
-            vals = scaled_values(c, z)
+            vals = scaled_horner(c, z)
         assert np.all(np.isfinite(corr)) and np.all(np.isfinite(rel))
         assert np.all(np.isfinite(vals))
 
@@ -175,7 +175,7 @@ class TestMulAdd:
         # independent check by evaluation at sample points
         for t in (0.3, -1.7, 2.2j, 0.5 - 0.5j):
             expected = (t * t + 1) * (t ** 4 + 1)
-            assert abs(pt(t) - expected) <= 1e-10 * max(1.0, abs(expected))
+            assert abs(_at(pt, t) - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
 class TestDivrem:

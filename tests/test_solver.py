@@ -11,9 +11,7 @@ import quatroots.solver as solver_mod
 from quatroots.cpoly import ComplexPolynomial
 from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion,
                                   embed_complex)
-from quatroots.solver import (BothDenominatorsZeroError, DegreeError,
-                              DerivedPolynomials, InexactDivisionError,
-                              NormalizedPolynomial,
+from quatroots.solver import (BothDenominatorsZeroError, DegreeError, InexactDivisionError,
                               NotComplexCoefficientsError, SimplePolynomial,
                               ZeroSet, derived, discriminant,
                               factor_g, is_finite_zero_set, is_spherical_root,
@@ -23,7 +21,7 @@ from quatroots.companion import solve_companion
 from quatroots.verify import audit, compare, eval_qpoly
 
 from conftest import (SQRT2_2, dedup_isolated_reference, derived_reference,
-                      is_spherical_root_reference, isolated_zero_reference,
+                      is_spherical_root_reference, isolated_zero_reference, kernel_value,
                       normalize_reference, qapprox, random_simple_polynomials)
 
 # a power of two, so offsets sit exactly at, or just past, the dedup distance
@@ -58,7 +56,7 @@ def _derived_and_eta(draw):
               "minus": [-eta.conjugate(), 1.0], "free": [1.0]}[kind]
     f1 = ComplexPolynomial([1.0] + draw(coeffs)) * ComplexPolynomial(factor)
     f2 = ComplexPolynomial(draw(coeffs)) * ComplexPolynomial(factor)
-    return DerivedPolynomials(f1, f2), eta, kind
+    return (f1, f2), eta, kind
 
 
 def coeffs_close(p: ComplexPolynomial, expected, tol=1e-12) -> bool:
@@ -141,28 +139,28 @@ class TestSimplePolynomial:
 
 class TestNormalize:
     def test_constant_term_already_one(self, cubic_ijk):
-        np_ = normalize(cubic_ijk)
-        assert np_.d0 == 1
-        assert _zeros(np_.rows) == [ONE, K, J, I]
+        rows = normalize(cubic_ijk)
+        assert rows[0, 0] == 1
+        assert _zeros(rows) == [ONE, K, J, I]
 
     def test_zero_constant_term(self):
         p = SimplePolynomial([0, 1, 1])  # x^2 + x
-        np_ = normalize(p)
-        assert np_.d0 == 0
-        assert _zeros(np_.rows) == [Quaternion(), ONE, ONE]
+        rows = normalize(p)
+        assert rows[0, 0] == 0
+        assert _zeros(rows) == [Quaternion(), ONE, ONE]
 
     def test_real_scaling(self):
-        np_ = normalize(SimplePolynomial([2, 2]))
-        assert np_.d0 == 1
-        assert qapprox(Quaternion(*np_.rows[1]), ONE, 1e-15)
+        rows = normalize(SimplePolynomial([2, 2]))
+        assert rows[0, 0] == 1
+        assert qapprox(Quaternion(*rows[1]), ONE, 1e-15)
 
     @pytest.mark.parametrize("p", ARRAY_INPUTS, ids=range(len(ARRAY_INPUTS)))
     def test_equals_the_scalar_products_bit_for_bit(self, p):
-        np_ = normalize(p)
+        rows = normalize(p)
         coeffs, d0 = normalize_reference(p)
-        assert np_.d0 == d0 and np_.degree == p.degree
-        assert np_.rows[0].tolist() == [d0, 0.0, 0.0, 0.0]
-        assert [q.components() for q in _zeros(np_.rows[1:])] == [q.components() for q in coeffs]
+        assert rows[0, 0] == d0 and len(rows) - 1 == p.degree
+        assert rows[0].tolist() == [d0, 0.0, 0.0, 0.0]
+        assert [q.components() for q in _zeros(rows[1:])] == [q.components() for q in coeffs]
 
     def test_constant_rejected(self):
         with pytest.raises(DegreeError):
@@ -171,36 +169,37 @@ class TestNormalize:
 
 class TestDerived:
     def test_cubic_ijk(self, cubic_ijk):
-        dp = derived(normalize(cubic_ijk))
-        assert coeffs_close(dp.f1, [1, 0, 0, 1j])       # i t^3 + 1
-        assert coeffs_close(dp.f2, [0, 1j, 1])          # t^2 + i t
-        assert coeffs_close(dp.f1.conj_coeffs(), [1, 0, 0, -1j])
-        assert coeffs_close(dp.f2.conj_coeffs(), [0, -1j, 1])
+        f1, f2 = derived(normalize(cubic_ijk))
+        assert coeffs_close(f1, [1, 0, 0, 1j])       # i t^3 + 1
+        assert coeffs_close(f2, [0, 1j, 1])          # t^2 + i t
+        assert coeffs_close(f1.conj_coeffs(), [1, 0, 0, -1j])
+        assert coeffs_close(f2.conj_coeffs(), [0, -1j, 1])
 
     def test_real_coefficients_give_zero_f2(self, cubic_real):
-        dp = derived(normalize(cubic_real))
-        assert coeffs_close(dp.f1, [1, 1, 1, 1])
-        assert dp.f2.is_zero
+        f1, f2 = derived(normalize(cubic_real))
+        assert coeffs_close(f1, [1, 1, 1, 1])
+        assert f2.is_zero
 
     def test_pure_j_coefficient(self):
         # j x + 1: the j component lands in f2, the constant in f1
-        dp = derived(NormalizedPolynomial(np.array([[1.0, 0, 0, 0], [0, 0, 1, 0]])))
-        assert coeffs_close(dp.f1, [1])
-        assert coeffs_close(dp.f2, [0, 1])
+        f1, f2 = derived(np.array([[1.0, 0, 0, 0], [0, 0, 1, 0]]))
+        assert coeffs_close(f1, [1])
+        assert coeffs_close(f2, [0, 1])
 
     def test_bars_are_exact_conjugates(self, degree6_mixed):
         # the sphere test reads |fbar(eta)| as |f(conj eta)|: exactly equal
-        dp = derived(normalize(degree6_mixed))
+        pair = derived(normalize(degree6_mixed))
         eta = np.array([0.3 + 0.8j, -1.7 + 2.1j, 1j, 0.6 - 0.2j])
-        for f in (dp.f1, dp.f2):
-            assert np.array_equal(np.abs(f.conj_coeffs()(eta)), np.abs(f(eta.conj())))
-        assert dp.f2.coeff(0) == 0
+        for f in pair:
+            assert np.array_equal(np.abs(kernel_value(f.conj_coeffs().c, eta)),
+                                  np.abs(kernel_value(f.c, eta.conj())))
+        assert pair[1].coeff(0) == 0
 
     @pytest.mark.parametrize("p", ARRAY_INPUTS, ids=range(len(ARRAY_INPUTS)))
     def test_equals_the_split_loop_bit_for_bit(self, p):
-        dp = derived(normalize(p))
+        pair = derived(normalize(p))
         z1s, z2s = derived_reference(*normalize_reference(p))
-        for f, ref in ((dp.f1, z1s), (dp.f2, z2s)):
+        for f, ref in zip(pair, (z1s, z2s)):
             ref = ComplexPolynomial(ref).c
             assert f.c.tobytes() == ref.tobytes()
 
@@ -223,53 +222,53 @@ class TestDiscriminant:
         assert pt.degree == 2 * degree6_mixed.degree
 
     def test_non_real_check_guards_bad_bars(self, monkeypatch, cubic_ijk):
-        dp = derived(normalize(cubic_ijk))
+        pair = derived(normalize(cubic_ijk))
         # bars not conjugated
         monkeypatch.setattr(ComplexPolynomial, "conj_coeffs", lambda self: self)
         with pytest.raises(solver_mod.NonRealDiscriminantError):
-            discriminant(dp)
+            discriminant(pair)
 
 
 class TestClassifyEta:
     def test_cubic_ijk_at_i_is_isolated(self, cubic_ijk):
-        dp = derived(normalize(cubic_ijk))
-        assert not is_spherical_root(dp, 1j)
+        pair = derived(normalize(cubic_ijk))
+        assert not is_spherical_root(pair, 1j)
 
     def test_cubic_real_at_i_is_spherical(self, cubic_real):
-        dp = derived(normalize(cubic_real))
-        assert is_spherical_root(dp, 1j)
+        pair = derived(normalize(cubic_real))
+        assert is_spherical_root(pair, 1j)
 
     def test_degree6_at_i_is_spherical(self, degree6_mixed):
-        dp = derived(normalize(degree6_mixed))
-        assert is_spherical_root(dp, 1j)
+        pair = derived(normalize(degree6_mixed))
+        assert is_spherical_root(pair, 1j)
 
 
 class TestIsolatedZero:
     def test_cubic_ijk_at_i(self, cubic_ijk):
-        dp = derived(normalize(cubic_ijk))
+        pair = derived(normalize(cubic_ijk))
         # f1(i) = 2, f2(i) = -2, so the closed form collapses to k
-        assert dp.f1(1j) == pytest.approx(2)
-        assert dp.f2(1j) == pytest.approx(-2)
-        assert qapprox(*_zeros(isolated_zero(dp, [1j])), K, 1e-12)
+        assert kernel_value(pair[0].c, 1j) == pytest.approx(2)
+        assert kernel_value(pair[1].c, 1j) == pytest.approx(-2)
+        assert qapprox(*_zeros(isolated_zero(pair, [1j])), K, 1e-12)
 
     def test_cubic_ijk_at_eighth_root(self, cubic_ijk):
-        dp = derived(normalize(cubic_ijk))
+        pair = derived(normalize(cubic_ijk))
         eta = cmath.exp(1j * math.pi / 4)
         expected = Quaternion(SQRT2_2, 0.5, 0.0, 0.5)
-        assert qapprox(*_zeros(isolated_zero(dp, [eta])), expected, 1e-12)
+        assert qapprox(*_zeros(isolated_zero(pair, [eta])), expected, 1e-12)
 
     def test_representative_invariance(self, cubic_ijk):
         # both branch selections must produce the same zero
-        dp = derived(normalize(cubic_ijk))
+        pair = derived(normalize(cubic_ijk))
         eta = cmath.exp(3j * math.pi / 4)
         expected = Quaternion(-SQRT2_2, 0.5, 0.0, 0.5)
-        assert qapprox(*_zeros(isolated_zero(dp, [eta])), expected, 1e-12)
+        assert qapprox(*_zeros(isolated_zero(pair, [eta])), expected, 1e-12)
 
     def test_guard_on_spherical_point(self, cubic_real):
         # misuse: at a spherical root all four evaluations vanish
-        dp = derived(normalize(cubic_real))
+        pair = derived(normalize(cubic_real))
         with pytest.raises(BothDenominatorsZeroError):
-            isolated_zero(dp, [1j])
+            isolated_zero(pair, [1j])
 
 
 class TestScaledEvaluation:
@@ -278,11 +277,11 @@ class TestScaledEvaluation:
 
     @given(_derived_and_eta())
     def test_agrees_with_the_unscaled_reference(self, case):
-        dp, eta, kind = case
-        sphere = is_spherical_root(dp, [eta])[0]
-        ref_sphere = is_spherical_root_reference(dp, eta)
+        pair, eta, kind = case
+        sphere = is_spherical_root(pair, [eta])[0]
+        ref_sphere = is_spherical_root_reference(pair, eta)
         try:
-            ref_zero = isolated_zero_reference(dp, eta)
+            ref_zero = isolated_zero_reference(pair, eta)
         except (OverflowError, ValueError):
             ref_zero = None
         if np.abs(np.array([eta]))[0] <= 1.0:  # |eta| as the evaluator rounds it
@@ -290,9 +289,9 @@ class TestScaledEvaluation:
             assert sphere == ref_sphere
             if ref_zero is None:
                 with pytest.raises(BothDenominatorsZeroError):
-                    isolated_zero(dp, [eta])
+                    isolated_zero(pair, [eta])
             else:
-                assert _zeros(isolated_zero(dp, [eta])) == [ref_zero]
+                assert _zeros(isolated_zero(pair, [eta])) == [ref_zero]
             return
         # every sphere found unscaled is found scaled; the scaled test also
         # finds the spheres whose Horner roundoff grew past the unscaled one
@@ -303,14 +302,14 @@ class TestScaledEvaluation:
                 math.isfinite(x) for x in ref_zero.components()):
             # free points may sit where both closed forms are equally large,
             # and the two sides give different quaternions there
-            assert qapprox(*_zeros(isolated_zero(dp, [eta])), ref_zero, 1e-12)
+            assert qapprox(*_zeros(isolated_zero(pair, [eta])), ref_zero, 1e-12)
 
     def test_arrays_give_the_pointwise_answers(self, degree6_mixed):
-        dp = derived(normalize(degree6_mixed))
+        pair = derived(normalize(degree6_mixed))
         eta = np.array([1j, cmath.exp(1j * math.pi / 3), 2.5 + 0.5j])
-        assert list(is_spherical_root(dp, eta)) == [is_spherical_root(dp, [e])[0] for e in eta]
-        assert isolated_zero(dp, eta[1:]).tolist() == [
-            isolated_zero(dp, [e])[0].tolist() for e in eta[1:]]
+        assert list(is_spherical_root(pair, eta)) == [is_spherical_root(pair, [e])[0] for e in eta]
+        assert isolated_zero(pair, eta[1:]).tolist() == [
+            isolated_zero(pair, [e])[0].tolist() for e in eta[1:]]
 
     @pytest.mark.parametrize("seed, degree, re, modulus", [
         (1, 38, 0.25, 1.35), (2, 42, -0.6, 1.55), (3, 48, 0.9, 1.8)])
@@ -373,20 +372,20 @@ class TestSolveDiscriminant:
 
 class TestFactorG:
     def test_cubic_ijk(self, cubic_ijk):
-        g, g1, g2 = factor_g(normalize(cubic_ijk))
+        g, g1, g2 = factor_g(derived(normalize(cubic_ijk)))
         assert coeffs_close(g, [1j, 1])            # t + i
         assert coeffs_close(g1, [-1j, 1, 1j])      # i t^2 + t - i
         assert coeffs_close(g2, [0, 1])            # t
 
     def test_degree6_mixed(self, degree6_mixed):
-        g, g1, g2 = factor_g(normalize(degree6_mixed))
+        g, g1, g2 = factor_g(derived(normalize(degree6_mixed)))
         assert coeffs_close(g, [-1, 0, 0, 0, 1])   # t^4 - 1
         assert coeffs_close(g1, [-1, 0, 1j])       # i t^2 - 1
         assert coeffs_close(g2, [0, 1j])           # i t
 
     def test_coprime_pair_gives_constant(self):
         # f1 = 1, f2 = t  (from j x + 1)
-        g, g1, g2 = factor_g(NormalizedPolynomial(np.array([[1.0, 0, 0, 0], [0, 0, 1, 0]])))
+        g, g1, g2 = factor_g(derived(np.array([[1.0, 0, 0, 0], [0, 0, 1, 0]])))
         assert g.degree == 0
         assert coeffs_close(g1, [1])
         assert coeffs_close(g2, [0, 1])
@@ -395,11 +394,11 @@ class TestFactorG:
         monkeypatch.setattr(solver_mod, "poly_gcd",
                             lambda *a, **k: ComplexPolynomial([0.5, 1]))
         with pytest.raises(InexactDivisionError):
-            factor_g(normalize(cubic_ijk))
+            factor_g(derived(normalize(cubic_ijk)))
 
     def test_cofactor_zero_formula(self, degree6_mixed):
         # the closed form from the cofactors at a sixth root of unity
-        g, g1, g2 = factor_g(normalize(degree6_mixed))
+        g, g1, g2 = factor_g(derived(normalize(degree6_mixed)))
         eta = cmath.exp(-1j * math.pi / 3)
         expected = Quaternion(0.5, -0.5, -0.5, -0.5)
         zeros, ok = solver_mod._isolated_zero_cofactor(
@@ -442,15 +441,38 @@ class TestSolveFactored:
             assert abs(eval_qpoly(degree6_mixed, q)) <= 1e-10
 
     def test_derives_the_split_once(self, monkeypatch, degree6_mixed):
-        calls = []
+        self._check_derives_once(monkeypatch, degree6_mixed, fallback=False)
 
-        def counting(np_):
-            calls.append(np_)
-            return derived(np_)
+    def test_derives_the_split_once_on_the_gcd_fallback(self, monkeypatch):
+        # a Gaussian polynomial times a sphere quadratic, drawn as the benchmark's
+        # sphere family draws them: both cofactors vanish at one representative,
+        # so the route falls back to the full derived pair
+        rng = np.random.default_rng(15)
+        base = rng.standard_normal((14, 4))
+        re, im = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5)
+        quad = [re * re + im * im, -2.0 * re, 1.0]
+        p = SimplePolynomial.from_rows(np.stack([np.convolve(base[:, k], quad)
+                                                 for k in range(4)], axis=1))
+        self._check_derives_once(monkeypatch, p, fallback=True)
 
+    @staticmethod
+    def _check_derives_once(monkeypatch, p, fallback):
+        calls, placed = [], []
+
+        def counting(rows):
+            calls.append(rows)
+            return derived(rows)
+
+        def placing(*args):
+            placed.append(args)
+            return place_pairs(*args)
+
+        place_pairs = solver_mod._place_pairs
         monkeypatch.setattr(solver_mod, "derived", counting)
-        solve_factored(degree6_mixed)
+        monkeypatch.setattr(solver_mod, "_place_pairs", placing)
+        solve_factored(p)
         assert len(calls) == 1
+        assert len(placed) == fallback
 
 
 class TestSolveComplexCoeffs:
@@ -616,3 +638,39 @@ class TestSolverProperties:
             a = solve_discriminant(p)
             b = solve_factored(p)
             assert not compare(a, b, tol=1e-6)
+
+
+def _power_times_linear(k: int, r: float) -> tuple[SimplePolynomial, Quaternion]:
+    """x^k (x - w), w = (0.3, 0.5, -0.4, 0.6) scaled to modulus r: zeros w and 0."""
+    w = np.array([0.3, 0.5, -0.4, 0.6])
+    w = w / np.linalg.norm(w) * r
+    rows = np.zeros((k + 2, 4))
+    rows[k], rows[k + 1, 0] = -w, 1.0
+    return SimplePolynomial.from_rows(rows), Quaternion(*w)
+
+
+# Inputs on which a route reports the sphere of w in place of w.  Every value at
+# eta carries a factor eta^k, but the sphere tests (and audit's bound) scale with
+# max(1, |eta|), so for |eta| < 1 they are absolute thresholds.  audit passes six
+# of these nine answers; only solve_factored, and so compare mode, gets them right.
+# At (10, 0.1) the discriminant route's test sits on the last bit of w.
+SMALL_W_WRONG = {
+    "discriminant": {(10, 0.1), (12, 0.1)},
+    "companion": {(6, 0.1), (8, 0.2), (8, 0.1), (10, 0.2), (10, 0.1), (12, 0.2), (12, 0.1)},
+}
+SMALL_W = [(k, r) for k in range(2, 13, 2) for r in (0.5, 0.2, 0.1)]
+
+
+class TestSmallZeroBehindAPowerOfX:
+    @pytest.mark.parametrize("route, k, r", [
+        pytest.param(route, k, r, marks=[pytest.mark.xfail(
+            strict=True, reason="sphere test is absolute for |eta| < 1")]
+            if (k, r) in SMALL_W_WRONG.get(route, ()) else [])
+        for route in ("discriminant", "factored", "companion") for k, r in SMALL_W])
+    def test_reports_w_once_and_the_real_zero(self, route, k, r):
+        p, w = _power_times_linear(k, r)
+        solve = {"discriminant": solve_discriminant, "factored": solve_factored,
+                 "companion": solve_companion}[route]
+        zs = solve(p)
+        assert zs.real_zeros == (0.0,) and not zs.spherical
+        assert len(zs.isolated_zeros) == 1 and qapprox(zs.isolated_zeros[0], w, 1e-10)
