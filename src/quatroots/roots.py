@@ -4,7 +4,11 @@ Simultaneous Ehrlich-Aberth iteration started from Newton-polygon radius
 estimates with golden-angle phases, followed by per-root Newton polishing,
 then clustering of near-coincident roots into multiplicity entries.  Each
 Aberth step evaluates and moves the unconverged roots only; converged ones
-stay frozen.
+stay frozen, and exact collisions are found by sorting the roots.  The
+evaluation kernel gives a point the same value in any batch, so a root is
+evaluated again only where it has moved: the polish starts from Aberth's last
+evaluation, and the acceptance check evaluates a lone root only when its
+polished residual does not already bound |p|.
 
 Evaluation switches to the power-reversed polynomial at 1/z whenever |z| > 1,
 so high degrees never overflow.  A root is accepted either when its step
@@ -25,7 +29,9 @@ MAX_ITERATIONS = 500
 STEP_REL = 1e-14
 CLUSTER_REL = 1e-6
 RESIDUAL_REL = 1e-8
+DEFAULT_REAL_TOL = 1e-5  # |Im| below which a root counts as real
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -61,19 +67,14 @@ def _eval_state(c: np.ndarray, z: np.ndarray):
     rev = ~(np.abs(z) <= 1.0)  # scaled_horner's reversed points, NaN included
     u = np.divide(1.0, z, out=np.zeros_like(z), where=rev)
     # reversed: p, dp are q(u), q'(u) for q(u) = u^n p(1/u), so p/p' = z q/(n q - u q')
-    corr = np.where(rev, z * _safe_ratio(p, n * p - u * dp, z), _safe_ratio(p, dp, z))
-    return corr, np.abs(p) / np.maximum(maj, np.finfo(np.float64).tiny)
-
-
-def _safe_ratio(num: np.ndarray, den: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """num/den with stuck points (den == 0, overflow) nudged instead of left to blow up."""
+    den = np.where(rev, n * p - u * dp, dp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = num / den
-    bad = ~np.isfinite(out)
-    if bad.any():
-        # critical point: take a small sideways step and let the next pass fix it
-        out[bad] = 1e-6 * (1.0 + np.abs(z[bad])) * np.exp(0.7j)
-    return out
+        ratio = p / den
+    bad = ~np.isfinite(ratio)
+    # stuck point (den == 0, overflow): take a small sideways step and let the next pass fix it
+    ratio[bad] = 1e-6 * (1.0 + np.abs(z[bad])) * np.exp(0.7j)
+    corr = np.where(rev, z * ratio, ratio)
+    return corr, np.abs(p) / np.maximum(maj, _TINY)
 
 
 def _newton_polygon_radii(c: np.ndarray) -> np.ndarray:
@@ -111,70 +112,88 @@ def _initial_guesses(c: np.ndarray) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _aberth(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _aberth(c: np.ndarray):
     """Ehrlich-Aberth iteration that evaluates and steps the unconverged roots only.
 
     Converged roots are frozen, so the iterates are those of stepping the whole set.
-    Every colliding pair holds a root that moved since the last search for one.
+    Returns the roots, the converged mask and _eval_state at the roots, evaluating a
+    root again only where it has moved since its last evaluation.
     """
     z = _initial_guesses(c)
     n = len(z)
     converged = np.zeros(n, dtype=bool)
-    moved = np.ones(n, dtype=bool)
+    stale = np.ones(n, dtype=bool)  # moved since its last evaluation
+    corr, rel = np.empty(n, dtype=np.complex128), np.empty(n)
     noise = 4.0 * len(c) * _EPS
     for _ in range(MAX_ITERATIONS):
-        todo = ~converged
-        corr, rel = _eval_state(c, z[todo])
-        converged[todo] |= rel <= noise
+        todo = stale & ~converged
+        _refresh(c, z, todo, corr, rel)
+        stale &= ~todo
+        converged[todo] |= rel[todo] <= noise
         if converged.all():
             break
-        active = ~converged
-        corr = corr[active[todo]]
-        rows = np.flatnonzero(moved | active)
-        s, hit = _aberth_sums(z, rows)
+        hit = _collisions(z)
         if hit.size:
             z[hit] += 1e-8 * (1.0 + np.abs(z[hit])) * np.exp(1j * _GOLDEN_ANGLE * (1 + hit))
-            moved = np.isin(np.arange(n), hit)
+            stale[hit] = True
             continue
-        s = s[active[rows]]
-        w = corr / (1.0 - corr * s)
+        active = ~converged
+        newton = corr[active]
+        w = newton / (1.0 - newton * _aberth_sums(z, np.flatnonzero(active)))
         bad = ~np.isfinite(w)
-        w[bad] = corr[bad]
-        z[active] -= w
-        converged[active] |= np.abs(w) <= STEP_REL * (1.0 + np.abs(z[active]))
-        moved = active
+        w[bad] = newton[bad]
+        new = z[active] - w
+        stale[active] |= _moved(new, z[active])
+        z[active] = new
+        converged[active] |= np.abs(w) <= STEP_REL * (1.0 + np.abs(new))
         if converged.all():
             break
-    return z, converged
+    _refresh(c, z, stale, corr, rel)
+    return z, converged, (corr, rel)
 
 
-def _aberth_sums(z: np.ndarray, rows: np.ndarray):
-    """sum_(j != i) 1/(z_i - z_j) for i in rows, BLOCK // len(z) rows at a time,
-    and every index of a colliding pair."""
+def _refresh(c: np.ndarray, z: np.ndarray, todo: np.ndarray, corr: np.ndarray, rel: np.ndarray):
+    """Write _eval_state(c, z) into corr and rel at the points todo, if there are any."""
+    if todo.any():
+        corr[todo], rel[todo] = _eval_state(c, z[todo])
+
+
+def _moved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where the points a and b differ bit for bit; elsewhere b's state is a's."""
+    return (a.view(np.uint64) != b.view(np.uint64)).reshape(len(a), 2).any(axis=1)
+
+
+def _collisions(z: np.ndarray) -> np.ndarray:
+    """Every i with z_i - z_j == 0 for some j != i (equal finite values), by one sort."""
+    order = np.lexsort((z.imag, z.real))
+    a = z[order]
+    same = (a[1:] == a[:-1]) & np.isfinite(a[1:])
+    return np.unique(np.concatenate([order[1:][same], order[:-1][same]]))
+
+
+def _aberth_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_(j != i) 1/(z_i - z_j) for i in rows, BLOCK // len(z) rows at a time; z collision-free."""
     s = np.empty(len(rows), dtype=np.complex128)
-    hit = []
     step = max(1, BLOCK // len(z))
     for b in range(0, len(rows), step):
         r = rows[b:b + step]
         diff = z[r, None] - z[None, :]
         diff[np.arange(len(r)), r] = np.inf
-        i, j = np.nonzero(diff == 0.0)
-        if i.size:
-            hit += [r[i], j]
-        else:
-            s[b:b + step] = (1.0 / diff).sum(axis=1)
-    return s, np.unique(np.concatenate(hit or [rows[:0]]))
+        s[b:b + step] = (1.0 / diff).sum(axis=1)
+    return s
 
 
-def _newton_polish(c: np.ndarray, z: np.ndarray, steps: int = 8):
-    """A few guarded Newton steps per root: the best-residual points and _eval_state there."""
+def _newton_polish(c: np.ndarray, z: np.ndarray, state, steps: int = 8):
+    """A few guarded Newton steps per root from state = _eval_state(c, z): the
+    best-residual points and _eval_state there.  A point a step leaves in place keeps its state."""
     cur = z.copy()
-    corr, rel = _eval_state(c, cur)
+    corr, rel = state
     best, best_corr, best_rel = cur, corr, rel
     for _ in range(steps):
-        cur = cur - corr
+        prev, cur = cur, cur - corr
         done = np.all(np.abs(corr) <= STEP_REL * (1.0 + np.abs(cur)))
-        corr, rel = _eval_state(c, cur)
+        corr, rel = corr.copy(), rel.copy()
+        _refresh(c, cur, _moved(cur, prev), corr, rel)
         gain = rel < best_rel
         best = np.where(gain, cur, best)
         best_corr = np.where(gain, corr, best_corr)
@@ -240,27 +259,34 @@ def all_roots(p: ComplexPolynomial) -> RootList:
         m0 += 1
     found: list[complex] = [0j] * m0
     stall = [0.0] * m0
+    passed: dict[complex, bool] = {}
     if len(c) > 1:
-        z, conv = _aberth(c)
-        z, corr, rel = _newton_polish(c, z)
+        z, conv, state = _aberth(c)
+        z, corr, rel = _newton_polish(c, z, state)
         if not conv.all():
             noise = 4.0 * len(c) * _EPS
             if not np.all((rel <= noise) | conv):
                 raise NoConvergenceError(
                     f"{int((~conv).sum())} of {len(z)} roots unconverged after "
                     f"{MAX_ITERATIONS} iterations",
-                    roots=list(z), residuals=list(np.abs(scaled_horner(c, z)[0])))
+                    roots=list(z), residuals=list(np.abs(scaled_horner(p.c, z)[0])))
         found.extend(complex(v) for v in z)
         # the residual Newton correction measures each root's noise-ball size
         stall.extend(float(a) for a in np.abs(corr))
+        if m0 == 0:
+            # c is p.c, so |p| = rel * majorant up to one rounding, and at |u| <= 1 the kernel's
+            # majorant is sum|c_k| at most, up to rounding that 4 (n+1) eps covers
+            bound = max(float(np.abs(c).sum()), _TINY) / scale * (1.0 + 4.0 * len(c) * _EPS)
+            passed = dict(zip(found, (rel * bound <= RESIDUAL_REL).tolist()))
     clusters = _cluster(np.asarray(found, dtype=np.complex128),
                         radii=8.0 * np.asarray(stall))
     values = np.array([v for v, _ in clusters], dtype=np.complex128)
-    # |p(z)| / max(1,|z|)^deg, relative to the largest coefficient
-    residuals = np.abs(scaled_horner(p.c, values)[0])
-    if np.any(residuals / scale > RESIDUAL_REL):
-        raise NoConvergenceError("residual acceptance bound exceeded",
-                                 roots=list(values), residuals=list(residuals))
+    # |p(z)| / max(1,|z|)^deg, relative to the largest coefficient, where a lone root's
+    # polished residual does not already bound it
+    check = np.array([m > 1 or not passed.get(v, False) for v, m in clusters])
+    if np.any(np.abs(scaled_horner(p.c, values[check])[0]) / scale > RESIDUAL_REL):
+        raise NoConvergenceError("residual acceptance bound exceeded", roots=list(values),
+                                 residuals=list(np.abs(scaled_horner(p.c, values)[0])))
     return RootList(tuple(clusters))
 
 
@@ -268,8 +294,8 @@ def _newton_refine(g: ComplexPolynomial, z0: complex) -> complex:
     """Newton on g from z0, keeping the best residual seen (z0 if g is constant)."""
     if g.degree < 1:
         return z0
-    z, _, _ = _newton_polish(np.array(g.c, dtype=np.complex128),
-                             np.array([z0], dtype=np.complex128), steps=60)
+    c, z = np.array(g.c, dtype=np.complex128), np.array([z0], dtype=np.complex128)
+    z, _, _ = _newton_polish(c, z, _eval_state(c, z), steps=60)
     return complex(z[0])
 
 
@@ -295,7 +321,7 @@ def polished_roots(p: ComplexPolynomial) -> RootList:
     return polish_multiples(p, all_roots(p))
 
 
-def pair_conjugates(roots, tol_real: float = 1e-5):
+def pair_conjugates(roots, tol_real: float = DEFAULT_REAL_TOL):
     """Split (value, multiplicity) roots into reals, conjugate pairs and the rest.
 
     Roots with |Im| < tol_real snap to their real part.  Each root above the
@@ -337,7 +363,7 @@ def pair_conjugates(roots, tol_real: float = 1e-5):
     return reals, pairs, unpaired
 
 
-def classify_real(rl: RootList, tol_real: float = 1e-5):
+def classify_real(rl: RootList, tol_real: float = DEFAULT_REAL_TOL):
     """Split a real-coefficient polynomial's roots into reals and conjugate pairs.
 
     pair_conjugates without leftovers: an unpaired root raises

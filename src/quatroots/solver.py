@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import ComplexPolynomial, TRIM_REL, gcd as poly_gcd, gcd_many, scaled_horner
+from .cpoly import (DEFAULT_GCD_TOL, ComplexPolynomial, TRIM_REL, gcd as poly_gcd, gcd_many,
+                    scaled_horner)
 from .quaternion import ConjugacyClass, Quaternion, embed_complex, hamilton
-from .roots import all_roots, classify_real, pair_conjugates, polished_roots
+from .roots import DEFAULT_REAL_TOL, all_roots, classify_real, pair_conjugates, polished_roots
 
 
 class DegreeError(ValueError):
@@ -61,9 +62,9 @@ class Tolerances:
     dedup:  relative distance for merging equal zeros
     """
 
-    real: float = 1e-5
+    real: float = DEFAULT_REAL_TOL
     zero: float = 1e-10
-    gcd: float = 1e-8
+    gcd: float = DEFAULT_GCD_TOL
     accept: float = 1e-8
     dedup: float = 1e-8
 
@@ -154,7 +155,7 @@ class ZeroSet:
     spherical: tuple[ConjugacyClass, ...]
 
     @classmethod
-    def build(cls, reals, isolated, classes, dedup: float = 1e-8) -> ZeroSet:
+    def build(cls, reals, isolated, classes, dedup: float = DEFAULT_TOLS.dedup) -> ZeroSet:
         """Deduplicate, drop isolated zeros subsumed by a sphere, and sort; isolated
         holds Quaternions, or (k, 4) component rows as the routes give them."""
         if isinstance(isolated, np.ndarray):
@@ -248,7 +249,7 @@ def _side_values(pair, z: np.ndarray) -> np.ndarray:
     return scaled_horner(c, z)[0]
 
 
-def is_spherical_root(pair, eta, tol_zero: float = 1e-10,
+def is_spherical_root(pair, eta, tol_zero: float = DEFAULT_TOLS.zero,
                       values: np.ndarray | None = None) -> np.ndarray:
     """Whether all four derived polynomials vanish, at each eta of an array.
 
@@ -340,7 +341,7 @@ def solve_discriminant(p: SimplePolynomial,
     return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
 
 
-def factor_g(pair, tol: float = 1e-8):
+def factor_g(pair, tol: float = DEFAULT_TOLS.gcd):
     """Factor the derived pair (f1, f2) as (g*g1, g*g2) with g = gcd(f1, f2) monic.
 
     The Euclidean gcd can overshoot on ill-conditioned remainder sequences

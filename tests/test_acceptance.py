@@ -110,8 +110,8 @@ def test_criterion_4_root_table_pattern(degree6_mixed):
         exact_double = [1, -1, 1j, -1j]
         # raw iteration output, before any multiple-root polishing
         c = np.array(pt.c)
-        raw, conv = _aberth(c)
-        raw, _, _ = _newton_polish(c, raw)
+        raw, conv, state = _aberth(c)
+        raw, _, _ = _newton_polish(c, raw, state)
         assert conv.all()
         contamination = []
         for z in raw:

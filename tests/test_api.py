@@ -1,10 +1,12 @@
 """The public API is pinned: a name added to or dropped from __all__ fails here."""
 
 import importlib
+import inspect
 
 import pytest
 
 import quatroots
+from quatroots import cpoly, roots, solver
 from quatroots.cpoly import ComplexPolynomial
 from quatroots.roots import RootList
 
@@ -39,7 +41,7 @@ REMOVED = {
                    "same_class", "class_sample", "ZERO"],
     "solver": ["classify_eta", "_classify_complex_root_values",
                "_cofactor_discriminant", "NormalizedPolynomial", "DerivedPolynomials"],
-    "roots": ["polish_double"],
+    "roots": ["polish_double", "_safe_ratio"],
     "companion": ["CompanionPolynomial", "PowerDecomposition"],
     "cpoly": ["scaled_values"],
     "cli": ["_fmt"],
@@ -76,3 +78,22 @@ def test_removed_methods_stay_gone():
     assert not hasattr(quatroots.Quaternion, "is_real")
     assert not callable(ComplexPolynomial([1.0, 2.0]))
     assert "source_degree" not in RootList.__dataclass_fields__
+
+
+# every layer default that restates a Tolerances field: (function, parameter, field)
+LAYER_DEFAULTS = [
+    (roots.pair_conjugates, "tol_real", "real"),
+    (roots.classify_real, "tol_real", "real"),
+    (solver.is_spherical_root, "tol_zero", "zero"),
+    (cpoly.gcd, "tol", "gcd"),
+    (cpoly.gcd_many, "tol", "gcd"),
+    (solver.factor_g, "tol", "gcd"),
+    (solver.ZeroSet.build, "dedup", "dedup"),
+]
+
+
+@pytest.mark.parametrize("func, param, field", LAYER_DEFAULTS,
+                         ids=[f"{f.__qualname__}.{p}" for f, p, _ in LAYER_DEFAULTS])
+def test_layer_defaults_are_the_tolerances_defaults(func, param, field):
+    default = inspect.signature(func).parameters[param].default
+    assert default == getattr(solver.DEFAULT_TOLS, field) == getattr(solver.Tolerances, field)

@@ -1,12 +1,16 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quatroots.cpoly import ComplexPolynomial
+from quatroots import roots as roots_mod
+from quatroots.cpoly import ComplexPolynomial, scaled_horner
 from quatroots.roots import (NoConvergenceError, RootList, UnpairedRootError,
-                             _aberth, _aberth_sums, _cluster, _eval_state,
+                             _aberth, _aberth_sums, _cluster, _collisions, _eval_state,
                              _newton_polish, all_roots, classify_real,
                              pair_conjugates, polish_multiples)
 
@@ -127,6 +131,11 @@ class TestAllRoots:
         assert err.residuals == [0.25]
 
 
+def _gaussian(seed: int, n: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+
+
 def _aberth_corpus():
     """Complex, real and double-root inputs of degree 2 to 300."""
     rng = np.random.default_rng(11)
@@ -140,29 +149,133 @@ def _aberth_corpus():
 class TestActiveSetAberth:
     @pytest.mark.parametrize("c", _aberth_corpus(), ids=lambda c: f"n{len(c) - 1}")
     def test_equals_the_full_set_iteration(self, c):
-        z, conv = _aberth(c.copy())
+        z, conv, _ = _aberth(c.copy())
         ref_z, ref_conv = aberth_reference(c.copy())
         assert np.array_equal(z, ref_z) and np.array_equal(conv, ref_conv)
 
-    def test_sums_and_collisions_match_the_full_matrix(self):
+    @pytest.mark.parametrize("c", _aberth_corpus(), ids=lambda c: f"n{len(c) - 1}")
+    def test_polish_from_the_aberth_state_equals_polish_from_scratch(self, c):
+        z, _, state = _aberth(c.copy())
+        assert all(np.array_equal(a, b) for a, b in zip(state, _eval_state(c, z)))
+        handed = _newton_polish(c, z, state)
+        own = _newton_polish(c, z, _eval_state(c, z))
+        assert all(np.array_equal(a, b) for a, b in zip(handed, own))
+
+    def test_sums_match_the_full_matrix(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal(700) + 1j * rng.standard_normal(700)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         rows = np.flatnonzero(rng.random(700) < 0.5)
-        s, hit = _aberth_sums(z, rows)
-        assert hit.size == 0
-        assert np.array_equal(s, (1.0 / diff).sum(axis=1)[rows])
+        assert np.array_equal(_aberth_sums(z, rows), (1.0 / diff).sum(axis=1)[rows])
+
+    def test_collisions_match_the_full_matrix(self):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal(700) + 1j * rng.standard_normal(700)
+        assert _collisions(z).size == 0
         z[[5, 650]] = z[[400, 20]]
-        _, hit = _aberth_sums(z, np.array([5, 20, 300]))
-        assert hit.tolist() == [5, 20, 400, 650]
+        assert _collisions(z).tolist() == [5, 20, 400, 650]
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e-323, np.inf, -np.inf, np.nan]),
+                    min_size=2, max_size=40),
+           st.lists(st.sampled_from([0.0, -0.0, 1.0, np.inf, np.nan]), min_size=2, max_size=40))
+    def test_collisions_equal_the_difference_scan(self, re, im):
+        # few values, so many duplicates; the reference is z_i - z_j == 0 on the full matrix
+        z = np.empty(min(len(re), len(im)), dtype=np.complex128)
+        z.real, z.imag = re[:len(z)], im[:len(z)]
+        with np.errstate(invalid="ignore"):
+            diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        assert _collisions(z).tolist() == np.flatnonzero((diff == 0.0).any(axis=1)).tolist()
 
     def test_polish_returns_the_state_of_its_points(self):
         c = np.convolve([2, -3, 1, 5j, 1], [0.25, -1.0, 1.0]).astype(complex)
-        z, _ = _aberth(c)
-        best, corr, rel = _newton_polish(c, z)
+        z, _, state = _aberth(c)
+        best, corr, rel = _newton_polish(c, z, state)
         want_corr, want_rel = _eval_state(c, best)
         assert np.array_equal(corr, want_corr) and np.array_equal(rel, want_rel)
+
+
+class TestNoRepeatedWork:
+    """One all_roots call evaluates a root again only after it moved, and steps converged
+    roots never: the kernel is batch-independent, so a value once computed is reused."""
+
+    INPUTS = {"gaussian-200": _gaussian(200, 200),
+              "double-root": np.convolve(_gaussian(40, 39), [1.0, -2.0, 1.0])}
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_no_point_is_evaluated_twice_in_place(self, monkeypatch, name):
+        calls, seen = [], {}
+        orig = roots_mod._eval_state
+
+        def spy(c, z):
+            out = orig(c, z)
+            calls.append((np.array(z), out[0]))
+            return out
+        monkeypatch.setattr(roots_mod, "_eval_state", spy)
+        all_roots(ComplexPolynomial(self.INPUTS[name]))
+        for k, (z, corr) in enumerate(calls):
+            for x, step in zip(z.tolist(), corr.tolist()):
+                if x in seen:
+                    # a repeat is the polish stepping back: it evaluated x's Newton
+                    # successor, which is not x, after the last evaluation of x
+                    first, successor = seen[x]
+                    assert successor != x and any(
+                        successor in calls[j][0].tolist() for j in range(first + 1, k)), x
+                seen[x] = (k, x - step)
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_sums_cover_only_roots_that_then_step(self, monkeypatch, name):
+        # a converged root is frozen, so every row handed to _aberth_sums moves before the next
+        calls = []
+        orig_sums, orig_polish = roots_mod._aberth_sums, roots_mod._newton_polish
+
+        def spy_sums(z, rows):
+            calls.append((z.copy(), rows.copy()))
+            return orig_sums(z, rows)
+
+        def spy_polish(c, z, *args, **kwargs):
+            calls.append((z.copy(), None))
+            return orig_polish(c, z, *args, **kwargs)
+        monkeypatch.setattr(roots_mod, "_aberth_sums", spy_sums)
+        monkeypatch.setattr(roots_mod, "_newton_polish", spy_polish)
+        all_roots(ComplexPolynomial(self.INPUTS[name]))
+        assert len(calls) > 2 and calls[-1][1] is None
+        for (z, rows), (later, _) in zip(calls, calls[1:]):
+            assert np.all(later[rows] != z[rows])
+
+
+class TestAcceptance:
+    def test_unconverged_payload_is_the_residual_of_p(self, monkeypatch):
+        # two roots at the origin are stripped, yet the payload evaluates p, as the
+        # acceptance check does, not the stripped polynomial
+        p = ComplexPolynomial(np.concatenate([[0, 0], _gaussian(9, 8)]))
+        monkeypatch.setattr(roots_mod, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(roots_mod, "_newton_polish",
+                            functools.partial(roots_mod._newton_polish, steps=0))
+        with pytest.raises(NoConvergenceError, match="unconverged") as info:
+            all_roots(p)
+        err = info.value
+        assert len(err.roots) == 8
+        want = np.abs(scaled_horner(p.c, np.array(err.roots))[0])
+        assert np.array_equal(err.residuals, want)
+        stripped = np.abs(scaled_horner(p.c[2:], np.array(err.roots))[0])
+        assert not np.allclose(want, stripped)
+
+    @pytest.mark.parametrize("c", [_aberth_corpus()[i] for i in (0, 16, 20)],
+                             ids=lambda c: f"n{len(c) - 1}")
+    def test_a_failed_check_reports_every_cluster(self, monkeypatch, c):
+        # a bound between the clusters' residuals: lone roots the polish vouches for,
+        # and ones it cannot, are all in the payload
+        p = ComplexPolynomial(c)
+        rl = all_roots(p)
+        values = np.array([v for v, _ in rl.roots])
+        residuals = np.abs(scaled_horner(p.c, values)[0])
+        monkeypatch.setattr(roots_mod, "RESIDUAL_REL", float(np.median(residuals)) / p.max_coeff())
+        with pytest.raises(NoConvergenceError, match="acceptance") as info:
+            all_roots(p)
+        assert np.array_equal(info.value.roots, values)
+        assert np.array_equal(info.value.residuals, residuals)
 
 
 class TestFShapeNonnegativity:
