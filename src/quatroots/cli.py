@@ -115,7 +115,7 @@ def _parse_expected(doc) -> ZeroSet:
             mod = float(entry["modulus"])
             if not abs(re) < mod < math.inf:
                 raise ValueError(f"sphere modulus {mod} must exceed |re| = {abs(re)}")
-            classes.append(ConjugacyClass(complex(re, math.sqrt(mod * mod - re * re))))
+            classes.append(ConjugacyClass(complex(re, math.sqrt(mod - re) * math.sqrt(mod + re))))
     except KeyError as exc:
         raise ProblemError(f"expected sphere lacks {exc}") from exc
     except (TypeError, ValueError) as exc:

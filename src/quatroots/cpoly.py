@@ -194,15 +194,3 @@ def gcd(p: ComplexPolynomial, q: ComplexPolynomial,
         a, b = b, r.monic()
     return a
 
-
-def gcd_many(ps, tol: float = DEFAULT_GCD_TOL) -> ComplexPolynomial:
-    """Fold of pairwise gcd over a list of polynomials (monic result)."""
-    nonzero = [p for p in ps if not p.is_zero]
-    if not nonzero:
-        raise ValueError("need at least one nonzero polynomial")
-    acc = nonzero[0].monic()
-    for p in nonzero[1:]:
-        if acc.degree == 0:
-            break
-        acc = gcd(acc, p, tol)
-    return acc

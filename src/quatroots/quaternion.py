@@ -216,7 +216,7 @@ class ConjugacyClass:
         """n members of the class, imaginary directions spread over the sphere."""
         if n < 1:
             raise ValueError("need at least one sample")
-        v = math.sqrt(max(0.0, self.modulus ** 2 - self.re ** 2))
+        v = self.representative.imag
         return [Quaternion(self.re, v * d1, v * d2, v * d3)
                 for d1, d2, d3 in _sphere_directions(n, seed)]
 

@@ -10,9 +10,10 @@ single isolated zero given in closed form as a component row.  The pair is
 evaluated at every representative by one cpoly.scaled_horner call.
 
 Two routes are provided: solve_discriminant works on the full discriminant,
-solve_factored first divides out g = gcd(f1, f2), which isolates the real
-zeros and spheres inside g and leaves a smaller residual polynomial for the
-isolated nonreal zeros.  solve_complex_coeffs is the fast path for inputs
+solve_factored first divides out g = gcd(f1, f2), which holds most real zeros
+and spheres, and leaves a smaller residual polynomial for the isolated nonreal
+zeros and for the spheres g misses.  is_finite_zero_set is solve_factored's
+verdict on spheres.  solve_complex_coeffs is the fast path for inputs
 whose coefficients are all complex (or all real).
 """
 
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import (DEFAULT_GCD_TOL, ComplexPolynomial, TRIM_REL, gcd as poly_gcd, gcd_many,
-                    scaled_horner)
+from .cpoly import DEFAULT_GCD_TOL, ComplexPolynomial, TRIM_REL, gcd as poly_gcd, scaled_horner
 from .quaternion import ConjugacyClass, Quaternion, embed_complex, hamilton
+# all_roots is not called here; it stays importable from this module with the other layers
 from .roots import DEFAULT_REAL_TOL, all_roots, classify_real, pair_conjugates, polished_roots
 
 
@@ -370,6 +371,10 @@ def solve_factored(p: SimplePolynomial,
     Real zeros and zero-spheres come from g = gcd(f1, f2); the remaining
     isolated zeros come from unpaired roots of g and from the cofactor
     discriminant g1*conj(g1) + g2*conj(g2), skipping roots already seen in g.
+    The approximate gcd can miss a sphere (g of degree 0 on 27 of the 123
+    sphere inputs of the cli-compare benchmark, seeds 1-3); its root then
+    comes from the cofactor discriminant with both cofactors vanishing, and
+    the fallback classifies it by the full derived pair (_place_pairs).
     """
     pair = derived(normalize(p))
     g, g1, g2 = factor_g(pair, tols.gcd)
@@ -418,10 +423,10 @@ def solve_complex_coeffs(p: SimplePolynomial,
 
 
 def is_finite_zero_set(p: SimplePolynomial, tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """Whether the zero set of p is finite (no spheres): the common gcd of all
-    four derived polynomials has no nonreal root."""
-    f1, f2 = derived(normalize(p))
-    common = gcd_many((f1, f2, f1.conj_coeffs(), f2.conj_coeffs()), tols.gcd)
-    if common.degree < 1:
-        return True
-    return all(abs(z.imag) < tols.real for z, _ in all_roots(common).roots)
+    """Whether the zero set of p is finite: no nonreal conjugate pair is a common root
+    of the derived polynomials, so solve_factored reports no sphere.
+
+    This is the factored route's own verdict, so the two cannot disagree; it raises
+    what solve_factored raises and costs one solve_factored call.
+    """
+    return not solve_factored(p, tols).spherical

@@ -27,7 +27,7 @@ PUBLIC = {
 # internals, out of __all__ and the package namespace, importable from their modules
 INTERNAL = {
     "companion": ["ab", "companion", "monic_normalized", "power_decomp"],
-    "cpoly": ["ComplexPolynomial", "gcd", "gcd_many"],
+    "cpoly": ["ComplexPolynomial", "gcd"],
     "quaternion": ["embed_complex", "split"],
     "roots": ["RootList", "all_roots", "classify_real", "polish_multiples"],
     "solver": ["DEFAULT_TOLS", "all_roots", "derived", "discriminant", "factor_g",
@@ -43,7 +43,7 @@ REMOVED = {
                "_cofactor_discriminant", "NormalizedPolynomial", "DerivedPolynomials"],
     "roots": ["polish_double", "_safe_ratio"],
     "companion": ["CompanionPolynomial", "PowerDecomposition"],
-    "cpoly": ["scaled_values"],
+    "cpoly": ["scaled_values", "gcd_many"],
     "cli": ["_fmt"],
 }
 
@@ -86,7 +86,6 @@ LAYER_DEFAULTS = [
     (roots.classify_real, "tol_real", "real"),
     (solver.is_spherical_root, "tol_zero", "zero"),
     (cpoly.gcd, "tol", "gcd"),
-    (cpoly.gcd_many, "tol", "gcd"),
     (solver.factor_g, "tol", "gcd"),
     (solver.ZeroSet.build, "dedup", "dedup"),
 ]

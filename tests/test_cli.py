@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 
@@ -51,6 +53,16 @@ class TestParsing:
     def test_text_rows_newlines_and_comments(self):
         _, poly, _ = parse_problem("# a comment\n1 0 0 0\n0 1 0 0\n")
         assert poly.degree == 1
+
+    @pytest.mark.parametrize("re, modulus, imag", [
+        (3.0, 3.0 + 2.0 ** -51, math.sqrt(6.0 * 2.0 ** -51)),  # |.|^2 - Re^2 cancels
+        (0.0, 1e200, 1e200),  # |.|^2 overflows
+    ])
+    def test_expected_sphere_keeps_its_imaginary_part(self, re, modulus, imag):
+        doc = dict(CUBIC_REAL, expected={"spherical": [{"re": re, "modulus": modulus}]})
+        (cls,) = parse_problem(json.dumps(doc))[2].spherical
+        assert cls.re == re
+        assert math.isclose(cls.representative.imag, imag, rel_tol=4 * sys.float_info.epsilon)
 
     def test_three_component_row_rejected(self):
         with pytest.raises(Exception) as err:

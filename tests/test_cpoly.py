@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatroots.cpoly import BLOCK, ComplexPolynomial, _power_sums, gcd, gcd_many, scaled_horner
+from quatroots.cpoly import BLOCK, ComplexPolynomial, _power_sums, gcd, scaled_horner
 from quatroots.roots import _eval_state
 
 from conftest import horner_reference, kernel_value
@@ -258,30 +258,6 @@ class TestGcd:
             for full in (p, q):
                 _, r = full.divrem(d)
                 assert r.coeff_norm() <= 1e-8 * full.coeff_norm()
-
-
-class TestGcdMany:
-    def test_idempotent(self):
-        p = ComplexPolynomial([1, 0, 1])
-        assert coeffs_close(gcd_many([p, p]), [1, 0, 1])
-
-    def test_real_cubic_with_zero_partner(self):
-        # one polynomial vanishes identically: gcd is the monic other
-        f1 = ComplexPolynomial([1, 1, 1, 1])
-        zero = ComplexPolynomial()
-        g = gcd_many([f1, zero, f1.conj_coeffs(), zero])
-        assert coeffs_close(g, [1, 1, 1, 1])
-        _, r = f1.divrem(g)
-        assert r.coeff_norm() <= 1e-12
-
-    def test_pairwise_coprime(self):
-        ps = [ComplexPolynomial([1j, 1]), ComplexPolynomial([-1j, 1]),
-              ComplexPolynomial([0, 1])]
-        assert coeffs_close(gcd_many(ps), [1])
-
-    def test_all_zero_raises(self):
-        with pytest.raises(ValueError):
-            gcd_many([ComplexPolynomial(), ComplexPolynomial()])
 
 
 class TestIsRealCoeffs:

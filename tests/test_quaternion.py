@@ -262,6 +262,20 @@ class TestConjugacyClass:
             assert abs(q.re - cls.re) <= 1e-10 * max(1.0, cls.modulus)
             assert abs(abs(q) - cls.modulus) <= 1e-10 * max(1.0, cls.modulus)
 
+    def test_near_axis_samples_lie_on_the_sphere(self):
+        # the imaginary modulus is Im of the representative, not sqrt(|.|^2 - Re^2)
+        cls = ConjugacyClass.from_complex(3 + 1e-7j)
+        for q in cls.sample(25, seed=3):
+            assert q.re == 3.0
+            assert math.isclose(q.vec_norm(), 1e-7, rel_tol=8 * sys.float_info.epsilon)
+
+    def test_huge_class_samples_without_overflow(self):
+        cls = ConjugacyClass(complex(1e199, 1e200))
+        for q in cls.sample(5):
+            assert q.re == 1e199
+            assert math.isclose(math.hypot(q.a1, q.a2, q.a3), 1e200,
+                                rel_tol=8 * sys.float_info.epsilon)
+
     def test_sample_deterministic(self):
         cls = ConjugacyClass.from_complex(0.4 + 0.9j)
         assert cls.sample(7, seed=5) == cls.sample(7, seed=5)

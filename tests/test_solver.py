@@ -503,17 +503,6 @@ class TestSolveComplexCoeffs:
         assert qapprox(zs.isolated_zeros[0], embed_complex(1 + 1j), 1e-10)
 
 
-class TestIsFiniteZeroSet:
-    def test_cubic_ijk_finite(self, cubic_ijk):
-        assert is_finite_zero_set(cubic_ijk)
-
-    def test_cubic_real_infinite(self, cubic_real):
-        assert not is_finite_zero_set(cubic_real)
-
-    def test_x2_plus_1_infinite(self):
-        assert not is_finite_zero_set(SimplePolynomial([1, 0, 1]))
-
-
 class TestZeroSetBuild:
     def test_isolated_inside_sphere_dropped(self):
         cls = ConjugacyClass.from_complex(1j)
@@ -674,3 +663,57 @@ class TestSmallZeroBehindAPowerOfX:
         zs = solve(p)
         assert zs.real_zeros == (0.0,) and not zs.spherical
         assert len(zs.isolated_zeros) == 1 and qapprox(zs.isolated_zeros[0], w, 1e-10)
+
+
+def _cli_compare_spheres(seed: int, pids) -> dict[int, SimplePolynomial]:
+    """The sphere inputs with these pids of the cli-compare benchmark pool for seed.
+
+    Replays the pool's draws (perfbench/problems.py): slot i has family
+    (general, sphere, double, complex)[i % 4] and degree 8 + 17 i % 41, and a
+    sphere input is a Gaussian base times x^2 - 2a x + (a^2 + b^2).
+    """
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i in range(max(pids) + 1):
+        family, degree = ("general", "sphere", "double", "complex")[i % 4], 8 + 17 * i % 41
+        if family in ("general", "complex"):
+            rng.standard_normal((degree + 1, 4))
+            continue
+        base = rng.standard_normal((degree - 1, 4))
+        a = rng.uniform(-1.0, 1.0)
+        if family == "sphere":
+            b = rng.uniform(0.5, 1.5)
+            if i in pids:
+                factor = [a * a + b * b, -2.0 * a, 1.0]
+                out[i] = SimplePolynomial.from_rows(
+                    np.stack([np.convolve(base[:, k], factor) for k in range(4)], axis=1))
+    return out
+
+
+# sphere inputs of cli-compare seed 1 (degree 25-48) on which the approximate gcd
+# of the derived pair has degree 0: solve_factored finds the sphere by its fallback
+GCD_MISSES_SPHERE = (1, 33, 53, 69, 77, 81, 113, 137, 161)
+
+
+class TestIsFiniteZeroSet:
+    def test_cubic_ijk_finite(self, cubic_ijk):
+        assert is_finite_zero_set(cubic_ijk)
+
+    def test_cubic_real_infinite(self, cubic_real):
+        assert not is_finite_zero_set(cubic_real)
+
+    def test_x2_plus_1_infinite(self):
+        assert not is_finite_zero_set(SimplePolynomial([1, 0, 1]))
+
+    @pytest.fixture(scope="class")
+    def spheres(self):
+        return _cli_compare_spheres(1, GCD_MISSES_SPHERE)
+
+    @pytest.mark.parametrize("pid", GCD_MISSES_SPHERE)
+    def test_sphere_the_gcd_misses_is_infinite(self, spheres, pid):
+        assert not is_finite_zero_set(spheres[pid])
+
+    @pytest.mark.parametrize("k, r", SMALL_W)
+    def test_small_zero_behind_a_power_of_x_is_finite(self, k, r):
+        # the discriminant route reports a false sphere on two of these
+        assert is_finite_zero_set(_power_times_linear(k, r)[0])
