@@ -189,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tols = Tolerances(real=args.tol_real, zero=args.tol_zero, gcd=args.tol_gcd)
     try:
+        tols = Tolerances(real=args.tol_real, zero=args.tol_zero, gcd=args.tol_gcd)
         if args.samples_per_class < 1:
             raise ProblemError("--samples-per-class must be at least 1")
         if args.input == "-":
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ProblemError as exc:
+    except ValueError as exc:  # a ProblemError or a rejected tolerance
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cpoly import ComplexPolynomial
 from .quaternion import ConjugacyClass, Quaternion, hamilton, norms
-from .roots import classify_real, polished_roots
+from .roots import all_roots, classify_real
 from .solver import (DEFAULT_TOLS, NORM_REAL_TOL, BothDenominatorsZeroError, DegreeError,
                      SimplePolynomial, Tolerances, ZeroSet)
 
@@ -100,7 +100,7 @@ def solve_companion(p: SimplePolynomial,
     if p.degree < 1:
         raise DegreeError("cannot solve a constant polynomial")
     pm = monic_normalized(p)
-    reals, pairs = classify_real(polished_roots(companion(pm)), tols.real)
+    reals, pairs = classify_real(all_roots(companion(pm)), tols.real)
     eta = np.array([z for z, _ in pairs], dtype=complex)
     a, b = ab(pm, eta)
     v = np.stack(hamilton((a * _CONJ).T, b.T), axis=-1)

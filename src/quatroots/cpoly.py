@@ -1,8 +1,8 @@
 """Dense univariate polynomial arithmetic over the complex numbers.
 
 Coefficients are indexed by power with the constant term first.  The zero
-polynomial is the empty coefficient list.  Supplies the evaluation, product,
-division and tolerance-aware gcd that the quaternionic solvers are built on.
+polynomial is the empty coefficient list.  Supplies the evaluation, division
+and tolerance-aware gcd that the quaternionic solvers are built on.
 Every evaluation is one scaled_horner call on whole arrays.  It runs one
 batch-independent kernel with no loop over the coefficients: the power matrix
 of points |u| <= 1 (u = 1/z on the reversed polynomial where |z| > 1), read by
@@ -90,46 +90,10 @@ class ComplexPolynomial:
     def is_zero(self) -> bool:
         return len(self.c) == 0
 
-    def coeff(self, k: int) -> complex:
-        return complex(self.c[k]) if 0 <= k < len(self.c) else 0j
-
-    def conj_coeffs(self) -> ComplexPolynomial:
-        """Coefficient-wise complex conjugate (an involution)."""
-        return ComplexPolynomial(np.conj(self.c))
-
     def derivative(self) -> ComplexPolynomial:
         if self.degree < 1:
             return ComplexPolynomial()
         return ComplexPolynomial(self.c[1:] * np.arange(1, len(self.c)))
-
-    def real(self) -> ComplexPolynomial:
-        """Drop imaginary parts of all coefficients."""
-        return ComplexPolynomial(self.c.real)
-
-    def __add__(self, other: ComplexPolynomial) -> ComplexPolynomial:
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = a.copy()
-        out[: len(b)] += b
-        return ComplexPolynomial(out)
-
-    def __sub__(self, other: ComplexPolynomial) -> ComplexPolynomial:
-        return self + (-other)
-
-    def __neg__(self) -> ComplexPolynomial:
-        return ComplexPolynomial(-self.c)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexPolynomial):
-            if self.is_zero or other.is_zero:
-                return ComplexPolynomial()
-            return ComplexPolynomial(np.convolve(self.c, other.c))
-        if isinstance(other, (int, float, complex)):
-            return ComplexPolynomial(self.c * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def divrem(self, d: ComplexPolynomial) -> tuple[ComplexPolynomial, ComplexPolynomial]:
         """Quotient and remainder with deg(remainder) < deg(d)."""
@@ -159,12 +123,6 @@ class ComplexPolynomial:
 
     def max_coeff(self) -> float:
         return float(np.abs(self.c).max()) if not self.is_zero else 0.0
-
-    def is_real_coeffs(self, tol: float = 1e-10) -> bool:
-        """Every imaginary part at most tol times the largest coefficient."""
-        if self.is_zero:
-            return True
-        return bool(np.abs(self.c.imag).max() <= tol * np.abs(self.c).max())
 
     def __repr__(self) -> str:
         return f"ComplexPolynomial(degree={self.degree}, coeffs={list(self.c)!r})"

@@ -2,13 +2,14 @@
 
 Simultaneous Ehrlich-Aberth iteration started from Newton-polygon radius
 estimates with golden-angle phases, followed by per-root Newton polishing,
-then clustering of near-coincident roots into multiplicity entries.  Each
-Aberth step evaluates and moves the unconverged roots only; converged ones
-stay frozen, and exact collisions are found by sorting the roots.  The
-evaluation kernel gives a point the same value in any batch, so a root is
-evaluated again only where it has moved: the polish starts from Aberth's last
-evaluation, and the acceptance check evaluates a lone root only when its
-polished residual does not already bound |p|.
+then clustering of near-coincident roots into multiplicity entries.  all_roots
+polishes each multiple root itself, as a simple root of a derivative
+(polish_multiples).  Each Aberth step evaluates and moves the unconverged
+roots only; converged ones stay frozen, and exact collisions are found by
+sorting the roots.  The evaluation kernel gives a point the same value in any
+batch, so a root is evaluated again only where it has moved: the polish starts
+from Aberth's last evaluation, and the acceptance check evaluates a lone root
+only when its polished residual does not already bound |p|.
 
 Evaluation switches to the power-reversed polynomial at 1/z whenever |z| > 1,
 so high degrees never overflow.  A root is accepted either when its step
@@ -243,10 +244,11 @@ def _cluster(points: np.ndarray, radii=None,
 
 
 def all_roots(p: ComplexPolynomial) -> RootList:
-    """All deg(p) roots (with multiplicity) of a complex polynomial.
+    """All deg(p) roots (with multiplicity) of a complex polynomial, multiple ones
+    refined by polish_multiples.
 
-    Raises NoConvergenceError with best-effort roots and residuals when the
-    iteration cannot meet the residual acceptance bound.
+    Raises NoConvergenceError with best-effort roots and residuals, before that
+    refinement, when the iteration cannot meet the residual acceptance bound.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -287,38 +289,25 @@ def all_roots(p: ComplexPolynomial) -> RootList:
     if np.any(np.abs(scaled_horner(p.c, values[check])[0]) / scale > RESIDUAL_REL):
         raise NoConvergenceError("residual acceptance bound exceeded", roots=list(values),
                                  residuals=list(np.abs(scaled_horner(p.c, values)[0])))
-    return RootList(tuple(clusters))
-
-
-def _newton_refine(g: ComplexPolynomial, z0: complex) -> complex:
-    """Newton on g from z0, keeping the best residual seen (z0 if g is constant)."""
-    if g.degree < 1:
-        return z0
-    c, z = np.array(g.c, dtype=np.complex128), np.array([z0], dtype=np.complex128)
-    z, _, _ = _newton_polish(c, z, _eval_state(c, z), steps=60)
-    return complex(z[0])
+    return polish_multiples(p, RootList(tuple(clusters)))
 
 
 def polish_multiples(p: ComplexPolynomial, rl: RootList) -> RootList:
     """Refine every multiplicity >= 2 entry of a RootList.
 
     An m-fold root of p is a simple root of the (m-1)-th derivative, which
-    Newton then resolves to machine precision.
+    Newton then resolves to machine precision, keeping the best residual seen.
     """
     out = []
     for v, m in rl.roots:
-        if m >= 2:
-            g = p
-            for _ in range(m - 1):
-                g = g.derivative()
-            v = _newton_refine(g, v)
+        g = p
+        for _ in range(m - 1):
+            g = g.derivative()
+        if m >= 2 and g.degree >= 1:
+            c, z = np.array(g.c, dtype=np.complex128), np.array([v], dtype=np.complex128)
+            v = complex(_newton_polish(c, z, _eval_state(c, z), steps=60)[0][0])
         out.append((v, m))
     return RootList(tuple(out))
-
-
-def polished_roots(p: ComplexPolynomial) -> RootList:
-    """all_roots(p) with its multiple roots refined by polish_multiples."""
-    return polish_multiples(p, all_roots(p))
 
 
 def pair_conjugates(roots, tol_real: float = DEFAULT_REAL_TOL):

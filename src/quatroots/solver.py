@@ -20,14 +20,13 @@ whose coefficients are all complex (or all real).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .cpoly import DEFAULT_GCD_TOL, ComplexPolynomial, TRIM_REL, gcd as poly_gcd, scaled_horner
 from .quaternion import ConjugacyClass, Quaternion, embed_complex, hamilton
-# all_roots is not called here; it stays importable from this module with the other layers
-from .roots import DEFAULT_REAL_TOL, all_roots, classify_real, pair_conjugates, polished_roots
+from .roots import DEFAULT_REAL_TOL, all_roots, classify_real, pair_conjugates
 
 
 class DegreeError(ValueError):
@@ -68,6 +67,12 @@ class Tolerances:
     gcd: float = DEFAULT_GCD_TOL
     accept: float = 1e-8
     dedup: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < np.inf:
+                raise ValueError(f"tolerance {f.name} must be finite and > 0, "
+                                 f"got {getattr(self, f.name)}")
 
 
 DEFAULT_TOLS = Tolerances()
@@ -165,15 +170,17 @@ class ZeroSet:
         for x in sorted(float(v) for v in reals):
             if not rs or abs(x - rs[-1]) > dedup * max(1.0, abs(x)):
                 rs.append(x)
+        # kept spheres and zeros are sorted by real part, and their distances are at least
+        # the gap in real part, so only the band of kept items this near can be duplicates
         cl: list[ConjugacyClass] = []
         for c in sorted(classes, key=lambda c: (c.re, c.modulus)):
-            if not cl or cl[-1].distance(c) > dedup * max(1.0, c.modulus):
+            near = dedup * max(1.0, c.modulus)
+            lo = bisect_left(cl, True, key=lambda k: abs(c.re - k.re) <= near)
+            if not any(cl[k].distance(c) <= near for k in range(lo, len(cl))):
                 cl.append(c)
         iso: list[Quaternion] = []
         for q in sorted(isolated, key=lambda q: q.components()):
             near = dedup * max(1.0, abs(q))
-            # kept zeros are sorted by a0 and |q - r| >= |q.a0 - r.a0|, so
-            # only the band of r with a0 this close to q.a0 can be duplicates
             lo = bisect_left(iso, True, key=lambda r: abs(q.a0 - r.a0) <= near)
             if any(abs(q - iso[k]) <= near for k in range(lo, len(iso))):
                 continue
@@ -218,23 +225,23 @@ def derived(rows: np.ndarray) -> tuple[ComplexPolynomial, ComplexPolynomial]:
     return ComplexPolynomial(z[:, 0]), ComplexPolynomial(z[:, 1])
 
 
-def discriminant(pair, tol: float = NORM_REAL_TOL) -> ComplexPolynomial:
-    """The real polynomial f1*f1bar + f2*f2bar whose roots index all zeros.
+def discriminant(pair) -> ComplexPolynomial:
+    """The real polynomial f1*conj(f1) + f2*conj(f2) of a complex pair (f1, f2).
 
-    Nonnegative on the real axis; a failed real-coefficient check means an
+    conj is taken coefficient-wise.  This is D of the derived pair, whose roots index
+    all zeros, and the factored route's cofactor norm.  Nonnegative on the real axis;
+    an imaginary residue above NORM_REAL_TOL times the largest coefficient means an
     arithmetic bug, not bad input.
     """
-    return _norm_polynomial(*pair, tol)
-
-
-def _norm_polynomial(a: ComplexPolynomial, b: ComplexPolynomial,
-                     tol: float) -> ComplexPolynomial:
-    """a*abar + b*bbar with conjugated coefficients, which must come out real up to tol."""
-    pt = a * a.conj_coeffs() + b * b.conj_coeffs()
-    if not pt.is_real_coeffs(tol):
+    short, long = sorted((ComplexPolynomial(np.convolve(f.c, np.conj(f.c))).c if not f.is_zero
+                          else f.c for f in pair), key=len)
+    total = long.copy()
+    total[: len(short)] += short
+    pt = ComplexPolynomial(total).c
+    if not np.abs(pt.imag).max(initial=0.0) <= NORM_REAL_TOL * np.abs(pt).max(initial=0.0):
         raise NonRealDiscriminantError(
-            f"imaginary residue {np.abs(pt.c.imag).max():.3e} exceeds tolerance")
-    return pt.real()
+            f"imaginary residue {np.abs(pt.imag).max():.3e} exceeds tolerance")
+    return ComplexPolynomial(pt.real)
 
 
 def _side_values(pair, z: np.ndarray) -> np.ndarray:
@@ -337,7 +344,7 @@ def solve_discriminant(p: SimplePolynomial,
                        tols: Tolerances = DEFAULT_TOLS) -> ZeroSet:
     """Full solution set via the roots of the discriminant polynomial."""
     pair = derived(normalize(p))
-    reals, pairs = classify_real(polished_roots(discriminant(pair)), tols.real)
+    reals, pairs = classify_real(all_roots(discriminant(pair)), tols.real)
     isolated, classes = _place_pairs(pair, [v for v, _ in pairs], tols.zero)
     return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
 
@@ -370,7 +377,7 @@ def solve_factored(p: SimplePolynomial,
 
     Real zeros and zero-spheres come from g = gcd(f1, f2); the remaining
     isolated zeros come from unpaired roots of g and from the cofactor
-    discriminant g1*conj(g1) + g2*conj(g2), skipping roots already seen in g.
+    norm discriminant((g1, g2)); ZeroSet.build merges any root found twice.
     The approximate gcd can miss a sphere (g of degree 0 on 27 of the 123
     sphere inputs of the cli-compare benchmark, seeds 1-3); its root then
     comes from the cofactor discriminant with both cofactors vanishing, and
@@ -378,20 +385,18 @@ def solve_factored(p: SimplePolynomial,
     """
     pair = derived(normalize(p))
     g, g1, g2 = factor_g(pair, tols.gcd)
-    g_roots = polished_roots(g).roots if g.degree >= 1 else ()
-    reals_g, paired_g, unpaired_g = pair_conjugates(g_roots, tols.real)
+    reals_g, paired_g, unpaired_g = pair_conjugates(
+        all_roots(g).roots if g.degree >= 1 else (), tols.real)
     real_zeros = [x for x, _ in reals_g]
     classes = [ConjugacyClass.from_complex(v) for v, _ in paired_g]
     todo = [eta for eta, _ in unpaired_g]
-    gt = _norm_polynomial(g1, g2, NORM_REAL_TOL)
+    gt = discriminant((g1, g2))
     if gt.degree >= 1:
-        treals, tpairs = classify_real(polished_roots(gt), tols.real)
+        treals, tpairs = classify_real(all_roots(gt), tols.real)
         # a real root here can only be a gcd-tolerance artifact; it still
         # certifies a genuine real zero (both f1 and f2 vanish there)
         real_zeros.extend(x for x, _ in treals)
-        todo += [eta for eta, _ in tpairs if not any(
-            abs(eta - v) <= tols.dedup * (1.0 + abs(eta))
-            or abs(eta.conjugate() - v) <= tols.dedup * (1.0 + abs(eta)) for v, _ in g_roots)]
+        todo += [eta for eta, _ in tpairs]
     eta = np.array(todo, dtype=np.complex128)
     isolated, ok = _isolated_zero_cofactor(g1, g2, eta)
     if not ok.all():
@@ -416,7 +421,7 @@ def solve_complex_coeffs(p: SimplePolynomial,
         raise NotComplexCoefficientsError(
             "coefficients have j/k components; use a general solver")
     cp = ComplexPolynomial(p.rows.view(np.complex128)[:, 0])
-    reals, paired, unpaired = pair_conjugates(polished_roots(cp).roots, tols.real)
+    reals, paired, unpaired = pair_conjugates(all_roots(cp).roots, tols.real)
     classes = [ConjugacyClass.from_complex(v) for v, _ in paired]
     isolated = np.array([(v.real, v.imag, 0.0, 0.0) for v, _ in unpaired]).reshape(-1, 4)
     return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)

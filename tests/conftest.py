@@ -159,6 +159,32 @@ def dedup_isolated_reference(isolated, classes, dedup: float = 1e-8):
     return tuple(iso)
 
 
+def poly_mul(p: ComplexPolynomial, q: ComplexPolynomial) -> ComplexPolynomial:
+    """p * q as the ComplexPolynomial product operator formed it: np.convolve, trimmed."""
+    if p.is_zero or q.is_zero:
+        return ComplexPolynomial()
+    return ComplexPolynomial(np.convolve(p.c, q.c))
+
+
+def poly_add(p: ComplexPolynomial, q: ComplexPolynomial) -> ComplexPolynomial:
+    """p + q as the ComplexPolynomial sum operator formed it: the shorter padded, trimmed."""
+    a, b = (p.c, q.c) if len(p.c) >= len(q.c) else (q.c, p.c)
+    out = a.copy()
+    out[: len(b)] += b
+    return ComplexPolynomial(out)
+
+
+def norm_polynomial_reference(pair, tol: float = 1e-10) -> ComplexPolynomial:
+    """f1*conj(f1) + f2*conj(f2) by the operators solver.discriminant replaced, with
+    its real-coefficient check; None where that check fails."""
+    f1, f2 = pair
+    pt = poly_add(poly_mul(f1, ComplexPolynomial(np.conj(f1.c))),
+                  poly_mul(f2, ComplexPolynomial(np.conj(f2.c))))
+    if not pt.is_zero and not np.abs(pt.c.imag).max() <= tol * np.abs(pt.c).max():
+        return None
+    return ComplexPolynomial(pt.c.real)
+
+
 def horner_reference(c: np.ndarray, z: np.ndarray):
     """p(z), p'(z) and sum_k |c_k||z|^k by the Horner loop the evaluation kernel replaced."""
     p = np.full_like(z, c[-1])
@@ -291,12 +317,12 @@ def solve_companion_reference(p: SimplePolynomial, tols=None) -> ZeroSet:
     from quatroots import Tolerances
     from quatroots.companion import monic_normalized
     from quatroots.quaternion import ConjugacyClass, embed_complex
-    from quatroots.roots import classify_real, polished_roots
+    from quatroots.roots import all_roots, classify_real
 
     tols = tols or Tolerances()
     pm = monic_normalized(p)
     reals, pairs = classify_real(
-        polished_roots(ComplexPolynomial(companion_reference(pm))), tols.real)
+        all_roots(ComplexPolynomial(companion_reference(pm))), tols.real)
     isolated, classes = [], []
     for eta, _ in pairs:
         a, b = ab_reference(pm, embed_complex(eta))

@@ -14,7 +14,7 @@ import numpy as np
 from quatroots.companion import (ab, companion, monic_normalized,
                                  power_decomp, solve_companion)
 from quatroots.quaternion import ONE, Quaternion
-from quatroots.roots import _aberth, _newton_polish, all_roots, polish_multiples
+from quatroots.roots import _aberth, _newton_polish, all_roots
 from quatroots.solver import (SimplePolynomial, derived, discriminant,
                               normalize, solve_complex_coeffs,
                               solve_discriminant, solve_factored)
@@ -125,9 +125,8 @@ def test_criterion_4_root_table_pattern(degree6_mixed):
         assert len(contamination) == 8  # two copies of each double root
         print(f"  raw double-root contamination: max {max(contamination):.2e}, "
               f"min {min(contamination):.2e}")
-        # clustered multiplicities, then derivative-Newton polishing
-        rl = all_roots(pt)
-        polished = polish_multiples(pt, rl)
+        # clustered multiplicities, which all_roots polishes by derivative Newton
+        polished = all_roots(pt)
         for v, m in polished.roots:
             exact = exact_double if m == 2 else exact_simple
             assert min(abs(v - e) for e in exact) <= 1e-12

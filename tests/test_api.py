@@ -40,8 +40,9 @@ REMOVED = {
     "quaternion": ["ComplexMatrix2", "ComplexPair", "sigma", "unsplit",
                    "same_class", "class_sample", "ZERO"],
     "solver": ["classify_eta", "_classify_complex_root_values",
-               "_cofactor_discriminant", "NormalizedPolynomial", "DerivedPolynomials"],
-    "roots": ["polish_double", "_safe_ratio"],
+               "_cofactor_discriminant", "NormalizedPolynomial", "DerivedPolynomials",
+               "_norm_polynomial"],
+    "roots": ["polish_double", "_safe_ratio", "polished_roots", "_newton_refine"],
     "companion": ["CompanionPolynomial", "PowerDecomposition"],
     "cpoly": ["scaled_values", "gcd_many"],
     "cli": ["_fmt"],
@@ -78,6 +79,19 @@ def test_removed_methods_stay_gone():
     assert not hasattr(quatroots.Quaternion, "is_real")
     assert not callable(ComplexPolynomial([1.0, 2.0]))
     assert "source_degree" not in RootList.__dataclass_fields__
+
+
+def test_complex_polynomial_has_no_ring_api():
+    # solver.discriminant forms the only products and sums of polynomials
+    public = {name for name in dir(ComplexPolynomial) if not name.startswith("_")}
+    assert public == {"c", "coeff_norm", "degree", "derivative", "divrem", "is_zero",
+                      "max_coeff", "monic"}
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        assert not hasattr(ComplexPolynomial, op)
+
+
+def test_discriminant_takes_the_pair_only():
+    assert list(inspect.signature(solver.discriminant).parameters) == ["pair"]
 
 
 # every layer default that restates a Tolerances field: (function, parameter, field)

@@ -109,6 +109,7 @@ class TestExitCodes:
 
 
 CUBIC_ROWS = '[[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]'
+CUBIC_IJK_ROWS = json.dumps(CUBIC_IJK["coefficients"])
 
 
 @pytest.mark.parametrize("text, flags", [
@@ -128,10 +129,19 @@ CUBIC_ROWS = '[[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]'
     ('{"coefficients": %s, "expected": {"spherical": [[0.0, 1.0]]}}' % CUBIC_ROWS, []),
     (CUBIC_ROWS, ["--samples-per-class", "0"]),
     (CUBIC_ROWS, ["--samples-per-class", "-3"]),
+    (CUBIC_ROWS, ["--tol-gcd", "inf"]),
+    (CUBIC_ROWS, ["--tol-zero", "nan"]),
+    (CUBIC_ROWS, ["--tol-zero", "-1"]),
+    (CUBIC_ROWS, ["--tol-real", "nan"]),
+    (CUBIC_IJK_ROWS, ["--tol-real", "nan"]),
+    (CUBIC_IJK_ROWS, ["--tol-zero", "nan"]),
+    (CUBIC_IJK_ROWS, ["--tol-gcd", "0"]),
 ], ids=["json-nan", "json-infinity", "json-list-minus-infinity", "text-nan",
         "text-inf", "sphere-without-modulus", "expected-as-list",
         "modulus-below-re", "modulus-nan", "isolated-short-row",
-        "real-not-a-list", "sphere-as-list", "zero-samples", "negative-samples"])
+        "real-not-a-list", "sphere-as-list", "zero-samples", "negative-samples",
+        "tol-gcd-inf", "tol-zero-nan", "tol-zero-negative", "tol-real-nan",
+        "ijk-tol-real-nan", "ijk-tol-zero-nan", "ijk-tol-gcd-zero"])
 def test_bad_input_is_a_parse_error(tmp_path, capsys, text, flags):
     path = write(tmp_path, text, name="bad.txt")
     assert main([path, *flags]) == EXIT_ERROR

@@ -13,8 +13,9 @@ from quatroots.roots import (NoConvergenceError, RootList, UnpairedRootError,
                              _aberth, _aberth_sums, _cluster, _collisions, _eval_state,
                              _newton_polish, all_roots, classify_real,
                              pair_conjugates, polish_multiples)
+from quatroots.solver import discriminant
 
-from conftest import aberth_reference, kernel_value
+from conftest import aberth_reference, kernel_value, poly_mul
 
 # the machine-computed roots of the degree-12 discriminant of the
 # degree-6 test case, as produced by a general-purpose solver
@@ -268,6 +269,8 @@ class TestAcceptance:
         # a bound between the clusters' residuals: lone roots the polish vouches for,
         # and ones it cannot, are all in the payload
         p = ComplexPolynomial(c)
+        # the payload holds the clusters before polish_multiples refines them
+        monkeypatch.setattr(roots_mod, "polish_multiples", lambda p, rl: rl)
         rl = all_roots(p)
         values = np.array([v for v, _ in rl.roots])
         residuals = np.abs(scaled_horner(p.c, values)[0])
@@ -285,7 +288,7 @@ class TestFShapeNonnegativity:
             n = int(rng.integers(1, 11))
             f = ComplexPolynomial(rng.standard_normal(n + 1)
                                   + 1j * rng.standard_normal(n + 1))
-            p = (f * f.conj_coeffs()).real()
+            p = discriminant((f, ComplexPolynomial()))
             ts = rng.uniform(-3, 3, size=100)
             vals = np.array([kernel_value(p.c, t).real for t in ts])
             scales = np.array(
@@ -343,8 +346,8 @@ class TestClassifyReal:
 class TestPairConjugates:
     def test_complex_coefficients_keep_unpaired_roots(self):
         # (t - i)(t - 2)(t^2 + 4): the root i has no conjugate twin
-        p = (ComplexPolynomial([-1j, 1]) * ComplexPolynomial([-2, 1])
-             * ComplexPolynomial([4, 0, 1]))
+        p = poly_mul(poly_mul(ComplexPolynomial([-1j, 1]), ComplexPolynomial([-2, 1])),
+                     ComplexPolynomial([4, 0, 1]))
         reals, pairs, unpaired = pair_conjugates(all_roots(p).roots)
         assert len(reals) == 1 and abs(reals[0][0] - 2) <= 1e-10
         assert len(pairs) == 1 and abs(pairs[0][0] - 2j) <= 1e-10
@@ -417,8 +420,9 @@ class TestPolishDouble:
         p = ComplexPolynomial([1, 1])
         assert double_polished(p, 5.0) == 5.0
 
-    def test_polish_multiples_only_touches_multiples(self):
-        p = ComplexPolynomial([1, -2, 1]) * ComplexPolynomial([-3, 1])
+    def test_polish_multiples_only_touches_multiples(self, monkeypatch):
+        p = poly_mul(ComplexPolynomial([1, -2, 1]), ComplexPolynomial([-3, 1]))
+        monkeypatch.setattr(roots_mod, "polish_multiples", lambda p, rl: rl)
         rl = all_roots(p)
         polished = polish_multiples(p, rl)
         assert sum(m for _, m in polished.roots) == sum(m for _, m in rl.roots) == 3
@@ -426,3 +430,11 @@ class TestPolishDouble:
             assert m == m2
             if m == 1:
                 assert v == w
+
+    def test_all_roots_returns_its_clusters_polished(self, monkeypatch):
+        p = poly_mul(ComplexPolynomial([1, 0, 2, 0, 1]), ComplexPolynomial([-3, 1]))
+        polished = all_roots(p)
+        monkeypatch.setattr(roots_mod, "polish_multiples", lambda p, rl: rl)
+        raw = all_roots(p)
+        assert polished == polish_multiples(p, raw) != raw
+        assert sorted(m for _, m in polished.roots) == [1, 2, 2]

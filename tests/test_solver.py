@@ -13,7 +13,7 @@ from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion,
                                   embed_complex)
 from quatroots.solver import (BothDenominatorsZeroError, DegreeError, InexactDivisionError,
                               NotComplexCoefficientsError, SimplePolynomial,
-                              ZeroSet, derived, discriminant,
+                              DEFAULT_TOLS, Tolerances, ZeroSet, derived, discriminant,
                               factor_g, is_finite_zero_set, is_spherical_root,
                               isolated_zero, normalize, solve_complex_coeffs,
                               solve_discriminant, solve_factored)
@@ -22,7 +22,8 @@ from quatroots.verify import audit, compare, eval_qpoly
 
 from conftest import (SQRT2_2, dedup_isolated_reference, derived_reference,
                       is_spherical_root_reference, isolated_zero_reference, kernel_value,
-                      normalize_reference, qapprox, random_simple_polynomials)
+                      norm_polynomial_reference, normalize_reference, poly_mul, qapprox,
+                      random_simple_polynomials)
 
 # a power of two, so offsets sit exactly at, or just past, the dedup distance
 DEDUP = 2.0 ** -20
@@ -54,8 +55,8 @@ def _derived_and_eta(draw):
     kind = draw(st.sampled_from(["sphere", "plus", "minus", "free"]))
     factor = {"sphere": [abs(eta) ** 2, -2.0 * eta.real, 1.0], "plus": [-eta, 1.0],
               "minus": [-eta.conjugate(), 1.0], "free": [1.0]}[kind]
-    f1 = ComplexPolynomial([1.0] + draw(coeffs)) * ComplexPolynomial(factor)
-    f2 = ComplexPolynomial(draw(coeffs)) * ComplexPolynomial(factor)
+    f1 = poly_mul(ComplexPolynomial([1.0] + draw(coeffs)), ComplexPolynomial(factor))
+    f2 = poly_mul(ComplexPolynomial(draw(coeffs)), ComplexPolynomial(factor))
     return (f1, f2), eta, kind
 
 
@@ -172,8 +173,6 @@ class TestDerived:
         f1, f2 = derived(normalize(cubic_ijk))
         assert coeffs_close(f1, [1, 0, 0, 1j])       # i t^3 + 1
         assert coeffs_close(f2, [0, 1j, 1])          # t^2 + i t
-        assert coeffs_close(f1.conj_coeffs(), [1, 0, 0, -1j])
-        assert coeffs_close(f2.conj_coeffs(), [0, -1j, 1])
 
     def test_real_coefficients_give_zero_f2(self, cubic_real):
         f1, f2 = derived(normalize(cubic_real))
@@ -191,9 +190,9 @@ class TestDerived:
         pair = derived(normalize(degree6_mixed))
         eta = np.array([0.3 + 0.8j, -1.7 + 2.1j, 1j, 0.6 - 0.2j])
         for f in pair:
-            assert np.array_equal(np.abs(kernel_value(f.conj_coeffs().c, eta)),
+            assert np.array_equal(np.abs(kernel_value(np.conj(f.c), eta)),
                                   np.abs(kernel_value(f.c, eta.conj())))
-        assert pair[1].coeff(0) == 0
+        assert pair[1].c[0] == 0
 
     @pytest.mark.parametrize("p", ARRAY_INPUTS, ids=range(len(ARRAY_INPUTS)))
     def test_equals_the_split_loop_bit_for_bit(self, p):
@@ -223,10 +222,29 @@ class TestDiscriminant:
 
     def test_non_real_check_guards_bad_bars(self, monkeypatch, cubic_ijk):
         pair = derived(normalize(cubic_ijk))
-        # bars not conjugated
-        monkeypatch.setattr(ComplexPolynomial, "conj_coeffs", lambda self: self)
+        # bars not conjugated: f1*f1 + f2*f2 keeps imaginary coefficients
+        monkeypatch.setattr(solver_mod.np, "conj", lambda c: c)
         with pytest.raises(solver_mod.NonRealDiscriminantError):
             discriminant(pair)
+
+    @pytest.mark.parametrize("p", ARRAY_INPUTS, ids=range(len(ARRAY_INPUTS)))
+    def test_equals_the_operator_products_bit_for_bit(self, p):
+        # D and the factored route's cofactor norm, as the ring operators formed them
+        pair = derived(normalize(p))
+        _, g1, g2 = factor_g(pair)
+        for pr in (pair, (g1, g2)):
+            assert discriminant(pr).c.tobytes() == norm_polynomial_reference(pr).c.tobytes()
+
+    @given(st.lists(st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)), min_size=1,
+                    max_size=12),
+           st.lists(st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)), max_size=12))
+    def test_random_pairs_equal_the_operator_products(self, c1, c2):
+        # unequal degrees, and a zero f2 whenever c2 is empty or all zeros
+        for pr in ((ComplexPolynomial(c1), ComplexPolynomial(c2)),
+                   (ComplexPolynomial(c2), ComplexPolynomial(c1))):
+            ref = norm_polynomial_reference(pr)
+            assert ref is not None
+            assert discriminant(pr).c.tobytes() == ref.c.tobytes()
 
 
 class TestClassifyEta:
@@ -455,6 +473,34 @@ class TestSolveFactored:
                                                  for k in range(4)], axis=1))
         self._check_derives_once(monkeypatch, p, fallback=True)
 
+    def test_partial_gcd_leaves_the_zero_set_unchanged(self, monkeypatch):
+        # a Gaussian polynomial times a squared sphere quadratic s^2, with factor_g
+        # returning g = s: both cofactors still vanish on the sphere, so the cofactor
+        # norm has its pair as roots and the fallback and ZeroSet.build must absorb them
+        rng = np.random.default_rng(23)
+        base = rng.standard_normal((12, 4))
+        re, im = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5)
+        quad = [re * re + im * im, -2.0 * re, 1.0]
+        rows = np.stack([np.convolve(np.convolve(base[:, k], quad), quad) for k in range(4)],
+                        axis=1)
+        p = SimplePolynomial.from_rows(rows)
+        want = solve_factored(p)
+        s = ComplexPolynomial(quad)
+
+        def partial_g(pair, tol):
+            (g1, r1), (g2, r2) = (f.divrem(s) for f in pair)
+            assert max(r1.coeff_norm(), r2.coeff_norm()) <= 1e-10
+            for g in (g1, g2):
+                assert g.divrem(s)[1].coeff_norm() <= 1e-10 * g.coeff_norm()
+            return s, g1, g2
+
+        monkeypatch.setattr(solver_mod, "factor_g", partial_g)
+        got = solve_factored(p)
+        assert [c.re for c in got.spherical] == pytest.approx([re])
+        assert not compare(got, want, tol=1e-10)
+        assert (len(got.real_zeros), len(got.isolated_zeros), len(got.spherical)) == (
+            len(want.real_zeros), len(want.isolated_zeros), len(want.spherical))
+
     @staticmethod
     def _check_derives_once(monkeypatch, p, fallback):
         calls, placed = [], []
@@ -503,6 +549,18 @@ class TestSolveComplexCoeffs:
         assert qapprox(zs.isolated_zeros[0], embed_complex(1 + 1j), 1e-10)
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("field", ["real", "zero", "gcd", "accept", "dedup"])
+    @pytest.mark.parametrize("value", [0.0, -1e-8, math.inf, math.nan])
+    def test_every_field_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Tolerances(**{field: value})
+
+    def test_finite_positive_values_are_kept(self):
+        tols = Tolerances(real=1e-3, gcd=1e-300)
+        assert (tols.real, tols.gcd, tols.zero) == (1e-3, 1e-300, DEFAULT_TOLS.zero)
+
+
 class TestZeroSetBuild:
     def test_isolated_inside_sphere_dropped(self):
         cls = ConjugacyClass.from_complex(1j)
@@ -511,9 +569,12 @@ class TestZeroSetBuild:
         assert len(zs.spherical) == 1
 
     def test_duplicates_merged(self):
-        zs = ZeroSet.build([1.0, 1.0 + 1e-12], [I + ONE, ONE + I], [])
+        # sorted by (re, modulus), the sphere of modulus 2 lies between the two copies
+        classes = [ConjugacyClass(0 + 1j), ConjugacyClass(0 + 2j), ConjugacyClass(1e-12 + 1j)]
+        zs = ZeroSet.build([1.0, 1.0 + 1e-12], [I + ONE, ONE + I], classes)
         assert len(zs.real_zeros) == 1
         assert len(zs.isolated_zeros) == 1
+        assert [(c.re, c.modulus) for c in zs.spherical] == [(0.0, 1.0), (0.0, 2.0)]
 
     @given(_isolated_and_classes(), st.sampled_from([DEDUP, 0.0]))
     def test_isolated_dedup_matches_the_full_scan(self, inputs, dedup):
