@@ -4,9 +4,10 @@ Coefficients are indexed by power with the constant term first.  The zero
 polynomial is the empty coefficient list.  Supplies the evaluation, division
 and tolerance-aware gcd that the quaternionic solvers are built on.
 Every evaluation is one scaled_horner call on whole arrays.  It runs one
-batch-independent kernel with no loop over the coefficients: the power matrix
-of points |u| <= 1 (u = 1/z on the reversed polynomial where |z| > 1), read by
-contractions for p, p' and sum |c_k||u|^k.
+batch-independent kernel with no loop over the coefficients: the first BABY
+powers of points |u| <= 1 (u = 1/z on the reversed polynomial where |z| > 1),
+read by contractions for the chunk sums of p, p' and sum |c_k||u|^k, which
+Horner's rule in u^BABY joins.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 TRIM_REL = 1e-30
 
 DEFAULT_GCD_TOL = 1e-8
-BLOCK = 1 << 16  # entries of the power matrix the evaluation kernel forms at a time
+BLOCK = 1 << 16  # entries of the power or difference matrices the kernels form at a time
+BABY = 128  # baby-step length of the evaluation kernel: below this degree it forms all powers
 
 
 def _trim(arr: np.ndarray, rel: float = TRIM_REL) -> np.ndarray:
@@ -30,22 +32,41 @@ def _trim(arr: np.ndarray, rel: float = TRIM_REL) -> np.ndarray:
 def _power_sums(c: np.ndarray, u: np.ndarray):
     """p(u), p'(u) and sum_k |c_k||u|^k at points |u| <= 1; c of shape (n + 1, r) gives (r, len(u)).
 
-    The power matrix u_i^k, BLOCK // (n + 1) points at a time, is read by einsum
-    contractions, which sum each point's terms in order of k: a point's values
-    do not depend on the other points of its batch (a matmul's would).
+    Baby and giant steps (Paterson-Stockmeyer): with B = min(BABY, n + 1) and
+    H = ceil((n + 1) / B), p(u) = sum_h w^h q_h(u) for w = u^B and q_h the
+    B-term chunks of c.  BLOCK // (B + H) points at a time, the baby powers
+    u^l (l < B) are read by einsum contractions, which sum each point's terms
+    in order of l, and the chunk sums by Horner's rule in w: a point's values do
+    not depend on the other points of its batch (a matmul's would).  Below
+    degree B there is one chunk, and the sums are those of the whole power matrix.
     """
     n = len(c) - 1
+    b = min(BABY, n + 1)
+    h = -(-(n + 1) // b)
     rows = c.reshape(n + 1, -1).T
-    terms = (rows, rows[:, 1:] * np.arange(1, n + 1), np.abs(rows))
-    out = np.empty((3, len(rows), len(u)), dtype=np.complex128)
-    step = max(1, BLOCK // (n + 1))
+    r = len(rows)
+    coef = np.zeros((2, r, h * b), dtype=np.complex128)
+    coef[0, :, :n + 1] = rows
+    np.multiply(rows[:, 1:], np.arange(1, n + 1), out=coef[1, :, :n])
+    mags = np.abs(coef[0]).reshape(r * h, b)
+    coef = coef.reshape(2 * r * h, b)
+    out = np.empty((3, r, len(u)), dtype=np.complex128)
+    step = max(1, BLOCK // (b + h))
     for blk in (slice(s, s + step) for s in range(0, len(u), step)):
-        pw = np.full((len(u[blk]), n + 1), u[blk, None], dtype=np.complex128)
-        pw[:, 0] = 1.0
-        np.cumprod(pw, axis=1, out=pw)
-        for res, pws, coef in zip(out, (pw, pw[:, :n], np.abs(pw)), terms):
-            for j, cj in enumerate(coef):
-                res[j, blk] = np.einsum("ik,k->i", pws, cj)
+        ub = u[blk]
+        baby = np.full((len(ub), b), ub[:, None], dtype=np.complex128)
+        baby[:, 0] = 1.0
+        np.cumprod(baby, axis=1, out=baby)
+        w = baby[:, -1] * ub
+        aw = np.abs(w)
+        q = np.einsum("ib,jb->ji", baby, coef).reshape(2, r, h, -1)
+        qa = np.einsum("ib,jb->ji", np.abs(baby), mags).reshape(r, h, -1)
+        p, a = q[:, :, -1], qa[:, -1]
+        for k in range(h - 2, -1, -1):
+            p = p * w + q[:, :, k]
+            a = a * aw + qa[:, k]
+        out[:2, :, blk] = p
+        out[2, :, blk] = a
     return tuple(v.reshape(c.shape[1:] + u.shape) for v in (out[0], out[1], out[2].real))
 
 

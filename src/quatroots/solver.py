@@ -423,7 +423,7 @@ def solve_complex_coeffs(p: SimplePolynomial,
     cp = ComplexPolynomial(p.rows.view(np.complex128)[:, 0])
     reals, paired, unpaired = pair_conjugates(all_roots(cp).roots, tols.real)
     classes = [ConjugacyClass.from_complex(v) for v, _ in paired]
-    isolated = np.array([(v.real, v.imag, 0.0, 0.0) for v, _ in unpaired]).reshape(-1, 4)
+    isolated = [Quaternion(v.real, v.imag) for v, _ in unpaired]  # the zero j, k parts are shared
     return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quatroots import SimplePolynomial, ZeroSet
-from quatroots.cpoly import ComplexPolynomial, _power_sums
+from quatroots.cpoly import BLOCK, ComplexPolynomial, _power_sums
 from quatroots.quaternion import I, J, K, ONE, Quaternion, split
 from quatroots.verify import ZeroSetDiff
 
@@ -196,6 +196,24 @@ def horner_reference(c: np.ndarray, z: np.ndarray):
         p = p * z + c[k]
         maj = maj * az + abs(c[k])
     return p, dp, maj
+
+
+def power_matrix_reference(c: np.ndarray, u: np.ndarray):
+    """cpoly._power_sums before its baby and giant steps: the whole power matrix
+    u_i^k, BLOCK // (n + 1) points at a time, read by einsum contractions."""
+    n = len(c) - 1
+    rows = c.reshape(n + 1, -1).T
+    terms = (rows, rows[:, 1:] * np.arange(1, n + 1), np.abs(rows))
+    out = np.empty((3, len(rows), len(u)), dtype=np.complex128)
+    step = max(1, BLOCK // (n + 1))
+    for blk in (slice(s, s + step) for s in range(0, len(u), step)):
+        pw = np.full((len(u[blk]), n + 1), u[blk, None], dtype=np.complex128)
+        pw[:, 0] = 1.0
+        np.cumprod(pw, axis=1, out=pw)
+        for res, pws, coef in zip(out, (pw, pw[:, :n], np.abs(pw)), terms):
+            for j, cj in enumerate(coef):
+                res[j, blk] = np.einsum("ik,k->i", pws, cj)
+    return tuple(v.reshape(c.shape[1:] + u.shape) for v in (out[0], out[1], out[2].real))
 
 
 def aberth_reference(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

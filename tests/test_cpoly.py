@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatroots.cpoly import BLOCK, ComplexPolynomial, _power_sums, gcd, scaled_horner
+from quatroots.cpoly import BABY, BLOCK, ComplexPolynomial, _power_sums, gcd, scaled_horner
 from quatroots.roots import _eval_state
 
-from conftest import horner_reference, kernel_value, poly_add, poly_mul
+from conftest import horner_reference, kernel_value, poly_add, poly_mul, power_matrix_reference
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -90,7 +90,24 @@ def _kernel_points(rng, m: int) -> np.ndarray:
 
 
 class TestPowerKernel:
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 333, 1000, 2000])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_below_baby_it_is_the_power_matrix_bit_for_bit(self, r):
+        rng = np.random.default_rng(r)
+        u = _kernel_points(rng, 16)
+        for n in range(BABY):
+            c = rng.standard_normal((n + 1, r)) + 1j * rng.standard_normal((n + 1, r))
+            got = _power_sums(c, u)
+            # the reference's stacked majorant reads strided rows of |c| and differs
+            # from its single-column one in the last bits, so each column is its own
+            for k in range(r):
+                want = power_matrix_reference(np.ascontiguousarray(c[:, k]), u)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g[k], w), (n, k)
+            assert all(np.array_equal(g, w)
+                       for g, w in zip(got[:2], power_matrix_reference(c, u)[:2])), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, BABY - 1, BABY, BABY + 1, 2 * BABY,
+                                   3 * BABY + 5, 333, 800, 1000, 2000])
     def test_within_the_horner_bound(self, n):
         # |delta| <= 4(n+1) eps times the majorant of the value compared:
         # sum |c_k||u|^k for p and maj, sum k|c_k||u|^(k-1) for p'
@@ -105,11 +122,29 @@ class TestPowerKernel:
         assert np.all(np.abs(dp - rdp) <= bound * dmaj)
         assert np.all(np.abs(maj - rmaj) <= bound * rmaj)
 
-    @pytest.mark.parametrize("n", [5, 300])
+    def test_stacking_and_padding_across_a_chunk_boundary(self):
+        # degree BABY - 2 padded to 3 BABY: its padding fills whole giant-step chunks
+        rng = np.random.default_rng(7)
+        lo, hi = BABY - 2, 3 * BABY
+        c = np.zeros((hi + 1, 2), dtype=np.complex128)
+        c[:lo + 1, 0] = rng.standard_normal(lo + 1) + 1j * rng.standard_normal(lo + 1)
+        c[:, 1] = rng.standard_normal(hi + 1) + 1j * rng.standard_normal(hi + 1)
+        u = _kernel_points(rng, 40)
+        stacked = _power_sums(c, u)
+        padded, other = (_power_sums(c[:, k].copy(), u) for k in range(2))
+        for k, col in enumerate((padded, other)):
+            assert all(np.array_equal(s[k], v) for s, v in zip(stacked, col))
+        alone = _power_sums(c[:lo + 1, 0].copy(), u)
+        assert all(np.array_equal(v, a) for v, a in zip(padded[:2], alone[:2]))
+        # the majorant's real contraction groups a longer sum differently
+        assert np.all(np.abs(padded[2] - alone[2]) <= 4 * (hi + 1) * _EPS * alone[2])
+
+    @pytest.mark.parametrize("n", [5, 300, 3 * BABY + 5])
     def test_a_point_has_one_value_in_any_batch(self, n):
         rng = np.random.default_rng(n)
         c = rng.standard_normal((n + 1, 2)) + 1j * rng.standard_normal((n + 1, 2))
-        step = max(1, BLOCK // (n + 1))
+        b = min(BABY, n + 1)
+        step = max(1, BLOCK // (b + -(-(n + 1) // b)))  # the kernel's points per block
         u = _kernel_points(rng, max(8, step))
         full = _power_sums(c, u)
         # alone, inside a batch, and either side of a block boundary
