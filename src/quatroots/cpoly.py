@@ -97,8 +97,7 @@ class ComplexPolynomial:
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
-        arr = np.atleast_1d(np.asarray(tuple(coeffs), dtype=np.complex128)).ravel()
-        arr = _trim(arr.copy())
+        arr = _trim(np.array(coeffs, dtype=np.complex128, ndmin=1).ravel())
         arr.setflags(write=False)
         self.c = arr
 

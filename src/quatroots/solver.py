@@ -354,8 +354,8 @@ def factor_g(pair, tol: float = DEFAULT_TOLS.gcd):
 
     The Euclidean gcd can overshoot on ill-conditioned remainder sequences
     (coefficient growth makes a later remainder look relatively zero); a
-    candidate that fails the division check is retried at stricter zero
-    tolerances, which drives the sequence down to the true common factor.
+    candidate that fails the division check is retried at tol*1e-2 and tol*1e-4;
+    retries have so far only returned g of degree 0, the coprime split (1, f1, f2).
     Raises InexactDivisionError when no tolerance yields an exact division.
 
     Returns (g, g1, g2).

@@ -93,7 +93,6 @@ class VerificationReport:
     entries: tuple[tuple[str, float, float], ...]  # (descriptor, residual, bound)
     max_residual: float
     bounds_ok: bool
-    agreement: ZeroSetDiff | None = None
 
     @property
     def residuals_ok(self) -> bool:
@@ -102,10 +101,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        ok = self.residuals_ok and self.bounds_ok
-        if self.agreement is not None:
-            ok = ok and not self.agreement
-        return ok
+        return self.residuals_ok and self.bounds_ok
 
 
 def audit(p: SimplePolynomial, zs: ZeroSet, tols: Tolerances = DEFAULT_TOLS,

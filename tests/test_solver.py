@@ -18,6 +18,7 @@ from quatroots.solver import (BothDenominatorsZeroError, DegreeError, InexactDiv
                               isolated_zero, normalize, solve_complex_coeffs,
                               solve_discriminant, solve_factored)
 from quatroots.companion import solve_companion
+from quatroots.roots import all_roots
 from quatroots.verify import audit, compare, eval_qpoly
 
 from conftest import (SQRT2_2, dedup_isolated_reference, derived_reference,
@@ -547,6 +548,87 @@ class TestSolveComplexCoeffs:
         zs = solve_complex_coeffs(SimplePolynomial(list(c)))
         assert len(zs.spherical) == 1 and len(zs.isolated_zeros) == 1
         assert qapprox(zs.isolated_zeros[0], embed_complex(1 + 1j), 1e-10)
+
+
+def _complex_input(kind: str, degree: int, seed: int) -> SimplePolynomial:
+    rows = np.random.default_rng(seed).standard_normal((degree + 1, 4))
+    rows[:, {"complex": 2, "real": 1}[kind]:] = 0.0
+    return SimplePolynomial.from_rows(rows)
+
+
+# 1e13 + i x: its one zero, 1e13 i, is isolated.  After normalize the pair's
+# coefficients are graded (1 + 1e-13 i x), and the general routes' sphere tests
+# hold a value at eta against the largest coefficient times max(1, |eta|)^deg,
+# far above its true size, so all three report the sphere of 1e13 i.
+LARGE_ISOLATED = SimplePolynomial([1e13, 1j])
+
+
+class TestComplexCoeffsAgainstTheGeneralRoutes:
+    """solve_complex_coeffs finds the roots of f1 itself, at degree n."""
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    @pytest.mark.parametrize("degree,seed", [(1, 1), (2, 2), (7, 3), (20, 4), (63, 5),
+                                             (150, 6), (1000, 7)])
+    def test_agrees_with_solve_factored(self, kind, degree, seed):
+        p = _complex_input(kind, degree, seed)
+        got, want = solve_complex_coeffs(p), solve_factored(p)
+        assert not compare(got, want, tol=1e-10)
+        assert (len(got.real_zeros), len(got.isolated_zeros), len(got.spherical)) == (
+            len(want.real_zeros), len(want.isolated_zeros), len(want.spherical))
+
+    @pytest.mark.parametrize("p", [_complex_input("complex", 40, 8), _complex_input("real", 40, 8),
+                                   SimplePolynomial([1e9, 1]), SimplePolynomial([1, 1, 1e-9])],
+                             ids=["complex", "real", "small-leading", "graded"])
+    def test_root_finder_never_sees_a_degree_above_n(self, monkeypatch, p):
+        degrees = []
+
+        def spying(f, *args, **kwargs):
+            degrees.append(f.degree)
+            return all_roots(f, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "all_roots", spying)
+        solve_complex_coeffs(p)
+        assert degrees and max(degrees) <= p.degree
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_isolated_zeros_have_exactly_zero_j_and_k(self, seed):
+        zs = solve_complex_coeffs(_complex_input("complex", 30, seed))
+        assert zs.isolated_zeros
+        for q in zs.isolated_zeros:
+            assert (q.a2, q.a3) == (0.0, 0.0)
+            assert math.copysign(1.0, q.a2) == math.copysign(1.0, q.a3) == 1.0
+
+    def test_tiny_j_residue_solves_as_the_complex_projection(self):
+        p = _complex_input("complex", 12, 9)
+        rows = np.array(p.rows)
+        rows[3, 2] = 1e-31 * p.coefficient_scale()
+        noisy = SimplePolynomial.from_rows(rows)
+        assert noisy.rows[3, 2] != 0.0
+        assert solve_complex_coeffs(noisy) == solve_complex_coeffs(p)
+
+    def test_large_isolated_zero(self):
+        zs = solve_complex_coeffs(LARGE_ISOLATED)
+        assert zs.real_zeros == () and zs.spherical == ()
+        assert len(zs.isolated_zeros) == 1
+        assert qapprox(zs.isolated_zeros[0], Quaternion(0.0, 1e13), 1e-12)
+
+    def test_small_leading_coefficient(self):
+        # 1 + x + 1e-9 x^2: the small root is -1 - 1e-9 - 2e-18 - ...
+        d = math.sqrt(1.0 - 4e-9)
+        zs = solve_complex_coeffs(SimplePolynomial([1, 1, 1e-9]))
+        assert zs.real_zeros == pytest.approx((-(1.0 + d) / 2e-9, -2.0 / (1.0 + d)), rel=1e-14)
+        assert not zs.isolated_zeros and not zs.spherical
+        zs = solve_complex_coeffs(SimplePolynomial([1e9, 1]))
+        assert zs.real_zeros == pytest.approx((-1e9,), rel=1e-14)
+        assert not zs.isolated_zeros and not zs.spherical
+
+    @pytest.mark.xfail(strict=True, reason="sphere test scales with the largest coefficient")
+    @pytest.mark.parametrize("solve", [solve_discriminant, solve_factored, solve_companion],
+                             ids=["discriminant", "factored", "companion"])
+    def test_general_routes_on_the_large_isolated_zero(self, solve):
+        zs = solve(LARGE_ISOLATED)
+        assert not zs.spherical and len(zs.isolated_zeros) == 1
+        assert qapprox(zs.isolated_zeros[0], Quaternion(0.0, 1e13), 1e-12)
 
 
 class TestTolerances:
