@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cpoly import ComplexPolynomial
+from .cpoly import BLOCK, ComplexPolynomial
 from .quaternion import ConjugacyClass, Quaternion, hamilton, norms
 from .roots import all_roots, classify_real
 from .solver import (DEFAULT_TOLS, NORM_REAL_TOL, BothDenominatorsZeroError, DegreeError,
@@ -42,12 +42,16 @@ def companion(p: SimplePolynomial, tol: float = NORM_REAL_TOL) -> ComplexPolynom
     q = p.rows
     if norms(q[-1:] - (1.0, 0.0, 0.0, 0.0))[0] > 1e-12:
         raise ValueError("companion polynomial needs the monic normalization")
-    # terms[c][j, k] is component c of conj(q_j) q_k; bincount adds them in
-    # row-major order, so each b_(j+k) sums its terms in ascending j
-    power = np.add.outer(np.arange(len(q)), np.arange(len(q))).ravel()
+    # terms[c][j, k] is component c of conj(q_j) q_k, formed BLOCK // (n + 1) rows j at a
+    # time; add.at adds them in row-major order, so each b_(j+k) sums its terms in ascending j
+    n, sums = len(q), np.zeros((2 * len(q) - 1, 4))
+    step = max(1, BLOCK // n)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = hamilton((q * _CONJ).T[:, :, None], q.T[:, None, :])
-        sums = np.stack([np.bincount(power, t.ravel(), 2 * len(q) - 1) for t in terms], -1)
+        for lo in range(0, n, step):
+            terms = hamilton((q[lo:lo + step] * _CONJ).T[:, :, None], q.T[:, None, :])
+            power = np.add.outer(np.arange(lo, lo + len(terms[0])), np.arange(n)).ravel()
+            for total, t in zip(sums.T, terms):
+                np.add.at(total, power, t.ravel())
     residue = norms(sums[:, 1:]).max()
     if residue > tol * max(norms(sums).max(), 1e-300):
         raise NonRealCompanionError(f"imaginary residue {residue:.3e} in companion coefficient")

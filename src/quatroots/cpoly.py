@@ -3,11 +3,12 @@
 Coefficients are indexed by power with the constant term first.  The zero
 polynomial is the empty coefficient list.  Supplies the evaluation, division
 and tolerance-aware gcd that the quaternionic solvers are built on.
-Every evaluation is one scaled_horner call on whole arrays.  It runs one
-batch-independent kernel with no loop over the coefficients: the first BABY
-powers of points |u| <= 1 (u = 1/z on the reversed polynomial where |z| > 1),
-read by contractions for the chunk sums of p, p' and sum |c_k||u|^k, which
-Horner's rule in u^BABY joins.
+Every evaluation is an Evaluator call on whole arrays: the Evaluator arranges
+a polynomial's coefficients once, and each call runs one batch-independent
+kernel with no loop over the coefficients: the first BABY powers of points
+|u| <= 1 (u = 1/z on the reversed polynomial where |z| > 1), read by
+contractions for the chunk sums of p, p' and sum |c_k||u|^k, which Horner's
+rule in u^BABY joins.  scaled_horner is the one-shot form.
 """
 
 from __future__ import annotations
@@ -29,8 +30,14 @@ def _trim(arr: np.ndarray, rel: float = TRIM_REL) -> np.ndarray:
     return arr[: keep[-1] + 1] if keep.size else arr[:0]
 
 
-def _power_sums(c: np.ndarray, u: np.ndarray):
-    """p(u), p'(u) and sum_k |c_k||u|^k at points |u| <= 1; c of shape (n + 1, r) gives (r, len(u)).
+class Evaluator:
+    """(p, p', majorant) of fixed coefficients c at any points, the blocks of c and of its
+    reversal arranged once.
+
+    Where |z| <= 1 the values are those of p, p' and sum_k |c_k||z|^k at z.  Elsewhere they are
+    the reversed polynomial q(u) = u^n p(1/u), its derivative and its majorant at u = 1/z, so
+    the value there is p(z) / z^n with n = len(c) - 1: no power of z is formed and no degree
+    overflows.  c of shape (n + 1, r) holds r polynomials padded to one degree.
 
     Baby and giant steps (Paterson-Stockmeyer): with B = min(BABY, n + 1) and
     H = ceil((n + 1) / B), p(u) = sum_h w^h q_h(u) for w = u^B and q_h the
@@ -40,55 +47,67 @@ def _power_sums(c: np.ndarray, u: np.ndarray):
     not depend on the other points of its batch (a matmul's would).  Below
     degree B there is one chunk, and the sums are those of the whole power matrix.
     """
-    n = len(c) - 1
-    b = min(BABY, n + 1)
-    h = -(-(n + 1) // b)
-    rows = c.reshape(n + 1, -1).T
-    r = len(rows)
-    coef = np.zeros((2, r, h * b), dtype=np.complex128)
-    coef[0, :, :n + 1] = rows
-    np.multiply(rows[:, 1:], np.arange(1, n + 1), out=coef[1, :, :n])
-    mags = np.abs(coef[0]).reshape(r * h, b)
-    coef = coef.reshape(2 * r * h, b)
-    out = np.empty((3, r, len(u)), dtype=np.complex128)
-    step = max(1, BLOCK // (b + h))
-    for blk in (slice(s, s + step) for s in range(0, len(u), step)):
-        ub = u[blk]
-        baby = np.full((len(ub), b), ub[:, None], dtype=np.complex128)
-        baby[:, 0] = 1.0
-        np.cumprod(baby, axis=1, out=baby)
-        w = baby[:, -1] * ub
-        aw = np.abs(w)
-        q = np.einsum("ib,jb->ji", baby, coef).reshape(2, r, h, -1)
-        qa = np.einsum("ib,jb->ji", np.abs(baby), mags).reshape(r, h, -1)
-        p, a = q[:, :, -1], qa[:, -1]
-        for k in range(h - 2, -1, -1):
-            p = p * w + q[:, :, k]
-            a = a * aw + qa[:, k]
-        out[:2, :, blk] = p
-        out[2, :, blk] = a
-    return tuple(v.reshape(c.shape[1:] + u.shape) for v in (out[0], out[1], out[2].real))
+
+    def __init__(self, c):
+        c = np.asarray(c, dtype=np.complex128)
+        n, self.shape, self.r = len(c) - 1, c.shape[1:], int(np.prod(c.shape[1:]))
+        self.n, self.b = n, min(BABY, n + 1)
+        self.h = h = -(-(n + 1) // self.b)
+        # blocks of c, then of its reversal: the (2r*H, B) complex block of the rows of c and
+        # k*c_k, zero-padded to H chunks of B, and the (r*H, B) block of |c|
+        self.blocks = []
+        for rows in (c.reshape(n + 1, -1).T, c[::-1].reshape(n + 1, -1).T):
+            coef = np.zeros((2, self.r, h * self.b), dtype=np.complex128)
+            coef[0, :, :n + 1] = rows
+            np.multiply(rows[:, 1:], np.arange(1, n + 1), out=coef[1, :, :n])
+            self.blocks.append((coef.reshape(-1, self.b), np.abs(coef[0]).reshape(-1, self.b)))
+
+    def __call__(self, z):
+        """(p, p', majorant) at every z, each of shape c.shape[1:] + z.shape."""
+        return self.branches(z)[1]
+
+    def branches(self, z):
+        """(inner, (p, p', majorant)): inner is |z| <= 1, where c is read at z itself."""
+        z = np.asarray(z, dtype=np.complex128)
+        inner = np.abs(z) <= 1.0  # NaN is outer
+        order = np.argsort(~inner, axis=None, kind="stable")
+        k = int(np.count_nonzero(inner))
+        u = z.ravel()[order]
+        u[k:] = 1.0 / u[k:]
+        out = np.empty((3, self.r, z.size), dtype=np.complex128)
+        out[..., order] = self.sums(u, k)
+        return inner, tuple(v.reshape(self.shape + z.shape) for v in (out[0], out[1], out[2].real))
+
+    def sums(self, u, k: int) -> np.ndarray:
+        """The kernel's p, p' and majorant, shape (3, r, len(u)): of c at u[:k] and of its
+        reversal at u[k:]."""
+        b, h, r = self.b, self.h, self.r
+        out = np.empty((3, r, len(u)), dtype=np.complex128)
+        step = max(1, BLOCK // (b + h))
+        for s in range(0, len(u), step):
+            ub = u[s:s + step]
+            baby = np.full((len(ub), b), ub[:, None], dtype=np.complex128)
+            baby[:, 0] = 1.0
+            np.cumprod(baby, axis=1, out=baby)
+            w = baby[:, -1] * ub
+            aw = np.abs(w)
+            cut = min(max(k - s, 0), len(ub))
+            for lo, hi, (coef, mags) in ((0, cut, self.blocks[0]), (cut, len(ub), self.blocks[1])):
+                if lo == hi:
+                    continue
+                q = np.einsum("ib,jb->ji", baby[lo:hi], coef).reshape(2, r, h, -1)
+                qa = np.einsum("ib,jb->ji", np.abs(baby[lo:hi]), mags).reshape(r, h, -1)
+                p, a = q[:, :, -1], qa[:, -1]
+                for j in range(h - 2, -1, -1):
+                    p = p * w[lo:hi] + q[:, :, j]
+                    a = a * aw[lo:hi] + qa[:, j]
+                out[:2, :, s + lo:s + hi], out[2, :, s + lo:s + hi] = p, a
+        return out
 
 
 def scaled_horner(c: np.ndarray, z: np.ndarray):
-    """(p, p', majorant) at every z, each of shape c.shape[1:] + z.shape.
-
-    Where |z| <= 1 they are the kernel's values at z.  Elsewhere they are the
-    reversed polynomial q(u) = u^n p(1/u), its derivative and its majorant at
-    u = 1/z, so the value there is p(z) / z^n with n = len(c) - 1: no power
-    of z is formed and no degree overflows.  c of shape (n + 1, r) holds r
-    polynomials padded to one degree.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    coef = np.asarray(c, dtype=np.complex128)
-    inner = np.abs(z) <= 1.0
-    shape = coef.shape[1:] + z.shape
-    out = (np.empty(shape, np.complex128), np.empty(shape, np.complex128), np.empty(shape))
-    for mask, cf, u in ((inner, coef, z[inner]), (~inner, coef[::-1], 1.0 / z[~inner])):
-        if u.size:
-            for res, v in zip(out, _power_sums(cf, u)):
-                res[..., mask] = v
-    return out
+    """(p, p', majorant) at every z, each of shape c.shape[1:] + z.shape: Evaluator(c)(z)."""
+    return Evaluator(c)(z)
 
 
 class ComplexPolynomial:

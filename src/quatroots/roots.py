@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpoly import BLOCK, ComplexPolynomial, TRIM_REL, scaled_horner
+from .cpoly import BLOCK, ComplexPolynomial, Evaluator, TRIM_REL
 
 MAX_ITERATIONS = 500
 STEP_REL = 1e-14
@@ -56,24 +56,24 @@ class RootList:
     roots: tuple[tuple[complex, int], ...]
 
 
-def _eval_state(c: np.ndarray, z: np.ndarray):
+def _eval_state(ev: Evaluator, z: np.ndarray):
     """Newton correction p/p' and noise-relative residual |p(z)| / sum|c_k||z|^k.
 
     Both are computed without overflow for any |z|, and independently of the
-    other points of z, by cpoly.scaled_horner.
+    other points of z, by the evaluator ev of the polynomial.
     """
     z = np.asarray(z, dtype=np.complex128)
-    n = len(c) - 1
-    p, dp, maj = scaled_horner(c, z)
-    rev = ~(np.abs(z) <= 1.0)  # scaled_horner's reversed points, NaN included
+    inner, (p, dp, maj) = ev.branches(z)
+    rev = ~inner  # the evaluator's reversed points, NaN included
     u = np.divide(1.0, z, out=np.zeros_like(z), where=rev)
     # reversed: p, dp are q(u), q'(u) for q(u) = u^n p(1/u), so p/p' = z q/(n q - u q')
-    den = np.where(rev, n * p - u * dp, dp)
+    den = np.where(rev, ev.n * p - u * dp, dp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = p / den
     bad = ~np.isfinite(ratio)
-    # stuck point (den == 0, overflow): take a small sideways step and let the next pass fix it
-    ratio[bad] = 1e-6 * (1.0 + np.abs(z[bad])) * np.exp(0.7j)
+    if bad.any():
+        # stuck point (den == 0, overflow): take a small sideways step and let the next pass fix it
+        ratio[bad] = 1e-6 * (1.0 + np.abs(z[bad])) * np.exp(0.7j)
     corr = np.where(rev, z * ratio, ratio)
     return corr, np.abs(p) / np.maximum(maj, _TINY)
 
@@ -113,8 +113,8 @@ def _initial_guesses(c: np.ndarray) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _aberth(c: np.ndarray):
-    """Ehrlich-Aberth iteration that evaluates and steps the unconverged roots only.
+def _aberth(c: np.ndarray, ev: Evaluator):
+    """Ehrlich-Aberth iteration on c, evaluated by ev, that steps the unconverged roots only.
 
     Converged roots are frozen, so the iterates are those of stepping the whole set.
     Returns the roots, the converged mask and _eval_state at the roots, evaluating a
@@ -128,7 +128,7 @@ def _aberth(c: np.ndarray):
     noise = 4.0 * len(c) * _EPS
     for _ in range(MAX_ITERATIONS):
         todo = stale & ~converged
-        _refresh(c, z, todo, corr, rel)
+        _refresh(ev, z, todo, corr, rel)
         stale &= ~todo
         converged[todo] |= rel[todo] <= noise
         if converged.all():
@@ -149,14 +149,14 @@ def _aberth(c: np.ndarray):
         converged[active] |= np.abs(w) <= STEP_REL * (1.0 + np.abs(new))
         if converged.all():
             break
-    _refresh(c, z, stale, corr, rel)
+    _refresh(ev, z, stale, corr, rel)
     return z, converged, (corr, rel)
 
 
-def _refresh(c: np.ndarray, z: np.ndarray, todo: np.ndarray, corr: np.ndarray, rel: np.ndarray):
-    """Write _eval_state(c, z) into corr and rel at the points todo, if there are any."""
+def _refresh(ev: Evaluator, z: np.ndarray, todo: np.ndarray, corr: np.ndarray, rel: np.ndarray):
+    """Write _eval_state(ev, z) into corr and rel at the points todo, if there are any."""
     if todo.any():
-        corr[todo], rel[todo] = _eval_state(c, z[todo])
+        corr[todo], rel[todo] = _eval_state(ev, z[todo])
 
 
 def _moved(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,6 +169,8 @@ def _collisions(z: np.ndarray) -> np.ndarray:
     order = np.lexsort((z.imag, z.real))
     a = z[order]
     same = (a[1:] == a[:-1]) & np.isfinite(a[1:])
+    if not same.any():
+        return order[:0]
     return np.unique(np.concatenate([order[1:][same], order[:-1][same]]))
 
 
@@ -184,8 +186,8 @@ def _aberth_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return s
 
 
-def _newton_polish(c: np.ndarray, z: np.ndarray, state, steps: int = 8):
-    """A few guarded Newton steps per root from state = _eval_state(c, z): the
+def _newton_polish(ev: Evaluator, z: np.ndarray, state, steps: int = 8):
+    """A few guarded Newton steps per root from state = _eval_state(ev, z): the
     best-residual points and _eval_state there.  A point a step leaves in place keeps its state."""
     cur = z.copy()
     corr, rel = state
@@ -194,7 +196,7 @@ def _newton_polish(c: np.ndarray, z: np.ndarray, state, steps: int = 8):
         prev, cur = cur, cur - corr
         done = np.all(np.abs(corr) <= STEP_REL * (1.0 + np.abs(cur)))
         corr, rel = corr.copy(), rel.copy()
-        _refresh(c, cur, _moved(cur, prev), corr, rel)
+        _refresh(ev, cur, _moved(cur, prev), corr, rel)
         gain = rel < best_rel
         best = np.where(gain, cur, best)
         best_corr = np.where(gain, corr, best_corr)
@@ -262,16 +264,18 @@ def all_roots(p: ComplexPolynomial) -> RootList:
     found: list[complex] = [0j] * m0
     stall = [0.0] * m0
     passed: dict[complex, bool] = {}
+    ev = Evaluator(c)
+    whole = ev if m0 == 0 else Evaluator(p.c)  # evaluates p itself
     if len(c) > 1:
-        z, conv, state = _aberth(c)
-        z, corr, rel = _newton_polish(c, z, state)
+        z, conv, state = _aberth(c, ev)
+        z, corr, rel = _newton_polish(ev, z, state)
         if not conv.all():
             noise = 4.0 * len(c) * _EPS
             if not np.all((rel <= noise) | conv):
                 raise NoConvergenceError(
                     f"{int((~conv).sum())} of {len(z)} roots unconverged after "
                     f"{MAX_ITERATIONS} iterations",
-                    roots=list(z), residuals=list(np.abs(scaled_horner(p.c, z)[0])))
+                    roots=list(z), residuals=list(np.abs(whole(z)[0])))
         found.extend(complex(v) for v in z)
         # the residual Newton correction measures each root's noise-ball size
         stall.extend(float(a) for a in np.abs(corr))
@@ -286,9 +290,9 @@ def all_roots(p: ComplexPolynomial) -> RootList:
     # |p(z)| / max(1,|z|)^deg, relative to the largest coefficient, where a lone root's
     # polished residual does not already bound it
     check = np.array([m > 1 or not passed.get(v, False) for v, m in clusters])
-    if np.any(np.abs(scaled_horner(p.c, values[check])[0]) / scale > RESIDUAL_REL):
+    if np.any(np.abs(whole(values[check])[0]) / scale > RESIDUAL_REL):
         raise NoConvergenceError("residual acceptance bound exceeded", roots=list(values),
-                                 residuals=list(np.abs(scaled_horner(p.c, values)[0])))
+                                 residuals=list(np.abs(whole(values)[0])))
     return polish_multiples(p, RootList(tuple(clusters)))
 
 
@@ -304,8 +308,8 @@ def polish_multiples(p: ComplexPolynomial, rl: RootList) -> RootList:
         for _ in range(m - 1):
             g = g.derivative()
         if m >= 2 and g.degree >= 1:
-            c, z = np.array(g.c, dtype=np.complex128), np.array([v], dtype=np.complex128)
-            v = complex(_newton_polish(c, z, _eval_state(c, z), steps=60)[0][0])
+            ev, z = Evaluator(g.c), np.array([v], dtype=np.complex128)
+            v = complex(_newton_polish(ev, z, _eval_state(ev, z), steps=60)[0][0])
         out.append((v, m))
     return RootList(tuple(out))
 

@@ -5,7 +5,9 @@ powers with plain quaternion multiplication.  It shares no algorithm with
 the solver routes, only quaternion.py's Hamilton product and norm, so it
 serves as the acceptance oracle for every route.  audit runs the same
 evaluation on all its points at once, one numpy row per point, so a batched
-residual equals the one-point residual bit for bit.
+residual equals the one-point residual bit for bit.  It forms the terms q_j z^j
+of a block of j at once and adds them in order of j (np.add.accumulate): the
+roundings of the term-by-term sum.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .quaternion import Quaternion, hamilton, norms, rows
 from .solver import DEFAULT_TOLS, SimplePolynomial, Tolerances, ZeroSet
 
 SAMPLES_PER_CLASS = 8  # sphere members audit evaluates per reported sphere
+TERM_BLOCK = 1 << 16  # entries (points x powers) of the terms _eval_rows forms at a time
 
 
 def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
@@ -27,14 +30,19 @@ def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
     Overflow gives inf or nan silently, as in Python float arithmetic.
     """
     zs = tuple(z.T)
-    qs = p.rows.tolist()
+    q = p.rows
     acc = Quaternion(1.0).components()
-    total = tuple(np.full(len(z), c) for c in qs[0])
+    total = np.repeat(q[0][:, None], len(z), axis=1)
+    step = max(1, TERM_BLOCK // max(1, len(z)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for q in qs[1:]:
-            acc = hamilton(acc, zs)
-            total = tuple(t + u for t, u in zip(total, hamilton(q, acc)))
-    return np.stack(total, axis=-1)
+        for qs in (q[j:j + step] for j in range(1, len(q), step)):
+            terms = np.empty((4, len(qs) + 1, len(z)))
+            terms[:, 0] = total
+            for j in range(1, len(qs) + 1):
+                acc = terms[:, j] = hamilton(acc, zs)
+            terms[:, 1:] = hamilton(qs.T[:, :, None], terms[:, 1:])
+            total = np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+    return total.T
 
 
 def eval_qpoly(p: SimplePolynomial, z: Quaternion) -> Quaternion:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from quatroots import SimplePolynomial, ZeroSet
-from quatroots.cpoly import BLOCK, ComplexPolynomial, _power_sums
-from quatroots.quaternion import I, J, K, ONE, Quaternion, split
+from quatroots.cpoly import BLOCK, ComplexPolynomial, Evaluator
+from quatroots.quaternion import I, J, K, ONE, Quaternion, hamilton, split
 from quatroots.verify import ZeroSetDiff
 
 SQRT2_2 = 0.7071067811865476
@@ -198,8 +198,15 @@ def horner_reference(c: np.ndarray, z: np.ndarray):
     return p, dp, maj
 
 
+def forward_sums(c: np.ndarray, u: np.ndarray):
+    """(p, p', majorant) of c read at every point u, |u| > 1 included, by the evaluation
+    kernel (Evaluator.sums with no reversed points), each of shape c.shape[1:] + u.shape."""
+    out = Evaluator(c).sums(u, len(u))
+    return tuple(v.reshape(c.shape[1:] + u.shape) for v in (out[0], out[1], out[2].real))
+
+
 def power_matrix_reference(c: np.ndarray, u: np.ndarray):
-    """cpoly._power_sums before its baby and giant steps: the whole power matrix
+    """The evaluation kernel before its baby and giant steps: the whole power matrix
     u_i^k, BLOCK // (n + 1) points at a time, read by einsum contractions."""
     n = len(c) - 1
     rows = c.reshape(n + 1, -1).T
@@ -221,12 +228,13 @@ def aberth_reference(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from quatroots.roots import MAX_ITERATIONS, STEP_REL, _EPS, _GOLDEN_ANGLE
     from quatroots.roots import _eval_state, _initial_guesses
 
+    ev = Evaluator(c)
     z = _initial_guesses(c)
     n = len(z)
     converged = np.zeros(n, dtype=bool)
     noise = 4.0 * len(c) * _EPS
     for _ in range(MAX_ITERATIONS):
-        corr, rel = _eval_state(c, z)
+        corr, rel = _eval_state(ev, z)
         converged |= rel <= noise
         if converged.all():
             break
@@ -253,7 +261,7 @@ def kernel_value(c: np.ndarray, t):
     """p(t), unscaled, by the evaluation kernel on the unpadded coefficients c (the
     zero polynomial if empty); t a scalar or an array."""
     c = c if len(c) else np.zeros(1, dtype=np.complex128)
-    return _power_sums(c, np.ravel(t))[0].reshape(np.shape(t))[()]
+    return forward_sums(c, np.ravel(t))[0].reshape(np.shape(t))[()]
 
 
 def is_spherical_root_reference(pair, eta: complex, tol_zero: float = 1e-10) -> bool:
@@ -305,6 +313,29 @@ def companion_reference(p: SimplePolynomial) -> np.ndarray:
         for k, qk in enumerate(p.coeffs):
             sums[j + k] = sums[j + k] + cj * qk
     return np.array([s.a0 for s in sums])
+
+
+def companion_tensor_reference(p: SimplePolynomial) -> np.ndarray:
+    """companion's (2n + 1, 4) sums of conj(q_j) q_k before its row blocks: the whole
+    (n + 1)^2 Hamilton tensor, added by one bincount per component in ascending j."""
+    q = p.rows
+    power = np.add.outer(np.arange(len(q)), np.arange(len(q))).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = hamilton((q * [1.0, -1.0, -1.0, -1.0]).T[:, :, None], q.T[:, None, :])
+        return np.stack([np.bincount(power, t.ravel(), 2 * len(q) - 1) for t in terms], -1)
+
+
+def eval_rows_reference(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
+    """verify._eval_rows before its batched terms: each q_j z^j formed and added on its own."""
+    zs = tuple(z.T)
+    qs = p.rows.tolist()
+    acc = Quaternion(1.0).components()
+    total = tuple(np.full(len(z), c) for c in qs[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in qs[1:]:
+            acc = hamilton(acc, zs)
+            total = tuple(t + u for t, u in zip(total, hamilton(q, acc)))
+    return np.stack(total, axis=-1)
 
 
 def power_decomp_reference(x: Quaternion, n: int):

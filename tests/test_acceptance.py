@@ -13,6 +13,7 @@ import numpy as np
 
 from quatroots.companion import (ab, companion, monic_normalized,
                                  power_decomp, solve_companion)
+from quatroots.cpoly import Evaluator
 from quatroots.quaternion import ONE, Quaternion
 from quatroots.roots import _aberth, _newton_polish, all_roots
 from quatroots.solver import (SimplePolynomial, derived, discriminant,
@@ -110,8 +111,9 @@ def test_criterion_4_root_table_pattern(degree6_mixed):
         exact_double = [1, -1, 1j, -1j]
         # raw iteration output, before any multiple-root polishing
         c = np.array(pt.c)
-        raw, conv, state = _aberth(c)
-        raw, _, _ = _newton_polish(c, raw, state)
+        ev = Evaluator(c)
+        raw, conv, state = _aberth(c, ev)
+        raw, _, _ = _newton_polish(ev, raw, state)
         assert conv.all()
         contamination = []
         for z in raw:

@@ -12,7 +12,7 @@ from quatroots.solver import (BothDenominatorsZeroError, SimplePolynomial, deriv
                               discriminant, normalize, solve_discriminant)
 from quatroots.verify import audit, compare, eval_qpoly
 
-from conftest import (ab_reference, companion_reference,
+from conftest import (ab_reference, companion_reference, companion_tensor_reference,
                       power_decomp_reference, qapprox,
                       random_simple_polynomials, solve_companion_reference)
 
@@ -52,6 +52,14 @@ class TestCompanion:
             pm = monic_normalized(p)
             want = ComplexPolynomial(companion_reference(pm))
             assert companion(pm).c.tolist() == want.c.tolist()
+
+    @pytest.mark.parametrize("degree", [48, 300, 600])
+    def test_row_blocks_equal_the_whole_tensor(self, degree):
+        # 300 and 600 take 2 and 6 blocks of BLOCK // (n + 1) rows
+        rng = np.random.default_rng(degree)
+        pm = monic_normalized(SimplePolynomial.from_rows(rng.standard_normal((degree + 1, 4))))
+        want = ComplexPolynomial(companion_tensor_reference(pm)[:, 0])
+        assert companion(pm).c.tobytes() == want.c.tobytes()
 
     def test_matches_discriminant_up_to_scale(self):
         for p in random_simple_polynomials(25, max_degree=10, seed=5):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatroots.cpoly import BABY, BLOCK, ComplexPolynomial, _power_sums, gcd, scaled_horner
+from quatroots.cpoly import BABY, BLOCK, ComplexPolynomial, Evaluator, gcd, scaled_horner
 from quatroots.roots import _eval_state
 
-from conftest import horner_reference, kernel_value, poly_add, poly_mul, power_matrix_reference
+from conftest import (forward_sums, horner_reference, kernel_value, poly_add, poly_mul,
+                      power_matrix_reference)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -96,7 +97,7 @@ class TestPowerKernel:
         u = _kernel_points(rng, 16)
         for n in range(BABY):
             c = rng.standard_normal((n + 1, r)) + 1j * rng.standard_normal((n + 1, r))
-            got = _power_sums(c, u)
+            got = forward_sums(c, u)
             # the reference's stacked majorant reads strided rows of |c| and differs
             # from its single-column one in the last bits, so each column is its own
             for k in range(r):
@@ -114,7 +115,7 @@ class TestPowerKernel:
         rng = np.random.default_rng(n)
         c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         u = _kernel_points(rng, 24)
-        p, dp, maj = _power_sums(c, u)
+        p, dp, maj = forward_sums(c, u)
         rp, rdp, rmaj = horner_reference(c, u)
         dmaj = horner_reference(np.abs(c[1:]) * np.arange(1, n + 1), np.abs(u))[0].real
         bound = 4 * (n + 1) * _EPS
@@ -130,11 +131,11 @@ class TestPowerKernel:
         c[:lo + 1, 0] = rng.standard_normal(lo + 1) + 1j * rng.standard_normal(lo + 1)
         c[:, 1] = rng.standard_normal(hi + 1) + 1j * rng.standard_normal(hi + 1)
         u = _kernel_points(rng, 40)
-        stacked = _power_sums(c, u)
-        padded, other = (_power_sums(c[:, k].copy(), u) for k in range(2))
+        stacked = forward_sums(c, u)
+        padded, other = (forward_sums(c[:, k].copy(), u) for k in range(2))
         for k, col in enumerate((padded, other)):
             assert all(np.array_equal(s[k], v) for s, v in zip(stacked, col))
-        alone = _power_sums(c[:lo + 1, 0].copy(), u)
+        alone = forward_sums(c[:lo + 1, 0].copy(), u)
         assert all(np.array_equal(v, a) for v, a in zip(padded[:2], alone[:2]))
         # the majorant's real contraction groups a longer sum differently
         assert np.all(np.abs(padded[2] - alone[2]) <= 4 * (hi + 1) * _EPS * alone[2])
@@ -146,11 +147,11 @@ class TestPowerKernel:
         b = min(BABY, n + 1)
         step = max(1, BLOCK // (b + -(-(n + 1) // b)))  # the kernel's points per block
         u = _kernel_points(rng, max(8, step))
-        full = _power_sums(c, u)
+        full = forward_sums(c, u)
         # alone, inside a batch, and either side of a block boundary
         for i in sorted({0, 1, step - 1, step, step + 1, len(u) - 1}):
             for lo in (i, max(0, i - 1), max(0, i - step + 1)):
-                part = _power_sums(c, u[lo:i + 1])
+                part = forward_sums(c, u[lo:i + 1])
                 for whole, sub in zip(full, part):
                     assert np.array_equal(whole[:, i], sub[:, -1])
 
@@ -159,9 +160,9 @@ class TestPowerKernel:
         rng = np.random.default_rng(5)
         c = rng.standard_normal(201) + 1j * rng.standard_normal(201)
         z = 3.0 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
-        corr, rel = _eval_state(c, z)
+        corr, rel = _eval_state(Evaluator(c), z)
         keep = rng.random(500) < 0.3
-        sub_corr, sub_rel = _eval_state(c, z[keep])
+        sub_corr, sub_rel = _eval_state(Evaluator(c), z[keep])
         assert np.array_equal(sub_corr, corr[keep]) and np.array_equal(sub_rel, rel[keep])
 
     def test_no_warning_at_degree_2000(self):
@@ -171,10 +172,71 @@ class TestPowerKernel:
                             [1e-300, 1.0 + 1e-15, 1e300]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            corr, rel = _eval_state(c, z)
+            corr, rel = _eval_state(Evaluator(c), z)
             vals = scaled_horner(c, z)
         assert np.all(np.isfinite(corr)) and np.all(np.isfinite(rel))
         assert np.all(np.isfinite(vals))
+
+
+def _bits(values):
+    return [np.ascontiguousarray(v).tobytes() for v in values]
+
+
+def _two_branch(c, z):
+    """Evaluator(c)(z) as two kernel calls: c read at the points |z| <= 1, its reversal at 1/z
+    at the others, NaN included."""
+    inner = np.abs(z) <= 1.0
+    out = [np.empty(c.shape[1:] + z.shape, t) for t in (complex, complex, float)]
+    for mask, cf, u in ((inner, c, z[inner]), (~inner, c[::-1], 1.0 / z[~inner])):
+        for res, v in zip(out, forward_sums(cf.copy(), u)):
+            res[..., mask] = v
+    return out
+
+
+def _evaluator_case(n, r, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n + 1, r)) + 1j * rng.standard_normal((n + 1, r))
+    return (c[:, 0].copy() if r == 1 else c), rng
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("n", [5, BABY - 1, BABY, 3 * BABY + 5])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("kind", ["inner", "outer", "mixed"])
+    def test_a_point_alone_is_its_value_in_the_batch(self, n, r, kind):
+        c, rng = _evaluator_case(n, r, n + 10 * r)
+        inner = 0.9 * _kernel_points(rng, 12)
+        outer = np.concatenate([1.5 / inner[1:], [1e200, -1e300j, np.inf, -np.inf, 1.0 + 1e-15]])
+        mixed = rng.permutation(np.concatenate([inner, outer, [np.nan, 1.0, -1.0, 1j]]))
+        z = {"inner": inner, "outer": outer, "mixed": mixed}[kind]
+        ev = Evaluator(c)
+        with np.errstate(invalid="ignore"):  # 1 / NaN
+            got = ev(z)
+            assert _bits(got) == _bits(_two_branch(c, z))
+            for i in range(len(z)):
+                assert _bits(ev(z[i])) == _bits(g[..., i] for g in got), z[i]
+                assert _bits(ev(z[i:i + 1])) == _bits(g[..., i:i + 1] for g in got), z[i]
+
+    @pytest.mark.parametrize("n", [5, 3 * BABY + 5])
+    def test_the_branch_cut_on_either_side_of_a_block_boundary(self, n):
+        c, rng = _evaluator_case(n, 2, n)
+        b = min(BABY, n + 1)
+        step = max(1, BLOCK // (b + -(-(n + 1) // b)))  # the kernel's points per block
+        ev = Evaluator(c)
+        for k in (step - 1, step, step + 1):
+            inner = 0.99 * np.sqrt(rng.random(k)) * np.exp(2j * np.pi * rng.random(k))
+            z = rng.permutation(np.concatenate([inner, 1.0 / inner[:step + 3]]))
+            got = ev(z)
+            assert _bits(got) == _bits(_two_branch(c, z))
+            order = np.argsort(~(np.abs(z) <= 1.0), kind="stable")
+            for i in order[[0, k - 1, k, step - 1, step, step + 1, -1]]:
+                assert _bits(ev(z[i:i + 1])) == _bits(g[..., i:i + 1] for g in got)
+
+    def test_the_evaluator_is_the_one_shot_evaluation(self):
+        c, rng = _evaluator_case(40, 2, 3)
+        z = 2.0 * (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
+        assert _bits(Evaluator(c)(z)) == _bits(scaled_horner(c, z))
+        assert Evaluator(c)(z)[0].shape == (2, 3, 5)
 
 
 class TestDivrem:

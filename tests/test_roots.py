@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quatroots import roots as roots_mod
-from quatroots.cpoly import ComplexPolynomial, scaled_horner
+from quatroots.cpoly import ComplexPolynomial, Evaluator, scaled_horner
 from quatroots.roots import (NoConvergenceError, RootList, UnpairedRootError,
                              _aberth, _aberth_sums, _cluster, _collisions, _eval_state,
                              _newton_polish, all_roots, classify_real,
@@ -150,16 +150,17 @@ def _aberth_corpus():
 class TestActiveSetAberth:
     @pytest.mark.parametrize("c", _aberth_corpus(), ids=lambda c: f"n{len(c) - 1}")
     def test_equals_the_full_set_iteration(self, c):
-        z, conv, _ = _aberth(c.copy())
+        z, conv, _ = _aberth(c.copy(), Evaluator(c))
         ref_z, ref_conv = aberth_reference(c.copy())
         assert np.array_equal(z, ref_z) and np.array_equal(conv, ref_conv)
 
     @pytest.mark.parametrize("c", _aberth_corpus(), ids=lambda c: f"n{len(c) - 1}")
     def test_polish_from_the_aberth_state_equals_polish_from_scratch(self, c):
-        z, _, state = _aberth(c.copy())
-        assert all(np.array_equal(a, b) for a, b in zip(state, _eval_state(c, z)))
-        handed = _newton_polish(c, z, state)
-        own = _newton_polish(c, z, _eval_state(c, z))
+        ev = Evaluator(c)
+        z, _, state = _aberth(c.copy(), ev)
+        assert all(np.array_equal(a, b) for a, b in zip(state, _eval_state(ev, z)))
+        handed = _newton_polish(ev, z, state)
+        own = _newton_polish(ev, z, _eval_state(ev, z))
         assert all(np.array_equal(a, b) for a, b in zip(handed, own))
 
     def test_sums_match_the_full_matrix(self):
@@ -191,9 +192,10 @@ class TestActiveSetAberth:
 
     def test_polish_returns_the_state_of_its_points(self):
         c = np.convolve([2, -3, 1, 5j, 1], [0.25, -1.0, 1.0]).astype(complex)
-        z, _, state = _aberth(c)
-        best, corr, rel = _newton_polish(c, z, state)
-        want_corr, want_rel = _eval_state(c, best)
+        ev = Evaluator(c)
+        z, _, state = _aberth(c, ev)
+        best, corr, rel = _newton_polish(ev, z, state)
+        want_corr, want_rel = _eval_state(ev, best)
         assert np.array_equal(corr, want_corr) and np.array_equal(rel, want_rel)
 
 
@@ -209,8 +211,8 @@ class TestNoRepeatedWork:
         calls, seen = [], {}
         orig = roots_mod._eval_state
 
-        def spy(c, z):
-            out = orig(c, z)
+        def spy(ev, z):
+            out = orig(ev, z)
             calls.append((np.array(z), out[0]))
             return out
         monkeypatch.setattr(roots_mod, "_eval_state", spy)
@@ -225,6 +227,24 @@ class TestNoRepeatedWork:
                         successor in calls[j][0].tolist() for j in range(first + 1, k)), x
                 seen[x] = (k, x - step)
 
+    def test_the_coefficients_are_arranged_once_per_polynomial(self, monkeypatch):
+        # one Evaluator per all_roots call, and in polish_multiples one per multiple
+        # entry, not one per evaluation or Newton step
+        made = []
+        orig = Evaluator.__init__
+
+        def spy(self, c):
+            made.append(len(c))
+            orig(self, c)
+        monkeypatch.setattr(Evaluator, "__init__", spy)
+        rl = all_roots(ComplexPolynomial(self.INPUTS["gaussian-200"]))
+        assert all(m == 1 for _, m in rl.roots)
+        assert made == [201]
+        made.clear()
+        rl = all_roots(ComplexPolynomial(self.INPUTS["double-root"]))
+        multiple = [m for _, m in rl.roots if m >= 2]
+        assert multiple == [2] and made == [42, 41]  # p, then p' for the double root
+
     @pytest.mark.parametrize("name", INPUTS)
     def test_sums_cover_only_roots_that_then_step(self, monkeypatch, name):
         # a converged root is frozen, so every row handed to _aberth_sums moves before the next
@@ -235,9 +255,9 @@ class TestNoRepeatedWork:
             calls.append((z.copy(), rows.copy()))
             return orig_sums(z, rows)
 
-        def spy_polish(c, z, *args, **kwargs):
+        def spy_polish(ev, z, *args, **kwargs):
             calls.append((z.copy(), None))
-            return orig_polish(c, z, *args, **kwargs)
+            return orig_polish(ev, z, *args, **kwargs)
         monkeypatch.setattr(roots_mod, "_aberth_sums", spy_sums)
         monkeypatch.setattr(roots_mod, "_newton_polish", spy_polish)
         all_roots(ComplexPolynomial(self.INPUTS[name]))

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion,
+from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion, rows,
                                   embed_complex)
 from quatroots.solver import (SimplePolynomial, ZeroSet, solve_discriminant)
 from quatroots.companion import solve_companion
-from quatroots.verify import audit, compare, eval_qpoly, residual_limit
+from quatroots.verify import (SAMPLES_PER_CLASS, TERM_BLOCK, _eval_rows, audit, compare,
+                              eval_qpoly, residual_limit)
 
-from conftest import SQRT2_2, compare_reference, eval_qpoly_reference
+from conftest import SQRT2_2, compare_reference, eval_qpoly_reference, eval_rows_reference
 
 # a power of two, so grid points sit exactly at, or just past, tolerance
 TOL = 2.0 ** -20
@@ -129,6 +130,29 @@ class TestAudit:
     def test_overflowed_entry_never_passes(self, coeffs, zs):
         p = SimplePolynomial(coeffs)
         assert not audit(p, zs).passed
+
+
+class TestBatchedTerms:
+    """_eval_rows forms the terms q_j z^j of a block of j at once: the term-by-term sum."""
+
+    @pytest.mark.parametrize("degree", [1, 7, 48, 800])
+    def test_equals_the_term_by_term_sum_bit_for_bit(self, degree):
+        rng = np.random.default_rng(degree)
+        p = SimplePolynomial.from_rows(rng.standard_normal((degree + 1, 4)))
+        reals = rows([Quaternion(x) for x in 2.0 * rng.standard_normal(5)])
+        isolated = rng.standard_normal((5, 4))
+        classes = [ConjugacyClass(complex(rng.standard_normal(), 0.1 + rng.random()))
+                   for _ in range(400 if degree == 800 else 4)]
+        samples = rows([m for c in classes for m in c.sample(SAMPLES_PER_CLASS)])
+        huge = 1e200 * rng.standard_normal((6, 4))
+        for z in (reals, isolated, samples, huge, np.concatenate([reals, isolated, samples, huge])):
+            got = _eval_rows(p, z)
+            assert got.tobytes() == eval_rows_reference(p, z).tobytes()
+        if degree > 1:
+            # the overflowing points give non-finite entries, in the same places
+            assert not np.isfinite(_eval_rows(p, huge)).all()
+        if degree == 800:
+            assert degree >= 2 * (TERM_BLOCK // len(samples))  # several blocks of terms
 
 
 class TestCompare:
