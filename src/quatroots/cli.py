@@ -9,6 +9,7 @@ by semicolons or newlines.  Exit codes: 0 success, 1 parse/solver error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -163,6 +164,7 @@ def _zero_set_text(zs: ZeroSet) -> list[str]:
     return lines
 
 
+@functools.cache  # built once per process and shared: main parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quatroots",

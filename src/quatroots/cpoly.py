@@ -73,7 +73,8 @@ class Evaluator:
         order = np.argsort(~inner, axis=None, kind="stable")
         k = int(np.count_nonzero(inner))
         u = z.ravel()[order]
-        u[k:] = 1.0 / u[k:]
+        with np.errstate(divide="ignore", invalid="ignore"):  # at NaN
+            u[k:] = 1.0 / u[k:]
         out = np.empty((3, self.r, z.size), dtype=np.complex128)
         out[..., order] = self.sums(u, k)
         return inner, tuple(v.reshape(self.shape + z.shape) for v in (out[0], out[1], out[2].real))

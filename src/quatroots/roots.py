@@ -65,7 +65,8 @@ def _eval_state(ev: Evaluator, z: np.ndarray):
     z = np.asarray(z, dtype=np.complex128)
     inner, (p, dp, maj) = ev.branches(z)
     rev = ~inner  # the evaluator's reversed points, NaN included
-    u = np.divide(1.0, z, out=np.zeros_like(z), where=rev)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at NaN
+        u = np.divide(1.0, z, out=np.zeros_like(z), where=rev)
     # reversed: p, dp are q(u), q'(u) for q(u) = u^n p(1/u), so p/p' = z q/(n q - u q')
     den = np.where(rev, ev.n * p - u * dp, dp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -178,11 +179,12 @@ def _aberth_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_(j != i) 1/(z_i - z_j) for i in rows, BLOCK // len(z) rows at a time; z collision-free."""
     s = np.empty(len(rows), dtype=np.complex128)
     step = max(1, BLOCK // len(z))
+    buf = np.empty((min(step, len(rows)), len(z)), dtype=np.complex128)  # one, worked in place
     for b in range(0, len(rows), step):
         r = rows[b:b + step]
-        diff = z[r, None] - z[None, :]
+        diff = np.subtract(z[r, None], z, out=buf[:len(r)])
         diff[np.arange(len(r)), r] = np.inf
-        s[b:b + step] = (1.0 / diff).sum(axis=1)
+        np.divide(1.0, diff, out=diff).sum(axis=1, out=s[b:b + step])
     return s
 
 
@@ -208,7 +210,7 @@ def _newton_polish(ev: Evaluator, z: np.ndarray, state, steps: int = 8):
 
 def _cluster(points: np.ndarray, radii=None,
              rel: float = CLUSTER_REL) -> list[tuple[complex, int]]:
-    """Greedy single-linkage merge of points closer than their merge radii.
+    """Single-linkage merge of points closer than their merge radii into sorted (mean, count).
 
     The radius of a point is rel*(1+|z|), enlarged by the caller for points
     whose iteration stalled in a roundoff noise ball (multiple roots of
@@ -218,31 +220,38 @@ def _cluster(points: np.ndarray, radii=None,
     base = rel * (1.0 + np.abs(points))
     radii = base if radii is None else np.maximum(base, radii)
     order = np.lexsort((points.imag, points.real))
-    pts = points[order]
-    rads = radii[order]
-    parent = list(range(m))
+    pts, rads = points[order], radii[order]
+    band = rads.max(initial=0.0)
+    # scan the sorted points at offsets k = 1, 2, ...: i links to i + k within the larger
+    # radius, and leaves the scan at its first real gap over the band
+    x, scan, k, links = pts.real, np.ones(m, dtype=bool), 1, [np.zeros((2, 0), dtype=np.intp)]
+    while (scan := scan[:m - k] & ~(x[k:] - x[:-k] > band)).any():
+        r = np.where(rads[k:] > rads[:-k], rads[k:], rads[:-k])
+        h = (scan & (np.abs(pts[:-k] - pts[k:]) <= r)).nonzero()[0]
+        links.append([h, h + k])
+        k += 1
+    (a, b), label, prev = np.concatenate(links, axis=1), np.arange(m), None
+    while a.size and not np.array_equal(label, prev):  # down to the first point of the component
+        prev = label.copy()
+        np.minimum.at(label, b, label[a])
+        np.minimum.at(label, a, label[b])
+    first = (label == np.arange(m)).nonzero()[0]  # one per component, in sorted order
+    size = np.bincount(label, minlength=m)[first]
+    total = 0.0 + pts[first]  # Python's sum(members) / count: 0 + z_1 + z_2 + ..., complex / int
+    if a.size:
+        perm, start = np.argsort(label, kind="stable"), np.cumsum(size) - size
+        for t in range(1, size.max()):
+            more = size > t
+            total[more] += pts[perm[start[more] + t]]
+    tr, ti, mean = total.real, total.imag, np.empty(len(size), dtype=np.complex128)
+    mean.real, mean.imag = (tr + ti * 0.0) / size, (ti - tr * 0.0) / size
+    return _listed(mean, size)
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    band = float(rads.max()) if m else 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pts[j].real - pts[i].real > band:
-                break
-            if abs(pts[i] - pts[j]) <= max(rads[i], rads[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[complex]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(complex(pts[i]))
-    out = [(sum(g) / len(g), len(g)) for g in groups.values()]
-    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return out
+def _listed(values: np.ndarray, mult: np.ndarray) -> list:
+    """(value, multiplicity) pairs as Python scalars, stably sorted by (real, imag)."""
+    o = np.lexsort((values.imag, values.real))
+    return list(zip(values[o].tolist(), mult[o].tolist()))
 
 
 def all_roots(p: ComplexPolynomial) -> RootList:
@@ -314,46 +323,54 @@ def polish_multiples(p: ComplexPolynomial, rl: RootList) -> RootList:
     return RootList(tuple(out))
 
 
+def _partners(z: np.ndarray, targets: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """The target each z takes, or -1: in turn, each takes the nearest (first of equals) that no
+    earlier z took, if within tol.  All z look at once, with BLOCK entries of differences and
+    distances at a time; if two want one target, the earlier takes it and the later look again."""
+    j, ok = np.zeros(len(z), dtype=np.intp), np.zeros(len(z), dtype=bool)
+    used, todo = np.zeros(len(targets), dtype=bool), np.arange(len(z) if len(targets) else 0)
+    step, r = max(1, BLOCK // max(2 * len(targets), 1)), 0
+    while len(todo):
+        for rows in (todo[s:s + step] for s in range(0, len(todo), step)):
+            dist = np.abs(targets - z[rows, None])
+            dist[:, used] = np.inf
+            j[rows], ok[rows] = dist.argmin(axis=1), ~(dist.min(axis=1) > tol[rows])
+        take = r + ok[r:].nonzero()[0]
+        jt, c = j[take], len(take)
+        if np.bincount(jt).max(initial=0) > 1:  # c: the first z whose target an earlier one takes
+            o = np.argsort(jt, kind="stable")
+            c = o[1:][jt[o[1:]] == jt[o[:-1]]].min()
+        used[jt[:c]] = True
+        r = take[c] if c < len(take) else len(z)
+        todo = r + (ok[r:] & used[j[r:]]).nonzero()[0]
+    return np.where(ok, j, -1)
+
+
 def pair_conjugates(roots, tol_real: float = DEFAULT_REAL_TOL):
     """Split (value, multiplicity) roots into reals, conjugate pairs and the rest.
 
     Roots with |Im| < tol_real snap to their real part.  Each root above the
-    real axis pairs with the nearest unused root below it whose conjugate
+    real axis, in turn, pairs with the nearest unused root below it whose conjugate
     lies within tol_real*(1+|z|); the pair is averaged to (z + conj(z'))/2,
     reported once with positive imaginary part, and carries the larger
     multiplicity.  Roots left without a partner are returned as found.
 
     Returns (reals, pairs, unpaired), each a sorted list of (value, m).
     """
-    reals: list[tuple[float, int]] = []
-    pos: list[tuple[complex, int]] = []
-    neg: list[tuple[complex, int]] = []
-    for z, m in roots:
-        if abs(z.imag) < tol_real:
-            reals.append((z.real, m))
-        elif z.imag > 0:
-            pos.append((z, m))
-        else:
-            neg.append((z, m))
-    pairs: list[tuple[complex, int]] = []
-    unpaired: list[tuple[complex, int]] = []
-    targets = np.array([v.conjugate() for v, _ in neg], dtype=np.complex128)
-    used = np.zeros(len(neg), dtype=bool)
-    for z, m in pos:
-        dist = np.abs(targets - z)
-        dist[used] = np.inf
-        j = int(dist.argmin()) if len(dist) else -1
-        if j < 0 or dist[j] > tol_real * (1.0 + abs(z)):
-            unpaired.append((z, m))
-            continue
-        used[j] = True
-        eta = 0.5 * (z + targets[j])
-        pairs.append((complex(eta.real, abs(eta.imag)), max(m, neg[j][1])))
-    unpaired.extend(neg[j] for j in np.nonzero(~used)[0])
-    reals.sort(key=lambda rm: rm[0])
-    pairs.sort(key=lambda pm: (pm[0].real, pm[0].imag))
-    unpaired.sort(key=lambda pm: (pm[0].real, pm[0].imag))
-    return reals, pairs, unpaired
+    roots = list(roots)
+    z = np.array([v for v, _ in roots], dtype=np.complex128)
+    mult = np.array([m for _, m in roots], dtype=np.int64)
+    real, upper = np.abs(z.imag) < tol_real, z.imag > 0
+    up, down = (upper & ~real).nonzero()[0], (~(upper | real)).nonzero()[0]
+    targets = z[down].conj()
+    j = _partners(z[up], targets, tol_real * (1.0 + np.abs(z[up])))
+    k = j >= 0
+    eta = 0.5 * (z[up[k]] + targets[j[k]])
+    eta.imag = np.abs(eta.imag)
+    mu, md = mult[up[k]], mult[down[j[k]]]
+    left = np.concatenate([up[~k], down[np.bincount(j[k], minlength=len(down)) == 0]])
+    return (_listed(z.real[real], mult[real]), _listed(eta, np.where(md > mu, md, mu)),
+            _listed(z[left], mult[left]))
 
 
 def classify_real(rl: RootList, tol_real: float = DEFAULT_REAL_TOL):

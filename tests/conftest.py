@@ -4,6 +4,7 @@ import pytest
 from quatroots import SimplePolynomial, ZeroSet
 from quatroots.cpoly import BLOCK, ComplexPolynomial, Evaluator
 from quatroots.quaternion import I, J, K, ONE, Quaternion, hamilton, split
+from quatroots.roots import CLUSTER_REL, DEFAULT_REAL_TOL
 from quatroots.verify import ZeroSetDiff
 
 SQRT2_2 = 0.7071067811865476
@@ -255,6 +256,89 @@ def aberth_reference(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if converged.all():
             break
     return z, converged
+
+
+def cluster_reference(points: np.ndarray, radii=None,
+                      rel: float = CLUSTER_REL) -> list[tuple[complex, int]]:
+    """roots._cluster as the scalar loops it replaced: greedy single-linkage merge of points
+    closer than their merge radii.
+
+    The radius of a point is rel*(1+|z|), enlarged by the caller for points
+    whose iteration stalled in a roundoff noise ball (multiple roots of
+    order three and higher wander further than the base radius).
+    """
+    m = len(points)
+    base = rel * (1.0 + np.abs(points))
+    radii = base if radii is None else np.maximum(base, radii)
+    order = np.lexsort((points.imag, points.real))
+    pts = points[order]
+    rads = radii[order]
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    band = float(rads.max()) if m else 0.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            if pts[j].real - pts[i].real > band:
+                break
+            if abs(pts[i] - pts[j]) <= max(rads[i], rads[j]):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, list[complex]] = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(complex(pts[i]))
+    out = [(sum(g) / len(g), len(g)) for g in groups.values()]
+    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return out
+
+
+def pair_conjugates_reference(roots, tol_real: float = DEFAULT_REAL_TOL):
+    """roots.pair_conjugates as the per-root loop it replaced: split (value, multiplicity)
+    roots into reals, conjugate pairs and the rest.
+
+    Roots with |Im| < tol_real snap to their real part.  Each root above the
+    real axis pairs with the nearest unused root below it whose conjugate
+    lies within tol_real*(1+|z|); the pair is averaged to (z + conj(z'))/2,
+    reported once with positive imaginary part, and carries the larger
+    multiplicity.  Roots left without a partner are returned as found.
+
+    Returns (reals, pairs, unpaired), each a sorted list of (value, m).
+    """
+    reals: list[tuple[float, int]] = []
+    pos: list[tuple[complex, int]] = []
+    neg: list[tuple[complex, int]] = []
+    for z, m in roots:
+        if abs(z.imag) < tol_real:
+            reals.append((z.real, m))
+        elif z.imag > 0:
+            pos.append((z, m))
+        else:
+            neg.append((z, m))
+    pairs: list[tuple[complex, int]] = []
+    unpaired: list[tuple[complex, int]] = []
+    targets = np.array([v.conjugate() for v, _ in neg], dtype=np.complex128)
+    used = np.zeros(len(neg), dtype=bool)
+    for z, m in pos:
+        dist = np.abs(targets - z)
+        dist[used] = np.inf
+        j = int(dist.argmin()) if len(dist) else -1
+        if j < 0 or dist[j] > tol_real * (1.0 + abs(z)):
+            unpaired.append((z, m))
+            continue
+        used[j] = True
+        eta = 0.5 * (z + targets[j])
+        pairs.append((complex(eta.real, abs(eta.imag)), max(m, neg[j][1])))
+    unpaired.extend(neg[j] for j in np.nonzero(~used)[0])
+    reals.sort(key=lambda rm: rm[0])
+    pairs.sort(key=lambda pm: (pm[0].real, pm[0].imag))
+    unpaired.sort(key=lambda pm: (pm[0].real, pm[0].imag))
+    return reals, pairs, unpaired
 
 
 def kernel_value(c: np.ndarray, t):

@@ -210,12 +210,30 @@ class TestEvaluator:
         mixed = rng.permutation(np.concatenate([inner, outer, [np.nan, 1.0, -1.0, 1j]]))
         z = {"inner": inner, "outer": outer, "mixed": mixed}[kind]
         ev = Evaluator(c)
-        with np.errstate(invalid="ignore"):  # 1 / NaN
-            got = ev(z)
-            assert _bits(got) == _bits(_two_branch(c, z))
-            for i in range(len(z)):
-                assert _bits(ev(z[i])) == _bits(g[..., i] for g in got), z[i]
-                assert _bits(ev(z[i:i + 1])) == _bits(g[..., i:i + 1] for g in got), z[i]
+        got = ev(z)
+        with np.errstate(invalid="ignore"):  # the reference's 1 / NaN
+            want = _two_branch(c, z)
+        assert _bits(got) == _bits(want)
+        for i in range(len(z)):
+            assert _bits(ev(z[i])) == _bits(g[..., i] for g in got), z[i]
+            assert _bits(ev(z[i:i + 1])) == _bits(g[..., i:i + 1] for g in got), z[i]
+
+    @pytest.mark.parametrize("n", [5, 3 * BABY + 5])
+    def test_a_nan_point_evaluates_without_a_warning(self, n):
+        # the reciprocal 1 / NaN of the reversed branch is quiet, and the other points keep
+        # their bits
+        c, _ = _evaluator_case(n, 1, n)
+        ev = Evaluator(c)
+        z = np.array([np.nan, 0.5, 2.0 - 1.5j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inner, got = ev.branches(z)
+            corr, rel = _eval_state(ev, z)
+            lone = [_eval_state(ev, z[i:i + 1]) for i in (1, 2)]
+        assert inner.tolist() == [False, True, False]
+        assert all(np.isnan(v[..., 0]) for v in got)
+        assert np.isnan(rel[0])
+        assert _bits([corr[1:], rel[1:]]) == _bits(np.concatenate(v) for v in zip(*lone))
 
     @pytest.mark.parametrize("n", [5, 3 * BABY + 5])
     def test_the_branch_cut_on_either_side_of_a_block_boundary(self, n):

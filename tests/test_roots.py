@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quatroots import roots as roots_mod
-from quatroots.cpoly import ComplexPolynomial, Evaluator, scaled_horner
-from quatroots.roots import (NoConvergenceError, RootList, UnpairedRootError,
+from quatroots.cpoly import BLOCK, ComplexPolynomial, Evaluator, scaled_horner
+from quatroots.roots import (CLUSTER_REL, NoConvergenceError, RootList, UnpairedRootError,
                              _aberth, _aberth_sums, _cluster, _collisions, _eval_state,
                              _newton_polish, all_roots, classify_real,
                              pair_conjugates, polish_multiples)
-from quatroots.solver import discriminant
+from quatroots.solver import SimplePolynomial, discriminant, solve_complex_coeffs
 
-from conftest import aberth_reference, kernel_value, poly_mul
+from conftest import (aberth_reference, cluster_reference, kernel_value,
+                      pair_conjugates_reference, poly_mul)
 
 # the machine-computed roots of the degree-12 discriminant of the
 # degree-6 test case, as produced by a general-purpose solver
@@ -458,3 +460,142 @@ class TestPolishDouble:
         raw = all_roots(p)
         assert polished == polish_multiples(p, raw) != raw
         assert sorted(m for _, m in polished.roots) == [1, 2, 2]
+
+
+# Parts of either sign of zero and a coarse grid: well-separated points, exact duplicates
+# and values whose sums and means keep or lose a -0.0.
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                   st.integers(-12, 12).map(lambda k: 0.37 * k))
+# along an axis a point one reach away is often exactly one radius away
+_directions = st.sampled_from([1, -1, 1j, -1j]) | st.floats(0.0, 2.0 * math.pi).map(
+    lambda a: cmath.exp(1j * a))
+
+
+def _near(draw, z: complex, reach: float) -> complex:
+    """z moved by a drawn multiple of reach, just inside, on or just outside it: an exact copy
+    (keeping z's zeros), or 0.5, 0.999, 1, 1.001, 2 or 40 reaches away."""
+    f = draw(st.sampled_from([None, 0.5, 0.999, 1.0, 1.001, 2.0, 40.0]))
+    return z if f is None else z + f * reach * draw(_directions)
+
+
+@st.composite
+def _cluster_cases(draw):
+    """(points, radii): grid centres, each with 0-3 satellites near its merge radius, shuffled,
+    and either no stall radii or some that enlarge the merge radius."""
+    pts = []
+    for _ in range(draw(st.integers(0, 10))):
+        z = complex(draw(_parts), draw(_parts))
+        pts.append(z)
+        pts += [_near(draw, z, CLUSTER_REL * (1.0 + abs(z))) for _ in range(draw(st.integers(0, 3)))]
+    pts = np.array(draw(st.permutations(pts)), dtype=np.complex128)
+    stall = st.sampled_from([0.0, 1e-7, 3e-6, 1e-4])
+    radii = draw(st.none() | st.lists(stall, min_size=len(pts), max_size=len(pts)).map(np.array))
+    return pts, radii
+
+
+@st.composite
+def _root_cases(draw):
+    """(roots, tol_real): lone roots, near-real roots, conjugate pairs whose partner lies just
+    inside or outside tol_real, and two roots above the axis that share one nearest partner;
+    sometimes with one half-plane emptied."""
+    tol = draw(st.sampled_from([1e-5, 1e-3, 0.2]))
+    vals = []
+    for _ in range(draw(st.integers(0, 8))):
+        z = complex(draw(_parts), abs(draw(_parts)) + 0.5)
+        kind = draw(st.sampled_from(["lone", "real", "pair", "shared"]))
+        reach = tol * (1.0 + abs(z))
+        if kind == "real":
+            vals.append(complex(z.real, draw(st.sampled_from([0.0, -0.0, 0.5, -0.5])) * tol))
+        elif kind == "shared":  # both above the axis, the first drawn at z
+            vals += [z, _near(draw, z, 1e-3 * reach), _near(draw, z.conjugate(), reach)]
+        else:
+            vals += [z] + ([_near(draw, z.conjugate(), reach)] if kind == "pair" else [])
+    side = draw(st.sampled_from(["both", "upper", "lower"]))
+    vals = [v for v in vals if side == "both" or (v.imag > 0) == (side == "upper")]
+    mult = draw(st.lists(st.integers(1, 3), min_size=len(vals), max_size=len(vals)))
+    return draw(st.permutations(list(zip(vals, mult)))), tol
+
+
+class TestArrayClustering:
+    """_cluster and pair_conjugates are array code; the scalar loops they replaced are the
+    references, and every value, multiplicity, sign of zero and position must be theirs."""
+
+    @given(_cluster_cases())
+    def test_cluster_equals_the_greedy_loop(self, case):
+        pts, radii = case
+        got, want = _cluster(pts.copy(), radii), cluster_reference(pts.copy(), radii)
+        assert got == want and repr(got) == repr(want)
+
+    @given(_root_cases())
+    def test_pairing_equals_the_greedy_loop(self, case):
+        roots, tol = case
+        got, want = pair_conjugates(roots, tol), pair_conjugates_reference(roots, tol)
+        assert got == want and repr(got) == repr(want)
+
+    def test_a_shared_partner_goes_to_the_earlier_root(self):
+        # both roots above the axis are nearest to 1 - 1j; the first in order takes it, and
+        # the second then pairs with its next nearest, 1 - 1.000004j
+        roots = [(1 + 1.0000012j, 1), (1 + 1j, 2), (1 - 1j, 1), (1 - 1.000004j, 3)]
+        for order, means, mult in ((roots, [1.0000006, 1.000002], [1, 3]),
+                                   (roots[1::-1] + roots[2:], [1.0, 1.0000026], [2, 3])):
+            got = pair_conjugates(order)
+            assert got == pair_conjugates_reference(order) and got[2] == []
+            assert np.allclose([v.imag for v, _ in got[1]], means, rtol=0, atol=1e-15)
+            assert [m for _, m in got[1]] == mult
+
+    def test_a_point_exactly_on_the_merge_radius_merges(self):
+        h = 2.0**-10
+        pts = np.array([complex(3.0, h), 0.5, 3.0, 0.5 + h])  # gaps of exactly h
+        radii = np.full(4, h)
+        assert _cluster(pts, radii) == cluster_reference(pts, radii) == [
+            (0.5 + h / 2, 2), (complex(3.0, h / 2), 2)]
+
+    def test_empty_input(self):
+        assert _cluster(np.zeros(0, dtype=np.complex128)) == cluster_reference(
+            np.zeros(0, dtype=np.complex128)) == []
+        assert pair_conjugates([]) == pair_conjugates_reference([]) == ([], [], [])
+
+    @pytest.mark.parametrize("c", _aberth_corpus(), ids=lambda c: f"n{len(c) - 1}")
+    def test_the_aberth_corpus(self, monkeypatch, c):
+        # the points and stall radii all_roots clusters, and the pairing of its clusters
+        seen = []
+
+        def spy(points, radii=None):
+            seen.append(_cluster(points.copy(), radii))
+            assert seen[-1] == cluster_reference(points.copy(), radii)
+            return seen[-1]
+        monkeypatch.setattr(roots_mod, "_cluster", spy)
+        rl = all_roots(ComplexPolynomial(c))
+        assert len(seen) == 1
+        assert pair_conjugates(rl.roots) == pair_conjugates_reference(rl.roots)
+
+
+class TestTransientMemory:
+    """The Aberth sums work in one buffer, and pairing in blocks: no temporary outgrows BLOCK."""
+
+    @staticmethod
+    def _peak(f):
+        f()  # warm
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_the_sums_take_one_block(self):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(800) + 1j * rng.standard_normal(800)
+        rows = np.arange(800)
+        # one BLOCK of complex128, numpy's iterator buffers (two operands of getbufsize()
+        # entries) and O(rows); a fresh matrix and its reciprocal per block took 2.35 MB
+        bound = BLOCK * 16 + 2 * np.getbufsize() * 16 + 32 * len(rows)
+        assert self._peak(lambda: _aberth_sums(z, rows)) <= bound
+
+    def test_a_degree_800_solve_peaks_below_the_two_matrix_sums(self):
+        # 2.54 MB on this input with a matrix and its reciprocal per sums block
+        rng = np.random.default_rng(800)
+        rows = np.zeros((801, 4))
+        rows[:, :2] = rng.standard_normal((801, 2))
+        p = SimplePolynomial.from_rows(rows)
+        assert self._peak(lambda: solve_complex_coeffs(p)) <= 2.42e6
