@@ -7,7 +7,7 @@ its gcd-factored refinement, and the older companion-polynomial method.
 The layers of the routes import from their modules.
 """
 
-from .companion import NonRealCompanionError, solve_companion
+from .companion import solve_companion
 from .quaternion import ConjugacyClass, Quaternion
 from .roots import NoConvergenceError, UnpairedRootError
 from .solver import (BothDenominatorsZeroError, DegreeError, InexactDivisionError,
@@ -23,6 +23,5 @@ __all__ = [
     "ConjugacyClass", "Quaternion", "SimplePolynomial", "Tolerances", "ZeroSet",
     "audit", "compare", "is_finite_zero_set",
     "BothDenominatorsZeroError", "DegreeError", "InexactDivisionError", "NoConvergenceError",
-    "NonRealCompanionError", "NonRealDiscriminantError", "NotComplexCoefficientsError",
-    "UnpairedRootError",
+    "NonRealDiscriminantError", "NotComplexCoefficientsError", "UnpairedRootError",
 ]

@@ -16,14 +16,10 @@ import numpy as np
 from .cpoly import BLOCK, ComplexPolynomial
 from .quaternion import ConjugacyClass, Quaternion, hamilton, norms
 from .roots import all_roots, classify_real
-from .solver import (DEFAULT_TOLS, NORM_REAL_TOL, BothDenominatorsZeroError, DegreeError,
-                     SimplePolynomial, Tolerances, ZeroSet)
+from .solver import (DEFAULT_TOLS, BothDenominatorsZeroError, DegreeError, SimplePolynomial,
+                     Tolerances, ZeroSet)
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-class NonRealCompanionError(ArithmeticError):
-    """A companion coefficient kept an imaginary residue (arithmetic bug)."""
 
 
 def monic_normalized(p: SimplePolynomial) -> SimplePolynomial:
@@ -31,31 +27,30 @@ def monic_normalized(p: SimplePolynomial) -> SimplePolynomial:
     return p.left_scaled(Quaternion(*p.rows[-1].tolist()).inverse())
 
 
-def companion(p: SimplePolynomial, tol: float = NORM_REAL_TOL) -> ComplexPolynomial:
-    """The polynomial sum b_k x^k with b_k = sum_j conj(q_j) q_(k-j).
+def companion(p: SimplePolynomial) -> ComplexPolynomial:
+    """The real polynomial sum b_k x^k with b_k = sum_j <q_j, q_(k-j)>.
 
-    Every b_k is real for any quaternion coefficients.  Requires the monic
-    normalization (leading coefficient 1).  Raises NonRealCompanionError if
-    an imaginary residue survives, which would signal broken quaternion
-    arithmetic rather than bad input.
+    b_k is the sum of conj(q_j) q_(k-j), whose imaginary parts cancel in pairs
+    since conj(a) b + conj(b) a = 2 <a, b>; each dot rounds as the real part of
+    hamilton(conj(q_j), q_(k-j)).  Requires the monic normalization (leading
+    coefficient 1).
     """
     q = p.rows
     if norms(q[-1:] - (1.0, 0.0, 0.0, 0.0))[0] > 1e-12:
         raise ValueError("companion polynomial needs the monic normalization")
-    # terms[c][j, k] is component c of conj(q_j) q_k, formed BLOCK // (n + 1) rows j at a
-    # time; add.at adds them in row-major order, so each b_(j+k) sums its terms in ascending j
-    n, sums = len(q), np.zeros((2 * len(q) - 1, 4))
+    # terms[j, k] = <q_j, q_k>, formed BLOCK // (n + 1) rows j at a time; add.at adds them
+    # in row-major order, so each b_(j+k) sums its terms in ascending j
+    n, sums, b = len(q), np.zeros(2 * len(q) - 1), q.T[:, None, :]
     step = max(1, BLOCK // n)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, step):
-            terms = hamilton((q[lo:lo + step] * _CONJ).T[:, :, None], q.T[:, None, :])
-            power = np.add.outer(np.arange(lo, lo + len(terms[0])), np.arange(n)).ravel()
-            for total, t in zip(sums.T, terms):
-                np.add.at(total, power, t.ravel())
-    residue = norms(sums[:, 1:]).max()
-    if residue > tol * max(norms(sums).max(), 1e-300):
-        raise NonRealCompanionError(f"imaginary residue {residue:.3e} in companion coefficient")
-    return ComplexPolynomial(sums[:, 0])
+            a = q[lo:lo + step].T[:, :, None]
+            terms = a[0] * b[0]
+            for c in range(1, 4):
+                terms += a[c] * b[c]
+            power = np.add.outer(np.arange(lo, lo + len(terms)), np.arange(n)).ravel()
+            np.add.at(sums, power, terms.ravel())
+    return ComplexPolynomial(sums)
 
 
 def power_decomp(x, n: int) -> tuple[np.ndarray, np.ndarray]:

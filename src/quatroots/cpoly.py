@@ -8,7 +8,7 @@ a polynomial's coefficients once, and each call runs one batch-independent
 kernel with no loop over the coefficients: the first BABY powers of points
 |u| <= 1 (u = 1/z on the reversed polynomial where |z| > 1), read by
 contractions for the chunk sums of p, p' and sum |c_k||u|^k, which Horner's
-rule in u^BABY joins.  scaled_horner is the one-shot form.
+rule in u^BABY joins.  Evaluator(c)(z) is the one-shot form.
 """
 
 from __future__ import annotations
@@ -104,11 +104,6 @@ class Evaluator:
                     a = a * aw[lo:hi] + qa[:, j]
                 out[:2, :, s + lo:s + hi], out[2, :, s + lo:s + hi] = p, a
         return out
-
-
-def scaled_horner(c: np.ndarray, z: np.ndarray):
-    """(p, p', majorant) at every z, each of shape c.shape[1:] + z.shape: Evaluator(c)(z)."""
-    return Evaluator(c)(z)
 
 
 class ComplexPolynomial:

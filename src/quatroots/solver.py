@@ -7,7 +7,7 @@ and discriminant forms the real f1*conj(f1) + f2*conj(f2).  Its real roots are
 exactly the real zeros; each conjugate pair of complex roots yields either a
 whole sphere of zeros (when all four derived polynomials vanish there) or a
 single isolated zero given in closed form as a component row.  The pair is
-evaluated at every representative by one cpoly.scaled_horner call.
+evaluated at every representative by one cpoly.Evaluator call.
 
 Two routes are provided: solve_discriminant works on the full discriminant,
 solve_factored first divides out g = gcd(f1, f2), which holds most real zeros
@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cpoly import DEFAULT_GCD_TOL, ComplexPolynomial, TRIM_REL, gcd as poly_gcd, scaled_horner
+from .cpoly import DEFAULT_GCD_TOL, ComplexPolynomial, Evaluator, TRIM_REL, gcd as poly_gcd
 from .quaternion import ConjugacyClass, Quaternion, embed_complex, hamilton
 from .roots import DEFAULT_REAL_TOL, all_roots, classify_real, pair_conjugates
 
@@ -247,14 +247,14 @@ def discriminant(pair) -> ComplexPolynomial:
 def _side_values(pair, z: np.ndarray) -> np.ndarray:
     """The pair, padded to degree n = max(deg f1, deg f2, 1), at every z: shape (2,) + z.shape.
 
-    Where |z| > 1 each value carries a factor 1/z^n (cpoly.scaled_horner),
+    Where |z| > 1 each value carries a factor 1/z^n (cpoly.Evaluator),
     which the closed form, homogeneous of degree 0 in (f1, f2), cancels.
     """
     n = max(pair[0].degree, pair[1].degree, 1)
     c = np.zeros((n + 1, 2), dtype=np.complex128)
     for k, f in enumerate(pair):
         c[: len(f.c), k] = f.c
-    return scaled_horner(c, z)[0]
+    return Evaluator(c)(z)[0]
 
 
 def is_spherical_root(pair, eta, tol_zero: float = DEFAULT_TOLS.zero,
@@ -354,8 +354,9 @@ def factor_g(pair, tol: float = DEFAULT_TOLS.gcd):
 
     The Euclidean gcd can overshoot on ill-conditioned remainder sequences
     (coefficient growth makes a later remainder look relatively zero); a
-    candidate that fails the division check is retried at tol*1e-2 and tol*1e-4;
-    retries have so far only returned g of degree 0, the coprime split (1, f1, f2).
+    candidate that fails the division check is retried at tol*1e-2 and tol*1e-4.
+    On Gaussian inputs a retry only returns g of degree 0; on graded coefficients
+    it also returns nontrivial factors (ROADMAP item 12).
     Raises InexactDivisionError when no tolerance yields an exact division.
 
     Returns (g, g1, g2).

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,17 @@ def corpus_solutions(random_corpus):
                        solve_companion(p)))
     elapsed = time.perf_counter() - t0
     return solved, elapsed
+
+
+def traced_peak(f) -> int:
+    """tracemalloc's peak in bytes over one call of f, after one warm-up call."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def qapprox(a: Quaternion, b: Quaternion, tol: float = 1e-10) -> bool:

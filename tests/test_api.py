@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 import quatroots
-from quatroots import cpoly, roots, solver
+from quatroots import companion, cpoly, roots, solver
 from quatroots.cpoly import ComplexPolynomial
 from quatroots.roots import RootList
 
@@ -20,8 +20,8 @@ PUBLIC = {
     "audit", "compare", "is_finite_zero_set",
     # errors
     "BothDenominatorsZeroError", "DegreeError", "InexactDivisionError",
-    "NoConvergenceError", "NonRealCompanionError", "NonRealDiscriminantError",
-    "NotComplexCoefficientsError", "UnpairedRootError",
+    "NoConvergenceError", "NonRealDiscriminantError", "NotComplexCoefficientsError",
+    "UnpairedRootError",
 }
 
 # internals, out of __all__ and the package namespace, importable from their modules
@@ -35,7 +35,7 @@ INTERNAL = {
     "verify": ["VerificationReport", "ZeroSetDiff", "eval_qpoly", "residual"],
 }
 
-# test-only helpers and aliases that were folded into the names above
+# test-only helpers and aliases that were folded into the names above, and deleted names
 REMOVED = {
     "quaternion": ["ComplexMatrix2", "ComplexPair", "sigma", "unsplit",
                    "same_class", "class_sample", "ZERO"],
@@ -43,14 +43,14 @@ REMOVED = {
                "_cofactor_discriminant", "NormalizedPolynomial", "DerivedPolynomials",
                "_norm_polynomial"],
     "roots": ["polish_double", "_safe_ratio", "polished_roots", "_newton_refine"],
-    "companion": ["CompanionPolynomial", "PowerDecomposition"],
-    "cpoly": ["scaled_values", "gcd_many"],
+    "companion": ["CompanionPolynomial", "PowerDecomposition", "NonRealCompanionError"],
+    "cpoly": ["scaled_values", "gcd_many", "scaled_horner"],
     "cli": ["_fmt"],
 }
 
 
 def test_all_is_the_pinned_list():
-    assert len(quatroots.__all__) == len(set(quatroots.__all__)) == 20
+    assert len(quatroots.__all__) == len(set(quatroots.__all__)) == 19
     assert set(quatroots.__all__) == PUBLIC
 
 
@@ -92,6 +92,10 @@ def test_complex_polynomial_has_no_ring_api():
 
 def test_discriminant_takes_the_pair_only():
     assert list(inspect.signature(solver.discriminant).parameters) == ["pair"]
+
+
+def test_companion_takes_the_polynomial_only():
+    assert list(inspect.signature(companion.companion).parameters) == ["p"]
 
 
 # every layer default that restates a Tolerances field: (function, parameter, field)

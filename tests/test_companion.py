@@ -14,7 +14,7 @@ from quatroots.verify import audit, compare, eval_qpoly
 
 from conftest import (ab_reference, companion_reference, companion_tensor_reference,
                       power_decomp_reference, qapprox,
-                      random_simple_polynomials, solve_companion_reference)
+                      random_simple_polynomials, solve_companion_reference, traced_peak)
 
 SQRT3_2 = math.sqrt(3) / 2
 
@@ -60,6 +60,43 @@ class TestCompanion:
         pm = monic_normalized(SimplePolynomial.from_rows(rng.standard_normal((degree + 1, 4))))
         want = ComplexPolynomial(companion_tensor_reference(pm)[:, 0])
         assert companion(pm).c.tobytes() == want.c.tobytes()
+
+    def test_signed_zero_rows_match_both_references(self):
+        # zero components of both signs, and whole zero rows, in every product
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            rows = rng.standard_normal((n + 1, 4))
+            rows[rng.random((n + 1, 4)) < 0.4] = 0.0
+            rows[rng.random(n + 1) < 0.2] = 0.0
+            rows *= np.where(rng.random((n + 1, 4)) < 0.5, -1.0, 1.0)
+            rows[-1] = (1.0, -0.0, 0.0, -0.0)
+            pm = SimplePolynomial.from_rows(rows)
+            got = companion(pm).c.tobytes()
+            assert got == ComplexPolynomial(companion_reference(pm)).c.tobytes()
+            assert got == ComplexPolynomial(companion_tensor_reference(pm)[:, 0]).c.tobytes()
+
+    def test_overflowed_sums_match_both_references(self, monkeypatch):
+        # the trim keeps a valid monic input's rows within 1e30 of its leading 1, so these
+        # rows are set directly; the sums are read before ComplexPolynomial, whose trim
+        # empties a polynomial with a coefficient that is not finite
+        rng = np.random.default_rng(29)
+        rows = rng.standard_normal((9, 4)) * 10.0 ** rng.uniform(150, 160, (9, 1))
+        rows[-1] = (1.0, 0.0, 0.0, 0.0)
+        pm = SimplePolynomial.__new__(SimplePolynomial)
+        pm.rows = rows
+        monkeypatch.setattr(companion_mod, "ComplexPolynomial", lambda sums: sums)
+        got = companion(pm)
+        assert np.isinf(got).any() and np.isnan(got).any() and np.isfinite(got).any()
+        assert got.tobytes() == companion_reference(pm).tobytes()
+        assert got.tobytes() == companion_tensor_reference(pm)[:, 0].tobytes()
+
+    def test_degree_1000_peaks_below_the_hamilton_blocks(self):
+        # one block of dot products, one product temporary and the power indices: 1.72 MB;
+        # the four Hamilton components of each block and (2n + 1, 4) sums peaked at 5.40 MB
+        rng = np.random.default_rng(1000)
+        pm = monic_normalized(SimplePolynomial.from_rows(rng.standard_normal((1001, 4))))
+        assert traced_peak(lambda: companion(pm)) < 2.5e6
 
     def test_matches_discriminant_up_to_scale(self):
         for p in random_simple_polynomials(25, max_degree=10, seed=5):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatroots.cpoly import BABY, BLOCK, ComplexPolynomial, Evaluator, gcd, scaled_horner
+from quatroots.cpoly import BABY, BLOCK, ComplexPolynomial, Evaluator, gcd
 from quatroots.roots import _eval_state
 
 from conftest import (forward_sums, horner_reference, kernel_value, poly_add, poly_mul,
@@ -70,9 +70,9 @@ class TestScaledValues:
         c[: len(q.c), 1] = q.c
         inner = np.abs(z) <= 1.0
         for k, f in enumerate((p, q)):
-            row = scaled_horner(c, z)[0][k]
+            row = Evaluator(c)(z)[0][k]
             # a stacked row is that polynomial's own evaluation, bit for bit
-            assert np.array_equal(row, scaled_horner(c[:, k], z)[0])
+            assert np.array_equal(row, Evaluator(c[:, k])(z)[0])
             assert np.array_equal(row[inner], _at(f, z[inner]))
             want = _at(f, z[~inner]) / z[~inner] ** n
             assert np.allclose(row[~inner], want, rtol=0,
@@ -80,7 +80,7 @@ class TestScaledValues:
 
     def test_high_degree_stays_finite(self):
         c = np.random.default_rng(0).standard_normal(2001) + 0j
-        got = scaled_horner(c, np.array([3.0 + 1.0j, -2.5j, 0.5]))[0]
+        got = Evaluator(c)(np.array([3.0 + 1.0j, -2.5j, 0.5]))[0]
         assert np.all(np.isfinite(got)) and np.all(np.abs(got) > 0)
 
 
@@ -173,7 +173,7 @@ class TestPowerKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             corr, rel = _eval_state(Evaluator(c), z)
-            vals = scaled_horner(c, z)
+            vals = Evaluator(c)(z)
         assert np.all(np.isfinite(corr)) and np.all(np.isfinite(rel))
         assert np.all(np.isfinite(vals))
 
@@ -250,10 +250,9 @@ class TestEvaluator:
             for i in order[[0, k - 1, k, step - 1, step, step + 1, -1]]:
                 assert _bits(ev(z[i:i + 1])) == _bits(g[..., i:i + 1] for g in got)
 
-    def test_the_evaluator_is_the_one_shot_evaluation(self):
+    def test_values_take_the_stacked_and_point_shapes(self):
         c, rng = _evaluator_case(40, 2, 3)
         z = 2.0 * (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
-        assert _bits(Evaluator(c)(z)) == _bits(scaled_horner(c, z))
         assert Evaluator(c)(z)[0].shape == (2, 3, 5)
 
 

@@ -76,6 +76,21 @@ class TestMul:
         s = max(1.0, abs(p) * abs(q))
         assert abs(abs(p * q) - abs(p) * abs(q)) <= 1e-12 * s
 
+    @given(quaternions, quaternions)
+    def test_conjugate_products_sum_to_twice_the_dot(self, a, b):
+        # conj(a) b + conj(b) a = 2 <a, b>, the identity companion's dot products rest on.
+        # Both real parts round as ((a0 b0 + a1 b1) + a2 b2) + a3 b3.  Each imaginary
+        # component adds two 4-term sums whose exact values cancel; each rounds within
+        # 4u |a||b| (u = eps / 2) to first order, and 5 eps leaves room for the second-order
+        # terms.  Underflow adds at most half a subnormal step per product.
+        dot = ((a.a0 * b.a0 + a.a1 * b.a1) + a.a2 * b.a2) + a.a3 * b.a3
+        ab, ba = a.conjugate() * b, b.conjugate() * a
+        assert ab.a0 == ba.a0 == dot
+        total = ab + ba
+        assert total.a0 == 2.0 * dot
+        bound = 5.0 * sys.float_info.epsilon * abs(a) * abs(b) + 8.0 * math.ulp(0.0)
+        assert max(abs(c) for c in total.components()[1:]) <= bound
+
     @given(quaternions)
     def test_q_times_conjugate_is_norm_sq(self, q):
         prod = q * q.conjugate()

@@ -1,7 +1,6 @@
 import cmath
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quatroots import roots as roots_mod
-from quatroots.cpoly import BLOCK, ComplexPolynomial, Evaluator, scaled_horner
+from quatroots.cpoly import BLOCK, ComplexPolynomial, Evaluator
 from quatroots.roots import (CLUSTER_REL, NoConvergenceError, RootList, UnpairedRootError,
                              _aberth, _aberth_sums, _cluster, _collisions, _eval_state,
                              _newton_polish, all_roots, classify_real,
@@ -17,7 +16,7 @@ from quatroots.roots import (CLUSTER_REL, NoConvergenceError, RootList, Unpaired
 from quatroots.solver import SimplePolynomial, discriminant, solve_complex_coeffs
 
 from conftest import (aberth_reference, cluster_reference, kernel_value,
-                      pair_conjugates_reference, poly_mul)
+                      pair_conjugates_reference, poly_mul, traced_peak)
 
 # the machine-computed roots of the degree-12 discriminant of the
 # degree-6 test case, as produced by a general-purpose solver
@@ -280,9 +279,9 @@ class TestAcceptance:
             all_roots(p)
         err = info.value
         assert len(err.roots) == 8
-        want = np.abs(scaled_horner(p.c, np.array(err.roots))[0])
+        want = np.abs(Evaluator(p.c)(np.array(err.roots))[0])
         assert np.array_equal(err.residuals, want)
-        stripped = np.abs(scaled_horner(p.c[2:], np.array(err.roots))[0])
+        stripped = np.abs(Evaluator(p.c[2:])(np.array(err.roots))[0])
         assert not np.allclose(want, stripped)
 
     @pytest.mark.parametrize("c", [_aberth_corpus()[i] for i in (0, 16, 20)],
@@ -295,7 +294,7 @@ class TestAcceptance:
         monkeypatch.setattr(roots_mod, "polish_multiples", lambda p, rl: rl)
         rl = all_roots(p)
         values = np.array([v for v, _ in rl.roots])
-        residuals = np.abs(scaled_horner(p.c, values)[0])
+        residuals = np.abs(Evaluator(p.c)(values)[0])
         monkeypatch.setattr(roots_mod, "RESIDUAL_REL", float(np.median(residuals)) / p.max_coeff())
         with pytest.raises(NoConvergenceError, match="acceptance") as info:
             all_roots(p)
@@ -573,16 +572,6 @@ class TestArrayClustering:
 class TestTransientMemory:
     """The Aberth sums work in one buffer, and pairing in blocks: no temporary outgrows BLOCK."""
 
-    @staticmethod
-    def _peak(f):
-        f()  # warm
-        tracemalloc.start()
-        try:
-            f()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_the_sums_take_one_block(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal(800) + 1j * rng.standard_normal(800)
@@ -590,7 +579,7 @@ class TestTransientMemory:
         # one BLOCK of complex128, numpy's iterator buffers (two operands of getbufsize()
         # entries) and O(rows); a fresh matrix and its reciprocal per block took 2.35 MB
         bound = BLOCK * 16 + 2 * np.getbufsize() * 16 + 32 * len(rows)
-        assert self._peak(lambda: _aberth_sums(z, rows)) <= bound
+        assert traced_peak(lambda: _aberth_sums(z, rows)) <= bound
 
     def test_a_degree_800_solve_peaks_below_the_two_matrix_sums(self):
         # 2.54 MB on this input with a matrix and its reciprocal per sums block
@@ -598,4 +587,4 @@ class TestTransientMemory:
         rows = np.zeros((801, 4))
         rows[:, :2] = rng.standard_normal((801, 2))
         p = SimplePolynomial.from_rows(rows)
-        assert self._peak(lambda: solve_complex_coeffs(p)) <= 2.42e6
+        assert traced_peak(lambda: solve_complex_coeffs(p)) <= 2.42e6
