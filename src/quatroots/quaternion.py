@@ -157,18 +157,17 @@ def split(q: Quaternion) -> tuple[complex, complex]:
     return complex(q.a0, q.a1), complex(q.a2, q.a3)
 
 
-def _sphere_directions(n: int, seed: int = 0) -> list[tuple[float, float, float]]:
+def _sphere_directions(n: int) -> list[tuple[float, float, float]]:
     """n unit vectors spread over the 2-sphere.
 
     Deterministic: the first direction is always (1, 0, 0); the rest follow a
-    golden-angle spiral whose phase is offset by the seed.
+    golden-angle spiral.
     """
     dirs: list[tuple[float, float, float]] = [(1.0, 0.0, 0.0)]
-    offset = 2.0 * math.pi * ((seed * 0.6180339887498949) % 1.0)
     for m in range(1, n):
         cos_t = 1.0 - 2.0 * (m + 0.5) / n
         sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-        phi = m * _GOLDEN_ANGLE + offset
+        phi = m * _GOLDEN_ANGLE
         dirs.append((cos_t, sin_t * math.cos(phi), sin_t * math.sin(phi)))
     return dirs
 
@@ -212,13 +211,13 @@ class ConjugacyClass:
         """Separation as (real part, modulus) pairs."""
         return max(abs(self.re - other.re), abs(self.modulus - other.modulus))
 
-    def sample(self, n: int, seed: int = 0) -> list[Quaternion]:
+    def sample(self, n: int) -> list[Quaternion]:
         """n members of the class, imaginary directions spread over the sphere."""
         if n < 1:
             raise ValueError("need at least one sample")
         v = self.representative.imag
         return [Quaternion(self.re, v * d1, v * d2, v * d3)
-                for d1, d2, d3 in _sphere_directions(n, seed)]
+                for d1, d2, d3 in _sphere_directions(n)]
 
     def __str__(self) -> str:
         return f"[Re {self.re:.12g}, |.| {self.modulus:.12g}]"

@@ -263,42 +263,35 @@ def all_roots(p: ComplexPolynomial) -> RootList:
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    c = np.array(p.c, dtype=np.complex128)
-    scale = float(np.abs(c).max())
-    # exact roots at the origin: strip (relatively) zero constant coefficients
-    m0 = 0
-    while len(c) > 1 and abs(c[0]) <= TRIM_REL * scale:
-        c = c[1:]
-        m0 += 1
-    found: list[complex] = [0j] * m0
-    stall = [0.0] * m0
-    passed: dict[complex, bool] = {}
+    scale = float(np.abs(p.c).max())
+    # exact roots at the origin: strip the (relatively) zero constant coefficients; the trim
+    # of ComplexPolynomial leaves the leading one above the bar
+    m0 = int(np.argmax(np.abs(p.c) > TRIM_REL * scale))
+    c = p.c[m0:]
+    found, stall = np.zeros(p.degree, dtype=np.complex128), np.zeros(p.degree)
+    passed = np.zeros(p.degree, dtype=bool)
     ev = Evaluator(c)
     whole = ev if m0 == 0 else Evaluator(p.c)  # evaluates p itself
     if len(c) > 1:
         z, conv, state = _aberth(c, ev)
         z, corr, rel = _newton_polish(ev, z, state)
-        if not conv.all():
-            noise = 4.0 * len(c) * _EPS
-            if not np.all((rel <= noise) | conv):
-                raise NoConvergenceError(
-                    f"{int((~conv).sum())} of {len(z)} roots unconverged after "
-                    f"{MAX_ITERATIONS} iterations",
-                    roots=list(z), residuals=list(np.abs(whole(z)[0])))
-        found.extend(complex(v) for v in z)
+        if not np.all((rel <= 4.0 * len(c) * _EPS) | conv):
+            raise NoConvergenceError(
+                f"{int((~conv).sum())} of {len(z)} roots unconverged after "
+                f"{MAX_ITERATIONS} iterations",
+                roots=list(z), residuals=list(np.abs(whole(z)[0])))
         # the residual Newton correction measures each root's noise-ball size
-        stall.extend(float(a) for a in np.abs(corr))
+        found[m0:], stall[m0:] = z, np.abs(corr)
         if m0 == 0:
             # c is p.c, so |p| = rel * majorant up to one rounding, and at |u| <= 1 the kernel's
             # majorant is sum|c_k| at most, up to rounding that 4 (n+1) eps covers
             bound = max(float(np.abs(c).sum()), _TINY) / scale * (1.0 + 4.0 * len(c) * _EPS)
-            passed = dict(zip(found, (rel * bound <= RESIDUAL_REL).tolist()))
-    clusters = _cluster(np.asarray(found, dtype=np.complex128),
-                        radii=8.0 * np.asarray(stall))
-    values = np.array([v for v, _ in clusters], dtype=np.complex128)
+            passed = rel * bound <= RESIDUAL_REL
+    clusters = _cluster(found, radii=8.0 * stall)
+    values, mult = map(np.array, zip(*clusters))
     # |p(z)| / max(1,|z|)^deg, relative to the largest coefficient, where a lone root's
     # polished residual does not already bound it
-    check = np.array([m > 1 or not passed.get(v, False) for v, m in clusters])
+    check = (mult > 1) | ~np.isin(values, found[passed])
     if np.any(np.abs(whole(values[check])[0]) / scale > RESIDUAL_REL):
         raise NoConvergenceError("residual acceptance bound exceeded", roots=list(values),
                                  residuals=list(np.abs(whole(values)[0])))

@@ -96,7 +96,7 @@ class ZeroSetDiff:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Residuals of every reported zero plus structural count checks."""
+    """Residuals of every reported zero plus the degree count of the zero classes."""
 
     entries: tuple[tuple[str, float, float], ...]  # (descriptor, residual, bound)
     max_residual: float
@@ -116,8 +116,8 @@ def audit(p: SimplePolynomial, zs: ZeroSet, tols: Tolerances = DEFAULT_TOLS,
           samples_per_class: int = SAMPLES_PER_CLASS) -> VerificationReport:
     """Evaluate p at every reported zero and sampled sphere member.
 
-    Also checks the structural bounds: at most degree-many zero classes in
-    total and at most floor(degree/2) spheres.
+    Also checks the degree count: a real or isolated zero takes a linear factor and a sphere
+    a real quadratic, so reals + isolated + 2 * spheres is at most the degree.
     """
     labels: list[str] = []
     points: list[Quaternion] = []
@@ -136,10 +136,7 @@ def audit(p: SimplePolynomial, zs: ZeroSet, tols: Tolerances = DEFAULT_TOLS,
     coeff_sum = sum(norms(p.rows).tolist())
     entries = tuple((label, r, _bound(tols.accept, coeff_sum, norm, p.degree))
                     for label, r, norm in zip(labels, residuals, moduli))
-    n = p.degree
-    bounds_ok = (zs.class_count() <= n
-                 and len(zs.spherical) <= n // 2
-                 and len(zs.real_zeros) <= n)
+    bounds_ok = len(zs.real_zeros) + len(zs.isolated_zeros) + 2 * len(zs.spherical) <= p.degree
     max_residual = max((r for _, r, _ in entries), default=0.0)
     return VerificationReport(entries, max_residual, bounds_ok)
 

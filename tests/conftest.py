@@ -65,6 +65,33 @@ def corpus_solutions(random_corpus):
     return solved, elapsed
 
 
+def cli_compare_inputs(seed: int, pids) -> dict[int, SimplePolynomial]:
+    """The sphere and double inputs with these pids of the cli-compare benchmark pool for seed.
+
+    Replays the pool's draws (perfbench/problems.py): slot i has family
+    (general, sphere, double, complex)[i % 4] and degree 8 + 17 i % 41, a
+    sphere input is a Gaussian base times x^2 - 2a x + (a^2 + b^2), and a
+    double input one times (x - a)^2.
+    """
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i in range(max(pids) + 1):
+        family, degree = ("general", "sphere", "double", "complex")[i % 4], 8 + 17 * i % 41
+        if family in ("general", "complex"):
+            rng.standard_normal((degree + 1, 4))
+            continue
+        base = rng.standard_normal((degree - 1, 4))
+        a = rng.uniform(-1.0, 1.0)
+        factor = [a * a, -2.0 * a, 1.0]
+        if family == "sphere":
+            b = rng.uniform(0.5, 1.5)
+            factor[0] += b * b
+        if i in pids:
+            out[i] = SimplePolynomial.from_rows(
+                np.stack([np.convolve(base[:, k], factor) for k in range(4)], axis=1))
+    return out
+
+
 def traced_peak(f) -> int:
     """tracemalloc's peak in bytes over one call of f, after one warm-up call."""
     f()

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,9 @@ CUBIC_REAL = {
         "spherical": [{"re": 0.0, "modulus": 1.0}],
     },
 }
+
+
+EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "problems").glob("*.json"))
 
 
 def write(tmp_path, doc, name="problem.json"):
@@ -218,3 +222,18 @@ class TestStdinAndFlags:
         assert main([write(tmp_path, CUBIC_REAL), "--algorithm", "jo",
                      "--tol-real", "1e-5", "--tol-zero", "1e-10",
                      "--tol-gcd", "1e-8", "--samples-per-class", "4"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("algorithm", ["new", "new-prime", "jo", "compare"])
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_shipped_examples_solve_and_match_expected(path, algorithm, fmt, capsys):
+    assert json.loads(path.read_text())["expected"]
+    code = main([str(path), "--algorithm", algorithm, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK, out
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["ok"]
+        assert doc["expected"].keys() == doc["algorithms"].keys()
+        assert all(d["empty"] for d in doc["expected"].values())

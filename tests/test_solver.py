@@ -21,10 +21,10 @@ from quatroots.companion import solve_companion
 from quatroots.roots import all_roots
 from quatroots.verify import audit, compare, eval_qpoly
 
-from conftest import (SQRT2_2, dedup_isolated_reference, derived_reference,
-                      is_spherical_root_reference, isolated_zero_reference, kernel_value,
-                      norm_polynomial_reference, normalize_reference, poly_mul, qapprox,
-                      random_simple_polynomials)
+from conftest import (SQRT2_2, cli_compare_inputs, dedup_isolated_reference,
+                      derived_reference, is_spherical_root_reference, isolated_zero_reference,
+                      kernel_value, norm_polynomial_reference, normalize_reference, poly_mul,
+                      qapprox, random_simple_polynomials)
 
 # a power of two, so offsets sit exactly at, or just past, the dedup distance
 DEDUP = 2.0 ** -20
@@ -808,31 +808,6 @@ class TestSmallZeroBehindAPowerOfX:
         assert len(zs.isolated_zeros) == 1 and qapprox(zs.isolated_zeros[0], w, 1e-10)
 
 
-def _cli_compare_spheres(seed: int, pids) -> dict[int, SimplePolynomial]:
-    """The sphere inputs with these pids of the cli-compare benchmark pool for seed.
-
-    Replays the pool's draws (perfbench/problems.py): slot i has family
-    (general, sphere, double, complex)[i % 4] and degree 8 + 17 i % 41, and a
-    sphere input is a Gaussian base times x^2 - 2a x + (a^2 + b^2).
-    """
-    rng = np.random.default_rng(seed)
-    out = {}
-    for i in range(max(pids) + 1):
-        family, degree = ("general", "sphere", "double", "complex")[i % 4], 8 + 17 * i % 41
-        if family in ("general", "complex"):
-            rng.standard_normal((degree + 1, 4))
-            continue
-        base = rng.standard_normal((degree - 1, 4))
-        a = rng.uniform(-1.0, 1.0)
-        if family == "sphere":
-            b = rng.uniform(0.5, 1.5)
-            if i in pids:
-                factor = [a * a + b * b, -2.0 * a, 1.0]
-                out[i] = SimplePolynomial.from_rows(
-                    np.stack([np.convolve(base[:, k], factor) for k in range(4)], axis=1))
-    return out
-
-
 # sphere inputs of cli-compare seed 1 (degree 25-48) on which the approximate gcd
 # of the derived pair has degree 0: solve_factored finds the sphere by its fallback
 GCD_MISSES_SPHERE = (1, 33, 53, 69, 77, 81, 113, 137, 161)
@@ -850,7 +825,7 @@ class TestIsFiniteZeroSet:
 
     @pytest.fixture(scope="class")
     def spheres(self):
-        return _cli_compare_spheres(1, GCD_MISSES_SPHERE)
+        return cli_compare_inputs(1, GCD_MISSES_SPHERE)
 
     @pytest.mark.parametrize("pid", GCD_MISSES_SPHERE)
     def test_sphere_the_gcd_misses_is_infinite(self, spheres, pid):

@@ -13,7 +13,8 @@ from quatroots.companion import solve_companion
 from quatroots.verify import (SAMPLES_PER_CLASS, TERM_BLOCK, _eval_rows, audit, compare,
                               eval_qpoly, residual_limit)
 
-from conftest import SQRT2_2, compare_reference, eval_qpoly_reference, eval_rows_reference
+from conftest import (SQRT2_2, cli_compare_inputs, compare_reference, eval_qpoly_reference,
+                      eval_rows_reference)
 
 # a power of two, so grid points sit exactly at, or just past, tolerance
 TOL = 2.0 ** -20
@@ -91,6 +92,26 @@ class TestAudit:
         p = SimplePolynomial([1, 1])  # degree 1
         zs = ZeroSet.build([-1.0, 4.0], [], [])  # too many classes for n=1
         rep = audit(p, zs)
+        assert not rep.bounds_ok
+        assert not rep.passed
+
+    def test_a_sphere_counts_twice_against_the_degree(self):
+        # a real zero takes a linear factor and a sphere a real quadratic: degree 3 at least
+        zs = ZeroSet(real_zeros=(1.0,), isolated_zeros=(),
+                     spherical=(ConjugacyClass.from_complex(1j),))
+        rep = audit(SimplePolynomial([1, 0, 1]), zs)
+        assert not rep.bounds_ok
+        assert not rep.passed
+
+    def test_companion_spheres_at_a_double_real_zero_fail_the_count(self):
+        # cli-compare seed 3, pid 58: degree 10 with a double real zero, which the
+        # companion route reports as two spheres beside 8 isolated zeros
+        p = cli_compare_inputs(3, [58])[58]
+        zs = solve_companion(p)
+        assert (p.degree, len(zs.real_zeros), len(zs.isolated_zeros), len(zs.spherical)) \
+            == (10, 0, 8, 2)
+        rep = audit(p, zs)
+        assert rep.residuals_ok
         assert not rep.bounds_ok
         assert not rep.passed
 
