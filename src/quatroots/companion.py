@@ -114,4 +114,4 @@ def solve_companion(p: SimplePolynomial,
     f = np.abs(eta.imag[~sphere]) / wnorm[~sphere]
     isolated = np.column_stack([eta.real[~sphere], -f[:, None] * v[~sphere, 1:]])
     classes = [ConjugacyClass.from_complex(z) for z in eta[sphere].tolist()]
-    return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
+    return ZeroSet.build([x for x, _ in reals], isolated, classes)

@@ -140,21 +140,10 @@ def norms(x: np.ndarray) -> np.ndarray:
     return out
 
 
-ONE = Quaternion(1.0)
-I = Quaternion(0.0, 1.0)
-J = Quaternion(0.0, 0.0, 1.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
 def embed_complex(c: complex) -> Quaternion:
     """Embed a complex number along the i axis."""
     c = complex(c)
     return Quaternion(c.real, c.imag, 0.0, 0.0)
-
-
-def split(q: Quaternion) -> tuple[complex, complex]:
-    """Exact component reshuffle q -> (z1, z2) with q = z1 + z2*j."""
-    return complex(q.a0, q.a1), complex(q.a2, q.a3)
 
 
 def _sphere_directions(n: int) -> list[tuple[float, float, float]]:

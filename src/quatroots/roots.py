@@ -190,10 +190,10 @@ def _aberth_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _newton_polish(ev: Evaluator, z: np.ndarray, state, steps: int = 8):
     """A few guarded Newton steps per root from state = _eval_state(ev, z): the
-    best-residual points and _eval_state there.  A point a step leaves in place keeps its state."""
+    best-residual points and their residuals.  A point a step leaves in place keeps its state."""
     cur = z.copy()
     corr, rel = state
-    best, best_corr, best_rel = cur, corr, rel
+    best, best_rel = cur, rel
     for _ in range(steps):
         prev, cur = cur, cur - corr
         done = np.all(np.abs(corr) <= STEP_REL * (1.0 + np.abs(cur)))
@@ -201,24 +201,21 @@ def _newton_polish(ev: Evaluator, z: np.ndarray, state, steps: int = 8):
         _refresh(ev, cur, _moved(cur, prev), corr, rel)
         gain = rel < best_rel
         best = np.where(gain, cur, best)
-        best_corr = np.where(gain, corr, best_corr)
         best_rel = np.where(gain, rel, best_rel)
         if done:
             break
-    return best, best_corr, best_rel
+    return best, best_rel
 
 
-def _cluster(points: np.ndarray, radii=None,
-             rel: float = CLUSTER_REL) -> list[tuple[complex, int]]:
+def _cluster(points: np.ndarray, radii: np.ndarray) -> list[tuple[complex, int]]:
     """Single-linkage merge of points closer than their merge radii into sorted (mean, count).
 
-    The radius of a point is rel*(1+|z|), enlarged by the caller for points
-    whose iteration stalled in a roundoff noise ball (multiple roots of
-    order three and higher wander further than the base radius).
+    The radius of a point is the larger of CLUSTER_REL*(1+|z|) and the caller's
+    radii, which cover the roundoff noise ball a multiple root's iteration
+    stalls in (multiple roots wander further than the base radius).
     """
     m = len(points)
-    base = rel * (1.0 + np.abs(points))
-    radii = base if radii is None else np.maximum(base, radii)
+    radii = np.maximum(CLUSTER_REL * (1.0 + np.abs(points)), radii)
     order = np.lexsort((points.imag, points.real))
     pts, rads = points[order], radii[order]
     band = rads.max(initial=0.0)
@@ -274,14 +271,15 @@ def all_roots(p: ComplexPolynomial) -> RootList:
     whole = ev if m0 == 0 else Evaluator(p.c)  # evaluates p itself
     if len(c) > 1:
         z, conv, state = _aberth(c, ev)
-        z, corr, rel = _newton_polish(ev, z, state)
+        z, rel = _newton_polish(ev, z, state)
         if not np.all((rel <= 4.0 * len(c) * _EPS) | conv):
             raise NoConvergenceError(
                 f"{int((~conv).sum())} of {len(z)} roots unconverged after "
                 f"{MAX_ITERATIONS} iterations",
                 roots=list(z), residuals=list(np.abs(whole(z)[0])))
-        # the residual Newton correction measures each root's noise-ball size
-        found[m0:], stall[m0:] = z, np.abs(corr)
+        # Aberth's last Newton correction measures each root's noise-ball size: at an m-fold
+        # root it is about (z - r)/m; the polish keeps a point whose correction is far smaller
+        found[m0:], stall[m0:] = z, np.abs(state[0])
         if m0 == 0:
             # c is p.c, so |p| = rel * majorant up to one rounding, and at |u| <= 1 the kernel's
             # majorant is sum|c_k| at most, up to rounding that 4 (n+1) eps covers

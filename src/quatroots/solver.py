@@ -59,14 +59,12 @@ class Tolerances:
     zero:   |f(eta)| below which a derived polynomial counts as vanishing
     gcd:    relative remainder cutoff for the approximate gcd
     accept: relative residual acceptance for verification
-    dedup:  relative distance for merging equal zeros
     """
 
     real: float = DEFAULT_REAL_TOL
     zero: float = 1e-10
     gcd: float = DEFAULT_GCD_TOL
     accept: float = 1e-8
-    dedup: float = 1e-8
 
     def __post_init__(self):
         for f in fields(self):
@@ -76,6 +74,7 @@ class Tolerances:
 
 
 DEFAULT_TOLS = Tolerances()
+DEDUP_REL = 1e-8  # relative distance within which ZeroSet.build merges equal zeros
 # imaginary residue, relative to the largest coefficient, that a norm polynomial may keep
 NORM_REAL_TOL = 1e-10
 
@@ -161,39 +160,36 @@ class ZeroSet:
     spherical: tuple[ConjugacyClass, ...]
 
     @classmethod
-    def build(cls, reals, isolated, classes, dedup: float = DEFAULT_TOLS.dedup) -> ZeroSet:
+    def build(cls, reals, isolated, classes) -> ZeroSet:
         """Deduplicate, drop isolated zeros subsumed by a sphere, and sort; isolated
         holds Quaternions, or (k, 4) component rows as the routes give them."""
         if isinstance(isolated, np.ndarray):
             isolated = [Quaternion(*row) for row in isolated.tolist()]
         rs: list[float] = []
         for x in sorted(float(v) for v in reals):
-            if not rs or abs(x - rs[-1]) > dedup * max(1.0, abs(x)):
+            if not rs or abs(x - rs[-1]) > DEDUP_REL * max(1.0, abs(x)):
                 rs.append(x)
         # kept spheres and zeros are sorted by real part, and their distances are at least
         # the gap in real part, so only the band of kept items this near can be duplicates
         cl: list[ConjugacyClass] = []
         for c in sorted(classes, key=lambda c: (c.re, c.modulus)):
-            near = dedup * max(1.0, c.modulus)
+            near = DEDUP_REL * max(1.0, c.modulus)
             lo = bisect_left(cl, True, key=lambda k: abs(c.re - k.re) <= near)
             if not any(cl[k].distance(c) <= near for k in range(lo, len(cl))):
                 cl.append(c)
         iso: list[Quaternion] = []
         for q in sorted(isolated, key=lambda q: q.components()):
-            near = dedup * max(1.0, abs(q))
+            near = DEDUP_REL * max(1.0, abs(q))
             lo = bisect_left(iso, True, key=lambda r: abs(q.a0 - r.a0) <= near)
             if any(abs(q - iso[k]) <= near for k in range(lo, len(iso))):
                 continue
-            if any(c.contains(q, dedup) for c in cl):
+            if any(c.contains(q, DEDUP_REL) for c in cl):
                 continue
             iso.append(q)
         return cls(tuple(rs), tuple(iso), tuple(cl))
 
     def class_count(self) -> int:
         return len(self.real_zeros) + len(self.isolated_zeros) + len(self.spherical)
-
-    def is_empty(self) -> bool:
-        return self.class_count() == 0
 
     def conjugated(self) -> ZeroSet:
         """Component-wise conjugate set (spheres are self-conjugate)."""
@@ -257,19 +253,17 @@ def _side_values(pair, z: np.ndarray) -> np.ndarray:
     return Evaluator(c)(z)[0]
 
 
-def is_spherical_root(pair, eta, tol_zero: float = DEFAULT_TOLS.zero,
-                      values: np.ndarray | None = None) -> np.ndarray:
+def is_spherical_root(pair, eta, values: np.ndarray,
+                      tol_zero: float = DEFAULT_TOLS.zero) -> np.ndarray:
     """Whether all four derived polynomials vanish, at each eta of an array.
 
     True means the whole conjugacy sphere of eta consists of zeros; False, that
     it holds one isolated zero.  |conj-f(eta)| is |f(conj eta)|, so the four are
-    f1, f2 at eta and conj(eta): values, if the caller has them, is
-    _side_values(pair, [eta, conj(eta)]), indexed [f][side].  Each |f| is held
-    against its evaluation roundoff scale tol_zero * max|c_f| * max(1,|eta|)^deg f.
+    f1, f2 at eta and conj(eta): values is _side_values(pair, [eta, conj(eta)]),
+    indexed [f][side].  Each |f| is held against its evaluation roundoff scale
+    tol_zero * max|c_f| * max(1,|eta|)^deg f.
     """
     eta = np.asarray(eta, dtype=np.complex128)
-    if values is None:
-        values = _side_values(pair, np.stack([eta, eta.conj()]))
     n = max(pair[0].degree, pair[1].degree, 1)
     grow = np.maximum(1.0, np.abs(eta))
     return np.all([np.abs(v) <= tol_zero * f.max_coeff() * grow ** (f.degree - n)
@@ -295,7 +289,7 @@ def _conj_side_zero(a: np.ndarray, b: np.ndarray, eta: np.ndarray) -> np.ndarray
                      (2.0 * br * ar + 2.0 * bi * ai) * ei], axis=-1) / (sa + sb)[:, None] + 0.0
 
 
-def isolated_zero(pair, eta, values: np.ndarray | None = None) -> np.ndarray:
+def isolated_zero(pair, eta, values: np.ndarray) -> np.ndarray:
     """(k, 4) rows of the single zero on the conjugacy sphere of each eta of a 1-D array.
 
     Two equivalent closed forms exist, one from f1, f2 at eta and one at
@@ -304,8 +298,6 @@ def isolated_zero(pair, eta, values: np.ndarray | None = None) -> np.ndarray:
     better conditioned (larger) one is used.
     """
     eta = np.asarray(eta, dtype=np.complex128)
-    if values is None:
-        values = _side_values(pair, np.stack([eta, eta.conj()]))
     (f1e, f1c), (f2e, f2c) = values
     dplus, dminus = _abs2(f1e) + _abs2(f2e), _abs2(f1c) + _abs2(f2c)
     limit = (TRIM_REL * max(pair[0].max_coeff(), pair[1].max_coeff(), 1.0)) ** 2
@@ -335,7 +327,7 @@ def _place_pairs(pair, eta, tol_zero: float):
     """((k, 4) isolated zeros, spheres) of the pair representatives eta, from one evaluation."""
     eta = np.asarray(eta, dtype=np.complex128)
     values = _side_values(pair, np.stack([eta, eta.conj()]))
-    sphere = is_spherical_root(pair, eta, tol_zero, values)
+    sphere = is_spherical_root(pair, eta, values, tol_zero)
     return (isolated_zero(pair, eta[~sphere], values[..., ~sphere]),
             [ConjugacyClass.from_complex(e) for e in eta[sphere].tolist()])
 
@@ -346,7 +338,7 @@ def solve_discriminant(p: SimplePolynomial,
     pair = derived(normalize(p))
     reals, pairs = classify_real(all_roots(discriminant(pair)), tols.real)
     isolated, classes = _place_pairs(pair, [v for v, _ in pairs], tols.zero)
-    return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
+    return ZeroSet.build([x for x, _ in reals], isolated, classes)
 
 
 def factor_g(pair, tol: float = DEFAULT_TOLS.gcd):
@@ -405,7 +397,7 @@ def solve_factored(p: SimplePolynomial,
         stuck = eta[~ok]
         more = _place_pairs(pair, np.where(stuck.imag > 0, stuck, stuck.conj()), tols.zero)
         isolated, classes = np.vstack([isolated, more[0]]), classes + more[1]
-    return ZeroSet.build(real_zeros, isolated, classes, tols.dedup)
+    return ZeroSet.build(real_zeros, isolated, classes)
 
 
 def solve_complex_coeffs(p: SimplePolynomial,
@@ -425,7 +417,7 @@ def solve_complex_coeffs(p: SimplePolynomial,
     reals, paired, unpaired = pair_conjugates(all_roots(cp).roots, tols.real)
     classes = [ConjugacyClass.from_complex(v) for v, _ in paired]
     isolated = [Quaternion(v.real, v.imag) for v, _ in unpaired]  # the zero j, k parts are shared
-    return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
+    return ZeroSet.build([x for x, _ in reals], isolated, classes)
 
 
 def is_finite_zero_set(p: SimplePolynomial, tols: Tolerances = DEFAULT_TOLS) -> bool:

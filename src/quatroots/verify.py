@@ -1,13 +1,13 @@
 """Independent residual evaluation and zero-set auditing.
 
-eval_qpoly evaluates the original quaternionic polynomial by accumulating
+_eval_rows evaluates the original quaternionic polynomial by accumulating
 powers with plain quaternion multiplication.  It shares no algorithm with
 the solver routes, only quaternion.py's Hamilton product and norm, so it
-serves as the acceptance oracle for every route.  audit runs the same
-evaluation on all its points at once, one numpy row per point, so a batched
-residual equals the one-point residual bit for bit.  It forms the terms q_j z^j
-of a block of j at once and adds them in order of j (np.add.accumulate): the
-roundings of the term-by-term sum.
+serves as the acceptance oracle for every route.  audit runs it on all its
+points at once, one numpy row per point, so a batched residual equals the
+one-point residual bit for bit.  It forms the terms q_j z^j of a block of j
+at once and adds them in order of j (np.add.accumulate): the roundings of
+the term-by-term sum.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
     return total.T
 
 
-def eval_qpoly(p: SimplePolynomial, z: Quaternion) -> Quaternion:
-    """p(z) = sum q_j z^j by repeated quaternion multiplication.
-
-    This is audit's batched evaluator run on the single point z.
-    """
-    return Quaternion(*_eval_rows(p, rows([z]))[0].tolist())
-
-
 def residual(p: SimplePolynomial, z: Quaternion) -> float:
     return float(norms(_eval_rows(p, rows([z])))[0])
 
@@ -63,11 +55,6 @@ def _bound(accept: float, coeff_sum: float, norm: float, degree: int) -> float:
     except OverflowError:
         growth = math.inf  # certifies nothing: residuals_ok rejects an inf bound
     return accept * coeff_sum * growth
-
-
-def residual_limit(p: SimplePolynomial, z: Quaternion, accept: float) -> float:
-    """Acceptance bound accept * sum|q_i| * max(1, |z|)^degree."""
-    return _bound(accept, sum(norms(p.rows).tolist()), abs(z), p.degree)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,16 @@ import pytest
 
 from quatroots import SimplePolynomial, ZeroSet
 from quatroots.cpoly import BLOCK, ComplexPolynomial, Evaluator
-from quatroots.quaternion import I, J, K, ONE, Quaternion, hamilton, split
+from quatroots.quaternion import Quaternion, hamilton, rows
 from quatroots.roots import CLUSTER_REL, DEFAULT_REAL_TOL
-from quatroots.verify import ZeroSetDiff
+from quatroots.solver import _side_values
+from quatroots.verify import ZeroSetDiff, _eval_rows
 
 SQRT2_2 = 0.7071067811865476
+ONE = Quaternion(1.0)
+I = Quaternion(0.0, 1.0)
+J = Quaternion(0.0, 0.0, 1.0)
+K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 @pytest.fixture(scope="session")
@@ -65,13 +70,15 @@ def corpus_solutions(random_corpus):
     return solved, elapsed
 
 
-def cli_compare_inputs(seed: int, pids) -> dict[int, SimplePolynomial]:
-    """The sphere and double inputs with these pids of the cli-compare benchmark pool for seed.
+def cli_compare_inputs(seed: int, pids):
+    """The sphere and double inputs with these pids of the cli-compare benchmark pool for seed,
+    with the zero put into each: {pid: (SimplePolynomial, injected)}.
 
     Replays the pool's draws (perfbench/problems.py): slot i has family
     (general, sphere, double, complex)[i % 4] and degree 8 + 17 i % 41, a
     sphere input is a Gaussian base times x^2 - 2a x + (a^2 + b^2), and a
-    double input one times (x - a)^2.
+    double input one times (x - a)^2.  injected is a for a double input, and
+    the sphere's (Re, modulus), (a, hypot(a, b)), for a sphere input.
     """
     rng = np.random.default_rng(seed)
     out = {}
@@ -82,14 +89,55 @@ def cli_compare_inputs(seed: int, pids) -> dict[int, SimplePolynomial]:
             continue
         base = rng.standard_normal((degree - 1, 4))
         a = rng.uniform(-1.0, 1.0)
-        factor = [a * a, -2.0 * a, 1.0]
+        factor, injected = [a * a, -2.0 * a, 1.0], float(a)
         if family == "sphere":
             b = rng.uniform(0.5, 1.5)
             factor[0] += b * b
+            injected = (float(a), float(np.hypot(a, b)))
         if i in pids:
-            out[i] = SimplePolynomial.from_rows(
-                np.stack([np.convolve(base[:, k], factor) for k in range(4)], axis=1))
+            out[i] = (SimplePolynomial.from_rows(
+                np.stack([np.convolve(base[:, k], factor) for k in range(4)], axis=1)), injected)
     return out
+
+
+MULTIPLE_ZERO_FAMILIES = ("double", "triple", "sphere2")
+
+
+def multiple_zero_inputs(family: str, count: int, rng: np.random.Generator):
+    """count inputs of a multiple-zero family from rng, as (SimplePolynomial, injected) pairs.
+
+    Each input is a Gaussian base times a real factor: (x - r)^2 (double), (x - r)^3
+    (triple) or s(x)^2 with s = x^2 - 2r x + (r^2 + b^2) (sphere2).  It draws the degree
+    n from 9..44, then r uniform in [-1, 1], then, for sphere2 only, b uniform in
+    [0.5, 1.5], then the base rows.  injected is r, or the sphere's (Re, modulus).
+    """
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(9, 45))
+        r = float(rng.uniform(-1.0, 1.0))
+        if family == "sphere2":
+            b = float(rng.uniform(0.5, 1.5))
+            s = [r * r + b * b, -2.0 * r, 1.0]
+            factor, injected = np.convolve(s, s), (r, float(np.hypot(r, b)))
+        else:
+            factor, injected = np.ones(1), r
+            for _ in range(("double", "triple").index(family) + 2):
+                factor = np.convolve(factor, [-r, 1.0])
+        base = rng.standard_normal((n - len(factor) + 2, 4))
+        rows = np.stack([np.convolve(base[:, k], factor) for k in range(4)], axis=1)
+        out.append((SimplePolynomial.from_rows(rows), injected))
+    return out
+
+
+def reports_injected_once(zs: ZeroSet, injected, tol: float = 1e-6) -> bool:
+    """Whether zs holds the injected real zero, or sphere (Re, modulus), exactly once within
+    tol (times max(1, modulus) for a sphere)."""
+    if isinstance(injected, tuple):
+        re, mod = injected
+        near = tol * max(1.0, mod)
+        return sum(abs(c.re - re) <= near and abs(c.modulus - mod) <= near
+                   for c in zs.spherical) == 1
+    return sum(abs(x - injected) <= tol for x in zs.real_zeros) == 1
 
 
 def traced_peak(f) -> int:
@@ -105,6 +153,22 @@ def traced_peak(f) -> int:
 
 def qapprox(a: Quaternion, b: Quaternion, tol: float = 1e-10) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def eval_qpoly(p: SimplePolynomial, z: Quaternion) -> Quaternion:
+    """p(z) = sum q_j z^j by audit's evaluator, verify._eval_rows, on the one row z."""
+    return Quaternion(*_eval_rows(p, rows([z]))[0].tolist())
+
+
+def residual_limit_reference(p: SimplePolynomial, z: Quaternion, accept: float) -> float:
+    """audit's acceptance bound accept * sum|q_i| * max(1, |z|)^degree, from scalars."""
+    return accept * sum(abs(q) for q in p.coeffs) * max(1.0, abs(z)) ** p.degree
+
+
+def side_values(pair, eta):
+    """The values argument of is_spherical_root and isolated_zero: f1, f2 at eta and conj(eta)."""
+    eta = np.asarray(eta, dtype=np.complex128)
+    return _side_values(pair, np.stack([eta, eta.conj()]))
 
 
 def sigma(q: Quaternion) -> np.ndarray:
@@ -139,9 +203,8 @@ def derived_reference(coeffs, d0: int) -> tuple[list[complex], list[complex]]:
     """Coefficients of f1 and f2 of solver.derived by splitting each p_k."""
     z1s, z2s = [complex(d0)], [0j]
     for q in coeffs:
-        z1, z2 = split(q)
-        z1s.append(z1)
-        z2s.append(z2)
+        z1s.append(complex(q.a0, q.a1))
+        z2s.append(complex(q.a2, q.a3))
     return z1s, z2s
 
 
@@ -298,18 +361,12 @@ def aberth_reference(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, converged
 
 
-def cluster_reference(points: np.ndarray, radii=None,
-                      rel: float = CLUSTER_REL) -> list[tuple[complex, int]]:
+def cluster_reference(points: np.ndarray, radii: np.ndarray) -> list[tuple[complex, int]]:
     """roots._cluster as the scalar loops it replaced: greedy single-linkage merge of points
-    closer than their merge radii.
-
-    The radius of a point is rel*(1+|z|), enlarged by the caller for points
-    whose iteration stalled in a roundoff noise ball (multiple roots of
-    order three and higher wander further than the base radius).
+    closer than their merge radii, the larger of CLUSTER_REL*(1+|z|) and the caller's radii.
     """
     m = len(points)
-    base = rel * (1.0 + np.abs(points))
-    radii = base if radii is None else np.maximum(base, radii)
+    radii = np.maximum(CLUSTER_REL * (1.0 + np.abs(points)), radii)
     order = np.lexsort((points.imag, points.real))
     pts = points[order]
     rads = radii[order]
@@ -509,4 +566,4 @@ def solve_companion_reference(p: SimplePolynomial, tols=None) -> ZeroSet:
             raise RuntimeError(f"nonzero v with vanishing imaginary part at {eta}")
         f = abs(eta.imag) / wnorm
         isolated.append(Quaternion(eta.real, -f * v.a1, -f * v.a2, -f * v.a3))
-    return ZeroSet.build([x for x, _ in reals], isolated, classes, tols.dedup)
+    return ZeroSet.build([x for x, _ in reals], isolated, classes)

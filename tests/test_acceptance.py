@@ -14,14 +14,14 @@ import numpy as np
 from quatroots.companion import (ab, companion, monic_normalized,
                                  power_decomp, solve_companion)
 from quatroots.cpoly import Evaluator
-from quatroots.quaternion import ONE, Quaternion
+from quatroots.quaternion import Quaternion
 from quatroots.roots import _aberth, _newton_polish, all_roots
 from quatroots.solver import (SimplePolynomial, derived, discriminant,
                               normalize, solve_complex_coeffs,
                               solve_discriminant, solve_factored)
-from quatroots.verify import audit, compare, eval_qpoly
+from quatroots.verify import audit, compare
 
-from conftest import SQRT2_2, kernel_value, sigma
+from conftest import ONE, SQRT2_2, eval_qpoly, kernel_value, sigma
 
 ALGORITHMS = {
     "discriminant": solve_discriminant,
@@ -113,7 +113,7 @@ def test_criterion_4_root_table_pattern(degree6_mixed):
         c = np.array(pt.c)
         ev = Evaluator(c)
         raw, conv, state = _aberth(c, ev)
-        raw, _, _ = _newton_polish(ev, raw, state)
+        raw, _ = _newton_polish(ev, raw, state)
         assert conv.all()
         contamination = []
         for z in raw:
@@ -189,7 +189,7 @@ def test_criterion_7_structural_bounds_corpus(corpus_solutions):
             for zs in (za, zb, zc):
                 assert zs.class_count() <= n
                 assert len(zs.spherical) <= n // 2
-                assert not zs.is_empty()
+                assert zs.class_count()
             disc = discriminant(derived(normalize(p)))
             ts = rng.uniform(-2.0, 2.0, size=100)
             vals = np.real(kernel_value(disc.c, ts))

@@ -28,17 +28,17 @@ PUBLIC = {
 INTERNAL = {
     "companion": ["ab", "companion", "monic_normalized", "power_decomp"],
     "cpoly": ["ComplexPolynomial", "gcd"],
-    "quaternion": ["embed_complex", "split"],
+    "quaternion": ["embed_complex"],
     "roots": ["RootList", "all_roots", "classify_real", "polish_multiples"],
     "solver": ["DEFAULT_TOLS", "all_roots", "derived", "discriminant", "factor_g",
                "is_spherical_root", "isolated_zero", "normalize"],
-    "verify": ["VerificationReport", "ZeroSetDiff", "eval_qpoly", "residual"],
+    "verify": ["VerificationReport", "ZeroSetDiff", "residual"],
 }
 
 # test-only helpers and aliases that were folded into the names above, and deleted names
 REMOVED = {
     "quaternion": ["ComplexMatrix2", "ComplexPair", "sigma", "unsplit",
-                   "same_class", "class_sample", "ZERO"],
+                   "same_class", "class_sample", "ZERO", "split", "ONE", "I", "J", "K"],
     "solver": ["classify_eta", "_classify_complex_root_values",
                "_cofactor_discriminant", "NormalizedPolynomial", "DerivedPolynomials",
                "_norm_polynomial"],
@@ -46,6 +46,7 @@ REMOVED = {
     "companion": ["CompanionPolynomial", "PowerDecomposition", "NonRealCompanionError"],
     "cpoly": ["scaled_values", "gcd_many", "scaled_horner"],
     "cli": ["_fmt"],
+    "verify": ["eval_qpoly", "residual_limit"],
 }
 
 
@@ -77,6 +78,8 @@ def test_removed_names_stay_gone(module):
 def test_removed_methods_stay_gone():
     assert not hasattr(quatroots.ConjugacyClass, "from_quaternion")
     assert not hasattr(quatroots.Quaternion, "is_real")
+    assert not hasattr(quatroots.ZeroSet, "is_empty")
+    assert "dedup" not in quatroots.Tolerances.__dataclass_fields__
     assert not callable(ComplexPolynomial([1.0, 2.0]))
     assert "source_degree" not in RootList.__dataclass_fields__
 
@@ -105,7 +108,6 @@ LAYER_DEFAULTS = [
     (solver.is_spherical_root, "tol_zero", "zero"),
     (cpoly.gcd, "tol", "gcd"),
     (solver.factor_g, "tol", "gcd"),
-    (solver.ZeroSet.build, "dedup", "dedup"),
 ]
 
 

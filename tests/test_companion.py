@@ -6,14 +6,14 @@ import pytest
 import quatroots.companion as companion_mod
 from quatroots.companion import (ab, companion, monic_normalized,
                                  power_decomp, solve_companion)
-from quatroots.quaternion import I, J, ONE, Quaternion, embed_complex
+from quatroots.quaternion import Quaternion, embed_complex
 from quatroots.cpoly import ComplexPolynomial
 from quatroots.solver import (BothDenominatorsZeroError, SimplePolynomial, derived,
                               discriminant, normalize, solve_discriminant)
-from quatroots.verify import audit, compare, eval_qpoly
+from quatroots.verify import audit, compare
 
-from conftest import (ab_reference, companion_reference, companion_tensor_reference,
-                      power_decomp_reference, qapprox,
+from conftest import (ONE, I, J, ab_reference, companion_reference, companion_tensor_reference,
+                      eval_qpoly, power_decomp_reference, qapprox,
                       random_simple_polynomials, solve_companion_reference, traced_peak)
 
 SQRT3_2 = math.sqrt(3) / 2

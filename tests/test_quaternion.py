@@ -7,10 +7,9 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion,
-                                  embed_complex, norms, split)
+from quatroots.quaternion import ConjugacyClass, Quaternion, embed_complex, norms
 
-from conftest import qapprox, sigma
+from conftest import ONE, I, J, K, qapprox, sigma
 
 components = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 quaternions = st.builds(Quaternion, components, components, components, components)
@@ -164,22 +163,6 @@ class TestInverse:
         inv = q.inverse()
         assert abs(q * inv - ONE) <= 4e-16
         assert qapprox(inv, Quaternion(1e160, -3e160, 2e160, -5e159) * (1 / 14.25), 1e-15)
-
-
-class TestSplit:
-    def test_k(self):
-        assert split(K) == (0j, 1j)
-
-    def test_j(self):
-        assert split(J) == (0j, 1 + 0j)
-
-    def test_generic(self):
-        assert split(Quaternion(1, 2, 3, 4)) == (1 + 2j, 3 + 4j)
-
-    @given(quaternions)
-    def test_roundtrip_exact(self, q):
-        z1, z2 = split(q)
-        assert Quaternion(z1.real, z1.imag, z2.real, z2.imag) == q
 
 
 class TestSigma:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 import quatroots.solver as solver_mod
 from quatroots.cpoly import ComplexPolynomial
-from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion,
-                                  embed_complex)
+from quatroots.quaternion import ConjugacyClass, Quaternion, embed_complex
 from quatroots.solver import (BothDenominatorsZeroError, DegreeError, InexactDivisionError,
                               NotComplexCoefficientsError, SimplePolynomial,
                               DEFAULT_TOLS, Tolerances, ZeroSet, derived, discriminant,
@@ -19,12 +19,13 @@ from quatroots.solver import (BothDenominatorsZeroError, DegreeError, InexactDiv
                               solve_discriminant, solve_factored)
 from quatroots.companion import solve_companion
 from quatroots.roots import all_roots
-from quatroots.verify import audit, compare, eval_qpoly
+from quatroots.verify import audit, compare
 
-from conftest import (SQRT2_2, cli_compare_inputs, dedup_isolated_reference,
-                      derived_reference, is_spherical_root_reference, isolated_zero_reference,
-                      kernel_value, norm_polynomial_reference, normalize_reference, poly_mul,
-                      qapprox, random_simple_polynomials)
+from conftest import (ONE, I, J, K, SQRT2_2, cli_compare_inputs, dedup_isolated_reference,
+                      derived_reference, eval_qpoly, is_spherical_root_reference,
+                      isolated_zero_reference, kernel_value, norm_polynomial_reference,
+                      normalize_reference, poly_mul, qapprox, random_simple_polynomials,
+                      side_values)
 
 # a power of two, so offsets sit exactly at, or just past, the dedup distance
 DEDUP = 2.0 ** -20
@@ -251,15 +252,15 @@ class TestDiscriminant:
 class TestClassifyEta:
     def test_cubic_ijk_at_i_is_isolated(self, cubic_ijk):
         pair = derived(normalize(cubic_ijk))
-        assert not is_spherical_root(pair, 1j)
+        assert not is_spherical_root(pair, 1j, side_values(pair, 1j))
 
     def test_cubic_real_at_i_is_spherical(self, cubic_real):
         pair = derived(normalize(cubic_real))
-        assert is_spherical_root(pair, 1j)
+        assert is_spherical_root(pair, 1j, side_values(pair, 1j))
 
     def test_degree6_at_i_is_spherical(self, degree6_mixed):
         pair = derived(normalize(degree6_mixed))
-        assert is_spherical_root(pair, 1j)
+        assert is_spherical_root(pair, 1j, side_values(pair, 1j))
 
 
 class TestIsolatedZero:
@@ -268,26 +269,28 @@ class TestIsolatedZero:
         # f1(i) = 2, f2(i) = -2, so the closed form collapses to k
         assert kernel_value(pair[0].c, 1j) == pytest.approx(2)
         assert kernel_value(pair[1].c, 1j) == pytest.approx(-2)
-        assert qapprox(*_zeros(isolated_zero(pair, [1j])), K, 1e-12)
+        assert qapprox(*_zeros(isolated_zero(pair, [1j], side_values(pair, [1j]))), K, 1e-12)
 
     def test_cubic_ijk_at_eighth_root(self, cubic_ijk):
         pair = derived(normalize(cubic_ijk))
         eta = cmath.exp(1j * math.pi / 4)
         expected = Quaternion(SQRT2_2, 0.5, 0.0, 0.5)
-        assert qapprox(*_zeros(isolated_zero(pair, [eta])), expected, 1e-12)
+        values = side_values(pair, [eta])
+        assert qapprox(*_zeros(isolated_zero(pair, [eta], values)), expected, 1e-12)
 
     def test_representative_invariance(self, cubic_ijk):
         # both branch selections must produce the same zero
         pair = derived(normalize(cubic_ijk))
         eta = cmath.exp(3j * math.pi / 4)
         expected = Quaternion(-SQRT2_2, 0.5, 0.0, 0.5)
-        assert qapprox(*_zeros(isolated_zero(pair, [eta])), expected, 1e-12)
+        values = side_values(pair, [eta])
+        assert qapprox(*_zeros(isolated_zero(pair, [eta], values)), expected, 1e-12)
 
     def test_guard_on_spherical_point(self, cubic_real):
         # misuse: at a spherical root all four evaluations vanish
         pair = derived(normalize(cubic_real))
         with pytest.raises(BothDenominatorsZeroError):
-            isolated_zero(pair, [1j])
+            isolated_zero(pair, [1j], side_values(pair, [1j]))
 
 
 class TestScaledEvaluation:
@@ -297,7 +300,8 @@ class TestScaledEvaluation:
     @given(_derived_and_eta())
     def test_agrees_with_the_unscaled_reference(self, case):
         pair, eta, kind = case
-        sphere = is_spherical_root(pair, [eta])[0]
+        values = side_values(pair, [eta])
+        sphere = is_spherical_root(pair, [eta], values)[0]
         ref_sphere = is_spherical_root_reference(pair, eta)
         try:
             ref_zero = isolated_zero_reference(pair, eta)
@@ -308,9 +312,9 @@ class TestScaledEvaluation:
             assert sphere == ref_sphere
             if ref_zero is None:
                 with pytest.raises(BothDenominatorsZeroError):
-                    isolated_zero(pair, [eta])
+                    isolated_zero(pair, [eta], values)
             else:
-                assert _zeros(isolated_zero(pair, [eta])) == [ref_zero]
+                assert _zeros(isolated_zero(pair, [eta], values)) == [ref_zero]
             return
         # every sphere found unscaled is found scaled; the scaled test also
         # finds the spheres whose Horner roundoff grew past the unscaled one
@@ -321,14 +325,15 @@ class TestScaledEvaluation:
                 math.isfinite(x) for x in ref_zero.components()):
             # free points may sit where both closed forms are equally large,
             # and the two sides give different quaternions there
-            assert qapprox(*_zeros(isolated_zero(pair, [eta])), ref_zero, 1e-12)
+            assert qapprox(*_zeros(isolated_zero(pair, [eta], values)), ref_zero, 1e-12)
 
     def test_arrays_give_the_pointwise_answers(self, degree6_mixed):
         pair = derived(normalize(degree6_mixed))
         eta = np.array([1j, cmath.exp(1j * math.pi / 3), 2.5 + 0.5j])
-        assert list(is_spherical_root(pair, eta)) == [is_spherical_root(pair, [e])[0] for e in eta]
-        assert isolated_zero(pair, eta[1:]).tolist() == [
-            isolated_zero(pair, [e])[0].tolist() for e in eta[1:]]
+        assert list(is_spherical_root(pair, eta, side_values(pair, eta))) == [
+            is_spherical_root(pair, [e], side_values(pair, [e]))[0] for e in eta]
+        assert isolated_zero(pair, eta[1:], side_values(pair, eta[1:])).tolist() == [
+            isolated_zero(pair, [e], side_values(pair, [e]))[0].tolist() for e in eta[1:]]
 
     @pytest.mark.parametrize("seed, degree, re, modulus", [
         (1, 38, 0.25, 1.35), (2, 42, -0.6, 1.55), (3, 48, 0.9, 1.8)])
@@ -632,7 +637,7 @@ class TestComplexCoeffsAgainstTheGeneralRoutes:
 
 
 class TestTolerances:
-    @pytest.mark.parametrize("field", ["real", "zero", "gcd", "accept", "dedup"])
+    @pytest.mark.parametrize("field", ["real", "zero", "gcd", "accept"])
     @pytest.mark.parametrize("value", [0.0, -1e-8, math.inf, math.nan])
     def test_every_field_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -658,16 +663,17 @@ class TestZeroSetBuild:
         assert len(zs.isolated_zeros) == 1
         assert [(c.re, c.modulus) for c in zs.spherical] == [(0.0, 1.0), (0.0, 2.0)]
 
-    @given(_isolated_and_classes(), st.sampled_from([DEDUP, 0.0]))
-    def test_isolated_dedup_matches_the_full_scan(self, inputs, dedup):
+    @given(_isolated_and_classes())
+    def test_isolated_dedup_matches_the_full_scan(self, inputs):
         isolated, classes = inputs
-        zs = ZeroSet.build([], isolated, classes, dedup)
-        assert zs.isolated_zeros == dedup_isolated_reference(isolated, zs.spherical, dedup)
+        # the grid's offsets sit at the dedup distance when it is DEDUP
+        with mock.patch.object(solver_mod, "DEDUP_REL", DEDUP):
+            zs = ZeroSet.build([], isolated, classes)
+        assert zs.isolated_zeros == dedup_isolated_reference(isolated, zs.spherical, DEDUP)
 
     def test_counts(self):
         zs = ZeroSet.build([0.5], [ONE + I], [ConjugacyClass.from_complex(2j)])
         assert zs.class_count() == 3
-        assert not zs.is_empty()
 
     def test_conjugated(self):
         zs = ZeroSet.build([1.0], [ONE + I], [ConjugacyClass.from_complex(2j)])
@@ -761,7 +767,7 @@ class TestSolverProperties:
     def test_random_inputs_nonempty_with_sound_residuals(self):
         for p in random_simple_polynomials(30, seed=99):
             zs = solve_discriminant(p)
-            assert not zs.is_empty()
+            assert zs.class_count()
             rep = audit(p, zs)
             assert rep.residuals_ok and rep.bounds_ok
 
@@ -829,7 +835,7 @@ class TestIsFiniteZeroSet:
 
     @pytest.mark.parametrize("pid", GCD_MISSES_SPHERE)
     def test_sphere_the_gcd_misses_is_infinite(self, spheres, pid):
-        assert not is_finite_zero_set(spheres[pid])
+        assert not is_finite_zero_set(spheres[pid][0])
 
     @pytest.mark.parametrize("k, r", SMALL_W)
     def test_small_zero_behind_a_power_of_x_is_finite(self, k, r):

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quatroots.quaternion import (ConjugacyClass, I, J, K, ONE, Quaternion, rows,
-                                  embed_complex)
+from quatroots.quaternion import ConjugacyClass, Quaternion, embed_complex, rows
 from quatroots.solver import (SimplePolynomial, ZeroSet, solve_discriminant)
 from quatroots.companion import solve_companion
-from quatroots.verify import (SAMPLES_PER_CLASS, TERM_BLOCK, _eval_rows, audit, compare,
-                              eval_qpoly, residual_limit)
+from quatroots.verify import SAMPLES_PER_CLASS, TERM_BLOCK, _eval_rows, audit, compare
 
-from conftest import (SQRT2_2, cli_compare_inputs, compare_reference, eval_qpoly_reference,
-                      eval_rows_reference)
+from conftest import (ONE, I, J, K, SQRT2_2, cli_compare_inputs, compare_reference, eval_qpoly,
+                      eval_qpoly_reference, eval_rows_reference, residual_limit_reference)
 
 # a power of two, so grid points sit exactly at, or just past, tolerance
 TOL = 2.0 ** -20
@@ -103,14 +101,31 @@ class TestAudit:
         assert not rep.bounds_ok
         assert not rep.passed
 
-    def test_companion_spheres_at_a_double_real_zero_fail_the_count(self):
+    def test_companion_route_at_a_double_real_zero_passes(self):
         # cli-compare seed 3, pid 58: degree 10 with a double real zero, which the
-        # companion route reports as two spheres beside 8 isolated zeros
-        p = cli_compare_inputs(3, [58])[58]
+        # companion route reports once, beside 8 isolated zeros
+        p, _ = cli_compare_inputs(3, [58])[58]
         zs = solve_companion(p)
         assert (p.degree, len(zs.real_zeros), len(zs.isolated_zeros), len(zs.spherical)) \
-            == (10, 0, 8, 2)
-        rep = audit(p, zs)
+            == (10, 1, 8, 0)
+        assert audit(p, zs).passed
+
+    def test_spheres_at_a_double_real_zero_fail_the_count(self):
+        # the same input's double real zero reported as two thin spheres beside its 8
+        # isolated zeros: every residual passes, but 8 + 2 * 2 exceeds the degree
+        p, _ = cli_compare_inputs(3, [58])[58]
+        isolated = [Quaternion(*row) for row in (
+            (-1.6436208310939007, 0.6510306975868926, 0.12827611428930125, -0.10597581424779184),
+            (-0.6469566260316055, 0.3275713309499048, -0.3580483415078496, -0.23229877849341377),
+            (-0.6431100650290821, 0.24383140708368417, 0.7212795062542565, -0.24187509318384362),
+            (-0.04020653320763158, 0.5072376027222223, -0.4833199849891949, 0.06609484141630344),
+            (0.1789106856819468, 0.5566686463115452, 0.15509098807184468, -0.15011873344468216),
+            (0.2887021201253115, -0.026679669469232375, 0.07648908711655449, 1.0614055340519097),
+            (0.8286848041514362, 0.2144777352964638, -0.1338165089983381, 0.21645359964576552),
+            (1.1522441902426082, -0.09338999620502358, -0.030551769139407277, -0.5796711850525824))]
+        spheres = (ConjugacyClass(-0.10979279134335593 + 1.196899171156395e-05j),
+                   ConjugacyClass(-0.10976751194794868 + 1.2855437434914928e-05j))
+        rep = audit(p, ZeroSet((), tuple(isolated), spheres))
         assert rep.residuals_ok
         assert not rep.bounds_ok
         assert not rep.passed
@@ -136,7 +151,7 @@ class TestAudit:
         assert [r for _, r, _ in rep.entries] == [
             _modulus(eval_qpoly_reference(p, z)) for z in points]
         assert [b for _, _, b in rep.entries] == [
-            residual_limit(p, z, 1e-8) for z in points]
+            residual_limit_reference(p, z, 1e-8) for z in points]
         for z in points:
             assert eval_qpoly(p, z) == eval_qpoly_reference(p, z)
 
