@@ -11,9 +11,9 @@ from .companion import solve_companion
 from .quaternion import ConjugacyClass, Quaternion
 from .roots import NoConvergenceError, UnpairedRootError
 from .solver import (BothDenominatorsZeroError, DegreeError, InexactDivisionError,
-                     NonRealDiscriminantError, NotComplexCoefficientsError,
-                     SimplePolynomial, Tolerances, ZeroSet, is_finite_zero_set,
-                     solve_complex_coeffs, solve_discriminant, solve_factored)
+                     NotComplexCoefficientsError, SimplePolynomial, Tolerances, ZeroSet,
+                     is_finite_zero_set, solve_complex_coeffs, solve_discriminant,
+                     solve_factored)
 from .verify import audit, compare
 
 __version__ = "0.1.0"
@@ -23,5 +23,5 @@ __all__ = [
     "ConjugacyClass", "Quaternion", "SimplePolynomial", "Tolerances", "ZeroSet",
     "audit", "compare", "is_finite_zero_set",
     "BothDenominatorsZeroError", "DegreeError", "InexactDivisionError", "NoConvergenceError",
-    "NonRealDiscriminantError", "NotComplexCoefficientsError", "UnpairedRootError",
+    "NotComplexCoefficientsError", "UnpairedRootError",
 ]

@@ -2,8 +2,8 @@
 
 Input is one JSON document per problem ({"coefficients": [[a0,a1,a2,a3],...],
 constant term first}) or a plain-text shorthand of component rows separated
-by semicolons or newlines.  Exit codes: 0 success, 1 parse/solver error,
-2 verification failure.
+by semicolons or newlines.  Exit codes: 0 success, 1 usage, parse or solver
+error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -190,7 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, or the help
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         tols = Tolerances(real=args.tol_real, zero=args.tol_zero, gcd=args.tol_gcd)
         if args.samples_per_class < 1:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cpoly import BLOCK, ComplexPolynomial
+from .cpoly import ComplexPolynomial
 from .quaternion import ConjugacyClass, Quaternion, hamilton, norms
 from .roots import all_roots, classify_real
 from .solver import (DEFAULT_TOLS, BothDenominatorsZeroError, DegreeError, SimplePolynomial,
-                     Tolerances, ZeroSet)
+                     Tolerances, ZeroSet, norm_polynomial)
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -28,29 +28,13 @@ def monic_normalized(p: SimplePolynomial) -> SimplePolynomial:
 
 
 def companion(p: SimplePolynomial) -> ComplexPolynomial:
-    """The real polynomial sum b_k x^k with b_k = sum_j <q_j, q_(k-j)>.
-
-    b_k is the sum of conj(q_j) q_(k-j), whose imaginary parts cancel in pairs
-    since conj(a) b + conj(b) a = 2 <a, b>; each dot rounds as the real part of
-    hamilton(conj(q_j), q_(k-j)).  Requires the monic normalization (leading
-    coefficient 1).
+    """The real polynomial sum b_k x^k with b_k = sum_j <q_j, q_(k-j)>: norm_polynomial of
+    the rows, the sums that also form the discriminant route's D.  Requires the monic
+    normalization (leading coefficient 1).
     """
-    q = p.rows
-    if norms(q[-1:] - (1.0, 0.0, 0.0, 0.0))[0] > 1e-12:
+    if norms(p.rows[-1:] - (1.0, 0.0, 0.0, 0.0))[0] > 1e-12:
         raise ValueError("companion polynomial needs the monic normalization")
-    # terms[j, k] = <q_j, q_k>, formed BLOCK // (n + 1) rows j at a time; add.at adds them
-    # in row-major order, so each b_(j+k) sums its terms in ascending j
-    n, sums, b = len(q), np.zeros(2 * len(q) - 1), q.T[:, None, :]
-    step = max(1, BLOCK // n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, step):
-            a = q[lo:lo + step].T[:, :, None]
-            terms = a[0] * b[0]
-            for c in range(1, 4):
-                terms += a[c] * b[c]
-            power = np.add.outer(np.arange(lo, lo + len(terms)), np.arange(n)).ravel()
-            np.add.at(sums, power, terms.ravel())
-    return ComplexPolynomial(sums)
+    return ComplexPolynomial(norm_polynomial(p.rows))
 
 
 def power_decomp(x, n: int) -> tuple[np.ndarray, np.ndarray]:

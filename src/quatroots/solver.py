@@ -3,11 +3,11 @@
 The pipeline runs on plain data: normalize gives the (n+1, 4) coefficient
 rows with the constant term 0 or 1, derived reads the complex pair (f1, f2)
 off their columns, since p = z1 + z2*j with z1 = a0 + a1*i and z2 = a2 + a3*i,
-and discriminant forms the real f1*conj(f1) + f2*conj(f2).  Its real roots are
-exactly the real zeros; each conjugate pair of complex roots yields either a
-whole sphere of zeros (when all four derived polynomials vanish there) or a
-single isolated zero given in closed form as a component row.  The pair is
-evaluated at every representative by one cpoly.Evaluator call.
+and discriminant forms the real D = f1*conj(f1) + f2*conj(f2) by norm_polynomial, which
+also forms the companion polynomial.  Its real roots are exactly the real zeros; each
+conjugate pair of complex roots yields either a whole sphere of zeros (when all four derived
+polynomials vanish there) or a single isolated zero given in closed form as a component
+row.  The pair is evaluated at every representative by one cpoly.Evaluator call.
 
 Two routes are provided: solve_discriminant works on the full discriminant,
 solve_factored first divides out g = gcd(f1, f2), which holds most real zeros
@@ -24,17 +24,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cpoly import DEFAULT_GCD_TOL, ComplexPolynomial, Evaluator, TRIM_REL, gcd as poly_gcd
+from .cpoly import BLOCK, DEFAULT_GCD_TOL, ComplexPolynomial, Evaluator, TRIM_REL, gcd as poly_gcd
 from .quaternion import ConjugacyClass, Quaternion, embed_complex, hamilton
 from .roots import DEFAULT_REAL_TOL, all_roots, classify_real, pair_conjugates
 
 
 class DegreeError(ValueError):
     """Constant polynomials have no meaningful zero set here."""
-
-
-class NonRealDiscriminantError(ArithmeticError):
-    """The discriminant failed its real-coefficient check (arithmetic bug)."""
 
 
 class InexactDivisionError(ArithmeticError):
@@ -75,8 +71,6 @@ class Tolerances:
 
 DEFAULT_TOLS = Tolerances()
 DEDUP_REL = 1e-8  # relative distance within which ZeroSet.build merges equal zeros
-# imaginary residue, relative to the largest coefficient, that a norm polynomial may keep
-NORM_REAL_TOL = 1e-10
 
 
 def _moduli(rows: np.ndarray) -> np.ndarray:
@@ -221,36 +215,52 @@ def derived(rows: np.ndarray) -> tuple[ComplexPolynomial, ComplexPolynomial]:
     return ComplexPolynomial(z[:, 0]), ComplexPolynomial(z[:, 1])
 
 
-def discriminant(pair) -> ComplexPolynomial:
-    """The real polynomial f1*conj(f1) + f2*conj(f2) of a complex pair (f1, f2).
+def norm_polynomial(rows: np.ndarray) -> np.ndarray:
+    """The 2n + 1 untrimmed coefficients b_m = sum_j <q_j, q_(m-j)> of (n+1, 4) rows q.
 
-    conj is taken coefficient-wise.  This is D of the derived pair, whose roots index
-    all zeros, and the factored route's cofactor norm.  Nonnegative on the real axis;
-    an imaginary residue above NORM_REAL_TOL times the largest coefficient means an
-    arithmetic bug, not bad input.
+    b_m is the sum of conj(q_j) q_(m-j), whose imaginary parts cancel in pairs since
+    conj(a) b + conj(b) a = 2 <a, b>, so the polynomial is real by construction.  Each dot
+    rounds as ((a0 b0 + a1 b1) + a2 b2) + a3 b3, the real part of hamilton(conj(q_j), q_k).
+    The dots are formed BLOCK // (n + 1) rows j at a time, and add.at adds them in row-major
+    order, so each b_m sums its terms in ascending j.
     """
-    short, long = sorted((ComplexPolynomial(np.convolve(f.c, np.conj(f.c))).c if not f.is_zero
-                          else f.c for f in pair), key=len)
-    total = long.copy()
-    total[: len(short)] += short
-    pt = ComplexPolynomial(total).c
-    if not np.abs(pt.imag).max(initial=0.0) <= NORM_REAL_TOL * np.abs(pt).max(initial=0.0):
-        raise NonRealDiscriminantError(
-            f"imaginary residue {np.abs(pt.imag).max():.3e} exceeds tolerance")
-    return ComplexPolynomial(pt.real)
+    n, b = len(rows), rows.T[:, None, :]
+    sums, step = np.zeros(2 * n - 1), max(1, BLOCK // n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, step):
+            a = rows[lo:lo + step].T[:, :, None]
+            terms = a[0] * b[0]
+            for c in range(1, 4):
+                terms += a[c] * b[c]
+            power = np.add.outer(np.arange(lo, lo + len(terms)), np.arange(n)).ravel()
+            np.add.at(sums, power, terms.ravel())
+    return sums
+
+
+def _stacked(pair) -> np.ndarray:
+    """(n + 1, 2) complex columns f1, f2, zero-padded to n = max(deg f1, deg f2, 1)."""
+    c = np.zeros((max(len(pair[0].c), len(pair[1].c), 2), 2), dtype=np.complex128)
+    for k, f in enumerate(pair):
+        c[: len(f.c), k] = f.c
+    return c
+
+
+def discriminant(pair) -> ComplexPolynomial:
+    """The real polynomial f1*conj(f1) + f2*conj(f2), conj coefficient-wise, of a pair (f1, f2).
+
+    D of the derived pair, whose roots index all zeros, and the factored route's cofactor norm:
+    norm_polynomial of the rows [Re f1, Im f1, Re f2, Im f2], nonnegative on the real axis.
+    """
+    return ComplexPolynomial(norm_polynomial(_stacked(pair).view(float)))
 
 
 def _side_values(pair, z: np.ndarray) -> np.ndarray:
-    """The pair, padded to degree n = max(deg f1, deg f2, 1), at every z: shape (2,) + z.shape.
+    """The pair, _stacked to degree n, at every z: shape (2,) + z.shape.
 
     Where |z| > 1 each value carries a factor 1/z^n (cpoly.Evaluator),
     which the closed form, homogeneous of degree 0 in (f1, f2), cancels.
     """
-    n = max(pair[0].degree, pair[1].degree, 1)
-    c = np.zeros((n + 1, 2), dtype=np.complex128)
-    for k, f in enumerate(pair):
-        c[: len(f.c), k] = f.c
-    return Evaluator(c)(z)[0]
+    return Evaluator(_stacked(pair))(z)[0]
 
 
 def is_spherical_root(pair, eta, values: np.ndarray,
@@ -356,6 +366,8 @@ def factor_g(pair, tol: float = DEFAULT_TOLS.gcd):
     f1, f2 = pair
     for attempt_tol in (tol, tol * 1e-2, tol * 1e-4):
         g = poly_gcd(f1, f2, attempt_tol)
+        if g.degree == 0:  # exactly 1: monic's c / c[-1] need not round to 1
+            return ComplexPolynomial([1.0]), f1, f2
         g1, r1 = f1.divrem(g)
         g2, r2 = f2.divrem(g)
         if (r1.coeff_norm() <= tol * max(f1.coeff_norm(), 1e-300)

@@ -124,7 +124,7 @@ def audit(p: SimplePolynomial, zs: ZeroSet, tols: Tolerances = DEFAULT_TOLS,
     entries = tuple((label, r, _bound(tols.accept, coeff_sum, norm, p.degree))
                     for label, r, norm in zip(labels, residuals, moduli))
     bounds_ok = len(zs.real_zeros) + len(zs.isolated_zeros) + 2 * len(zs.spherical) <= p.degree
-    max_residual = max((r for _, r, _ in entries), default=0.0)
+    max_residual = float(np.max(residuals, initial=0.0))  # NaN if any residual is NaN
     return VerificationReport(entries, max_residual, bounds_ok)
 
 

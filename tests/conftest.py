@@ -278,17 +278,6 @@ def poly_add(p: ComplexPolynomial, q: ComplexPolynomial) -> ComplexPolynomial:
     return ComplexPolynomial(out)
 
 
-def norm_polynomial_reference(pair, tol: float = 1e-10) -> ComplexPolynomial:
-    """f1*conj(f1) + f2*conj(f2) by the operators solver.discriminant replaced, with
-    its real-coefficient check; None where that check fails."""
-    f1, f2 = pair
-    pt = poly_add(poly_mul(f1, ComplexPolynomial(np.conj(f1.c))),
-                  poly_mul(f2, ComplexPolynomial(np.conj(f2.c))))
-    if not pt.is_zero and not np.abs(pt.c.imag).max() <= tol * np.abs(pt.c).max():
-        return None
-    return ComplexPolynomial(pt.c.real)
-
-
 def horner_reference(c: np.ndarray, z: np.ndarray):
     """p(z), p'(z) and sum_k |c_k||z|^k by the Horner loop the evaluation kernel replaced."""
     p = np.full_like(z, c[-1])
@@ -486,12 +475,14 @@ def isolated_zero_reference(pair, eta: complex) -> Quaternion:
 # arrays: an O(n^2) companion product, the unscaled power decomposition and
 # A, B, and one pair at a time.
 
-def companion_reference(p: SimplePolynomial) -> np.ndarray:
-    """The real companion coefficients b_k = sum_j conj(q_j) q_(k-j), ascending j."""
-    sums = [Quaternion() for _ in range(2 * p.degree + 1)]
-    for j, qj in enumerate(p.coeffs):
+def companion_reference(p) -> np.ndarray:
+    """The real companion coefficients b_k = sum_j conj(q_j) q_(k-j), ascending j, of a
+    SimplePolynomial or of (n + 1, 4) component rows."""
+    qs = [Quaternion(*row) for row in np.asarray(getattr(p, "rows", p)).tolist()]
+    sums = [Quaternion() for _ in range(2 * len(qs) - 1)]
+    for j, qj in enumerate(qs):
         cj = qj.conjugate()
-        for k, qk in enumerate(p.coeffs):
+        for k, qk in enumerate(qs):
             sums[j + k] = sums[j + k] + cj * qk
     return np.array([s.a0 for s in sums])
 

@@ -104,6 +104,23 @@ class TestExitCodes:
         assert main([write(tmp_path, doc)]) == EXIT_ERROR
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--bogus"], ["--algorithm", "newton"],
+                                       ["--tol-real", "abc"]],
+                             ids=["unknown-flag", "bad-algorithm", "tol-not-a-number"])
+    def test_usage_error_is_error(self, tmp_path, capsys, flags):
+        # argparse exits 2, which here means a verification failure
+        assert main([write(tmp_path, CUBIC_IJK), *flags]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: quatroots") and captured.out == ""
+
+    def test_missing_input_is_error(self, capsys):
+        assert main([]) == EXIT_ERROR
+        assert "usage: quatroots" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: quatroots")
+
     def test_constant_polynomial_is_solver_error(self, tmp_path, capsys):
         # the leading entry passes the nonzero parse check but trims away,
         # leaving a constant: solving fails cleanly

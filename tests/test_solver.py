@@ -21,9 +21,9 @@ from quatroots.companion import solve_companion
 from quatroots.roots import all_roots
 from quatroots.verify import audit, compare
 
-from conftest import (ONE, I, J, K, SQRT2_2, cli_compare_inputs, dedup_isolated_reference,
-                      derived_reference, eval_qpoly, is_spherical_root_reference,
-                      isolated_zero_reference, kernel_value, norm_polynomial_reference,
+from conftest import (ONE, I, J, K, SQRT2_2, cli_compare_inputs, companion_reference,
+                      dedup_isolated_reference, derived_reference, eval_qpoly,
+                      is_spherical_root_reference, isolated_zero_reference, kernel_value,
                       normalize_reference, poly_mul, qapprox, random_simple_polynomials,
                       side_values)
 
@@ -67,6 +67,14 @@ def coeffs_close(p: ComplexPolynomial, expected, tol=1e-12) -> bool:
     if p.degree != len(exp) - 1:
         return False
     return np.allclose(p.c, exp, atol=tol * max(1.0, np.abs(exp).max()), rtol=0)
+
+
+def _pair_rows(pair) -> np.ndarray:
+    """The rows [Re f1, Im f1, Re f2, Im f2] of a pair, the shorter polynomial zero-padded."""
+    rows = np.zeros((max(len(f.c) for f in pair), 4))
+    for k, f in enumerate(pair):
+        rows[: len(f.c), 2 * k], rows[: len(f.c), 2 * k + 1] = f.c.real, f.c.imag
+    return rows
 
 
 def _zeros(rows) -> list[Quaternion]:
@@ -222,31 +230,25 @@ class TestDiscriminant:
         pt = discriminant(derived(normalize(degree6_mixed)))
         assert pt.degree == 2 * degree6_mixed.degree
 
-    def test_non_real_check_guards_bad_bars(self, monkeypatch, cubic_ijk):
-        pair = derived(normalize(cubic_ijk))
-        # bars not conjugated: f1*f1 + f2*f2 keeps imaginary coefficients
-        monkeypatch.setattr(solver_mod.np, "conj", lambda c: c)
-        with pytest.raises(solver_mod.NonRealDiscriminantError):
-            discriminant(pair)
-
     @pytest.mark.parametrize("p", ARRAY_INPUTS, ids=range(len(ARRAY_INPUTS)))
-    def test_equals_the_operator_products_bit_for_bit(self, p):
-        # D and the factored route's cofactor norm, as the ring operators formed them
+    def test_equals_the_quaternion_sums_bit_for_bit(self, p):
+        # D and the factored route's cofactor norm, as the companion polynomial of the pair's
+        # component rows, summed by scalar quaternion products
         pair = derived(normalize(p))
         _, g1, g2 = factor_g(pair)
         for pr in (pair, (g1, g2)):
-            assert discriminant(pr).c.tobytes() == norm_polynomial_reference(pr).c.tobytes()
+            want = ComplexPolynomial(companion_reference(_pair_rows(pr)))
+            assert discriminant(pr).c.tobytes() == want.c.tobytes()
 
     @given(st.lists(st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)), min_size=1,
                     max_size=12),
            st.lists(st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)), max_size=12))
-    def test_random_pairs_equal_the_operator_products(self, c1, c2):
+    def test_random_pairs_equal_the_quaternion_sums(self, c1, c2):
         # unequal degrees, and a zero f2 whenever c2 is empty or all zeros
         for pr in ((ComplexPolynomial(c1), ComplexPolynomial(c2)),
                    (ComplexPolynomial(c2), ComplexPolynomial(c1))):
-            ref = norm_polynomial_reference(pr)
-            assert ref is not None
-            assert discriminant(pr).c.tobytes() == ref.c.tobytes()
+            want = ComplexPolynomial(companion_reference(_pair_rows(pr)))
+            assert discriminant(pr).c.tobytes() == want.c.tobytes()
 
 
 class TestClassifyEta:
@@ -413,6 +415,15 @@ class TestFactorG:
         assert g.degree == 0
         assert coeffs_close(g1, [1])
         assert coeffs_close(g2, [0, 1])
+
+    def test_constant_gcd_is_exactly_one(self):
+        # monic's z / z rounds the gcd of this pair to 1 + 6.6e-17 i; the cofactors are then
+        # the pair itself, and the cofactor norm is D bit for bit
+        pair = derived(normalize(_gaussian(3, 6)))
+        assert solver_mod.poly_gcd(*pair).c.tobytes() != np.ones(1, complex).tobytes()
+        g, g1, g2 = factor_g(pair)
+        assert g.c.tobytes() == np.ones(1, complex).tobytes()
+        assert discriminant((g1, g2)).c.tobytes() == discriminant(pair).c.tobytes()
 
     def test_inexact_division_guard(self, monkeypatch, cubic_ijk):
         monkeypatch.setattr(solver_mod, "poly_gcd",
@@ -747,6 +758,25 @@ class TestEdgeShapes:
         assert not zs.isolated_zeros and not zs.spherical
         assert np.allclose(zs.real_zeros, [-1.0, -0.5], rtol=0, atol=7e-16)
         assert audit(p, zs).passed
+
+    # 1.2e154 (x + (1 + 0.25 i) x^2 + x^3): the constant term is 0, so normalize keeps the
+    # scale, and D's coefficients overflow to inf and trim away (ROADMAP item 7)
+    D_OVERFLOW = SimplePolynomial.from_rows([[0, 0, 0, 0], [1.2e154, 0, 0, 0],
+                                             [1.2e154, 3e153, 0, 0], [1.2e154, 0, 0, 0]])
+
+    def test_overflowing_d_leaves_the_other_routes(self):
+        p = self.D_OVERFLOW
+        factored, comp = solve_factored(p), solve_companion(p)
+        assert factored.real_zeros == (0.0,) and len(factored.isolated_zeros) == 2
+        assert not factored.spherical and not compare(factored, comp)
+        assert audit(p, factored).passed and audit(p, comp).passed
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="D overflows to inf and trims to nothing (ROADMAP item 7)")
+    def test_discriminant_route_when_d_overflows(self):
+        p = self.D_OVERFLOW
+        zs = solve_discriminant(p)
+        assert not compare(zs, solve_factored(p)) and audit(p, zs).passed
 
     def test_linear_full_quaternion_value(self):
         # (1+i+j+k) x = 1 has the single zero (1+i+j+k)^-1

@@ -136,6 +136,16 @@ class TestAudit:
         assert len(rep.entries) == 1 + 5  # one real zero + 5 sphere samples
         assert rep.max_residual == max(r for _, r, _ in rep.entries)
 
+    @pytest.mark.parametrize("isolated", [(Quaternion(1.0), Quaternion(1e300, 1e300)),
+                                          (Quaternion(1e300, 1e300), Quaternion(1.0))],
+                             ids=["nan-last", "nan-first"])
+    def test_a_nan_residual_is_the_max_in_either_order(self, isolated):
+        # x^2 - 1 at 1e300 (1 + i) is inf - inf, first or last among the entries
+        rep = audit(SimplePolynomial([-1, 0, 1]), ZeroSet((), isolated, ()))
+        residuals = [r for _, r, _ in rep.entries]
+        assert 0.0 in residuals and any(map(math.isnan, residuals))
+        assert math.isnan(rep.max_residual) and not rep.passed
+
     @given(st.lists(_quaternions, min_size=1, max_size=7),
            st.lists(_finite, max_size=3), st.lists(_quaternions, max_size=3),
            st.lists(_classes, max_size=2))
