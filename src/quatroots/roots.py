@@ -354,7 +354,9 @@ def pair_conjugates(roots, tol_real: float = DEFAULT_REAL_TOL):
     real, upper = np.abs(z.imag) < tol_real, z.imag > 0
     up, down = (upper & ~real).nonzero()[0], (~(upper | real)).nonzero()[0]
     targets = z[down].conj()
-    j = _partners(z[up], targets, tol_real * (1.0 + np.abs(z[up])))
+    # |z| by hypot, as Python's abs(complex) takes it: np.abs can differ in the last bit,
+    # which decides a partner lying on the edge of the reach
+    j = _partners(z[up], targets, tol_real * (1.0 + np.hypot(z.real[up], z.imag[up])))
     k = j >= 0
     eta = 0.5 * (z[up[k]] + targets[j[k]])
     eta.imag = np.abs(eta.imag)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quatroots import roots as roots_mod
@@ -526,6 +526,8 @@ class TestArrayClustering:
         assert got == want and repr(got) == repr(want)
 
     @given(_root_cases())
+    # the partner lies on the edge of the reach, where np.abs(z) and abs(z) differ by one ulp
+    @example(([(0.37 + 3.46j, 1), (1.265945400157225 - 3.46j, 1)], 0.2))
     def test_pairing_equals_the_greedy_loop(self, case):
         roots, tol = case
         got, want = pair_conjugates(roots, tol), pair_conjugates_reference(roots, tol)
