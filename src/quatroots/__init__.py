@@ -11,7 +11,7 @@ from .companion import solve_companion
 from .quaternion import ConjugacyClass, Quaternion
 from .roots import NoConvergenceError, UnpairedRootError
 from .solver import (BothDenominatorsZeroError, DegreeError, InexactDivisionError,
-                     NotComplexCoefficientsError, SimplePolynomial, Tolerances, ZeroSet,
+                     NotComplexCoefficientsError, SimplePolynomial, ZeroSet,
                      is_finite_zero_set, solve_complex_coeffs, solve_discriminant,
                      solve_factored)
 from .verify import audit, compare
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "solve_companion", "solve_complex_coeffs", "solve_discriminant", "solve_factored",
-    "ConjugacyClass", "Quaternion", "SimplePolynomial", "Tolerances", "ZeroSet",
+    "ConjugacyClass", "Quaternion", "SimplePolynomial", "ZeroSet",
     "audit", "compare", "is_finite_zero_set",
     "BothDenominatorsZeroError", "DegreeError", "InexactDivisionError", "NoConvergenceError",
     "NotComplexCoefficientsError", "UnpairedRootError",

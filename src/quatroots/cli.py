@@ -2,8 +2,10 @@
 
 Input is one JSON document per problem ({"coefficients": [[a0,a1,a2,a3],...],
 constant term first}) or a plain-text shorthand of component rows separated
-by semicolons or newlines.  Exit codes: 0 success, 1 usage, parse or solver
-error, 2 verification failure.
+by semicolons or newlines.  Every threshold is the library's own
+(solver.DEFAULT_TOLS, verify.SAMPLES_PER_CLASS); no flag sets one.  Exit
+codes: 0 success, 1 usage, parse or solver error, 2 verification failure.
+JSON output writes a non-finite number, such as a NaN residual, as null.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import numpy as np
 
 from .companion import solve_companion
 from .quaternion import ConjugacyClass, Quaternion
-from .solver import (DEFAULT_TOLS, SimplePolynomial, Tolerances, ZeroSet, solve_discriminant,
-                     solve_factored)
-from .verify import SAMPLES_PER_CLASS, ZeroSetDiff, audit, compare
+from .solver import SimplePolynomial, ZeroSet, solve_discriminant, solve_factored
+from .verify import ZeroSetDiff, audit, compare
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -152,6 +153,17 @@ def _diff_json(diff: ZeroSetDiff) -> dict:
     }
 
 
+def _finite_or_null(doc):
+    """doc with every non-finite float as None: NaN and infinities are not JSON (RFC 8259)."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(v) for key, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_or_null(v) for v in doc]
+    return doc
+
+
 def _zero_set_text(zs: ZeroSet) -> list[str]:
     lines = [f"  real zeros ({len(zs.real_zeros)}): "
              + (", ".join(f"{x:.12g}" for x in zs.real_zeros) or "none")]
@@ -174,14 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--algorithm", choices=["new", "new-prime", "jo", "compare"],
                     default="compare",
                     help="solver route; compare runs all three and diffs them")
-    ap.add_argument("--tol-real", type=float, default=DEFAULT_TOLS.real,
-                    help="imaginary-part threshold for real roots")
-    ap.add_argument("--tol-zero", type=float, default=DEFAULT_TOLS.zero,
-                    help="vanishing threshold for sphere detection")
-    ap.add_argument("--tol-gcd", type=float, default=DEFAULT_TOLS.gcd,
-                    help="relative remainder cutoff in the approximate gcd")
-    ap.add_argument("--samples-per-class", type=int, default=SAMPLES_PER_CLASS,
-                    help="sphere members sampled during verification")
     ap.add_argument("--format", choices=["text", "json"], default="text")
     ap.add_argument("--right-sided", action="store_true",
                     help="treat the input as x^n q_n + ... + q_0 (coefficients "
@@ -195,9 +199,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed the usage error, or the help
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
-        tols = Tolerances(real=args.tol_real, zero=args.tol_zero, gcd=args.tol_gcd)
-        if args.samples_per_class < 1:
-            raise ProblemError("--samples-per-class must be at least 1")
         if args.input == "-":
             text = sys.stdin.read()
         else:
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:  # a ProblemError or a rejected tolerance
+    except ValueError as exc:  # a ProblemError, or a path or row the library rejects
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -218,10 +219,10 @@ def main(argv=None) -> int:
     reports = {}
     try:
         for alg in selected:
-            zs = _ALGORITHMS[alg](solve_input, tols)
+            zs = _ALGORITHMS[alg](solve_input)
             # residuals are checked on the simple problem actually solved;
             # right-sided zeros are its conjugates
-            reports[alg] = audit(solve_input, zs, tols, args.samples_per_class)
+            reports[alg] = audit(solve_input, zs)
             results[alg] = zs.conjugated() if args.right_sided else zs
     except Exception as exc:
         print(f"solver error ({type(exc).__name__}): {exc}", file=sys.stderr)
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
             "expected": {alg: _diff_json(d) for alg, d in expected_diffs.items()},
             "ok": ok,
         }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_finite_or_null(doc), indent=2))
     else:
         title = name or args.input
         print(f"problem: {title} (degree {poly.degree})")

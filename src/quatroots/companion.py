@@ -17,7 +17,7 @@ from .cpoly import ComplexPolynomial
 from .quaternion import ConjugacyClass, Quaternion, hamilton, norms
 from .roots import all_roots, classify_real
 from .solver import (DEFAULT_TOLS, BothDenominatorsZeroError, DegreeError, SimplePolynomial,
-                     Tolerances, ZeroSet, norm_polynomial)
+                     ZeroSet, norm_polynomial)
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -69,28 +69,27 @@ def ab(p: SimplePolynomial, eta) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def solve_companion(p: SimplePolynomial,
-                    tols: Tolerances = DEFAULT_TOLS) -> ZeroSet:
+def solve_companion(p: SimplePolynomial) -> ZeroSet:
     """Full solution set via companion-polynomial roots.
 
     Each conjugate pair of companion roots contributes one zero: the value
     itself when real, the whole sphere when v = conj(A(z))B(z) vanishes, and
     otherwise the isolated zero Re z - (|Im z|/|w|)(v2 i + v3 j + v4 k) with
-    |w| the modulus of the imaginary part of v.  The test |v| <= tol_zero s^2,
-    s = sum |q_j| max(1, |z|)^j, and the zero are homogeneous in v, so both
-    read ab's scaled values, s scaled to match.
+    |w| the modulus of the imaginary part of v.  The test
+    |v| <= DEFAULT_TOLS.zero s^2, s = sum |q_j| max(1, |z|)^j, and the zero
+    are homogeneous in v, so both read ab's scaled values, s scaled to match.
     """
     if p.degree < 1:
         raise DegreeError("cannot solve a constant polynomial")
     pm = monic_normalized(p)
-    reals, pairs = classify_real(all_roots(companion(pm)), tols.real)
+    reals, pairs = classify_real(all_roots(companion(pm)))
     eta = np.array([z for z, _ in pairs], dtype=complex)
     a, b = ab(pm, eta)
     v = np.stack(hamilton((a * _CONJ).T, b.T), axis=-1)
     r = np.maximum(1.0, np.abs(eta))
     s = sum(m * r ** (j - pm.degree) for j, m in enumerate(norms(pm.rows).tolist()))
     vnorm, wnorm = norms(v), norms(v[:, 1:])
-    sphere = vnorm <= tols.zero * s * s
+    sphere = vnorm <= DEFAULT_TOLS.zero * s * s
     stuck = ~sphere & (wnorm <= 1e-300 * vnorm)
     if stuck.any():
         raise BothDenominatorsZeroError(f"nonzero v with vanishing imaginary part at "

@@ -153,8 +153,15 @@ class ComplexPolynomial:
         return ComplexPolynomial(self.c / self.c[-1])
 
     def coeff_norm(self) -> float:
-        """Euclidean norm of the coefficient vector."""
-        return float(np.linalg.norm(self.c)) if not self.is_zero else 0.0
+        """Euclidean norm of the coefficient vector, np.linalg.norm's where its sum of
+        squares stays finite and max|c| * ||c / max|c||| where only that sum overflows."""
+        if self.is_zero:
+            return 0.0
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.c))
+        if norm == np.inf and (top := self.max_coeff()) < np.inf:
+            norm = top * float(np.linalg.norm(self.c / top))
+        return norm
 
     def max_coeff(self) -> float:
         return float(np.abs(self.c).max()) if not self.is_zero else 0.0

@@ -366,13 +366,13 @@ def pair_conjugates(roots, tol_real: float = DEFAULT_REAL_TOL):
             _listed(z[left], mult[left]))
 
 
-def classify_real(rl: RootList, tol_real: float = DEFAULT_REAL_TOL):
+def classify_real(rl: RootList):
     """Split a real-coefficient polynomial's roots into reals and conjugate pairs.
 
-    pair_conjugates without leftovers: an unpaired root raises
+    pair_conjugates at DEFAULT_REAL_TOL without leftovers: an unpaired root raises
     UnpairedRootError, which signals root-finder failure upstream.
     """
-    reals, pairs, unpaired = pair_conjugates(rl.roots, tol_real)
+    reals, pairs, unpaired = pair_conjugates(rl.roots)
     if unpaired:
         raise UnpairedRootError(
             f"no conjugate partner for {[z for z, _ in unpaired]}")

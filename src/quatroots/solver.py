@@ -20,7 +20,7 @@ whose coefficients are all complex (or all real).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class NotComplexCoefficientsError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by the solver routes.
+    """The numerical thresholds of the library, fixed in DEFAULT_TOLS.
 
     real:   |Im| below which a root counts as real
     zero:   |f(eta)| below which a derived polynomial counts as vanishing
@@ -61,12 +61,6 @@ class Tolerances:
     zero: float = 1e-10
     gcd: float = DEFAULT_GCD_TOL
     accept: float = 1e-8
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not 0.0 < getattr(self, f.name) < np.inf:
-                raise ValueError(f"tolerance {f.name} must be finite and > 0, "
-                                 f"got {getattr(self, f.name)}")
 
 
 DEFAULT_TOLS = Tolerances()
@@ -263,20 +257,19 @@ def _side_values(pair, z: np.ndarray) -> np.ndarray:
     return Evaluator(_stacked(pair))(z)[0]
 
 
-def is_spherical_root(pair, eta, values: np.ndarray,
-                      tol_zero: float = DEFAULT_TOLS.zero) -> np.ndarray:
+def is_spherical_root(pair, eta, values: np.ndarray) -> np.ndarray:
     """Whether all four derived polynomials vanish, at each eta of an array.
 
     True means the whole conjugacy sphere of eta consists of zeros; False, that
     it holds one isolated zero.  |conj-f(eta)| is |f(conj eta)|, so the four are
     f1, f2 at eta and conj(eta): values is _side_values(pair, [eta, conj(eta)]),
     indexed [f][side].  Each |f| is held against its evaluation roundoff scale
-    tol_zero * max|c_f| * max(1,|eta|)^deg f.
+    DEFAULT_TOLS.zero * max|c_f| * max(1,|eta|)^deg f.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     n = max(pair[0].degree, pair[1].degree, 1)
     grow = np.maximum(1.0, np.abs(eta))
-    return np.all([np.abs(v) <= tol_zero * f.max_coeff() * grow ** (f.degree - n)
+    return np.all([np.abs(v) <= DEFAULT_TOLS.zero * f.max_coeff() * grow ** (f.degree - n)
                    for f, v in zip(pair, values)], axis=(0, 1))
 
 
@@ -333,30 +326,30 @@ def _isolated_zero_cofactor(g1: ComplexPolynomial, g2: ComplexPolynomial,
     return _conj_side_zero(a[ok], b[ok], eta[ok]), ok
 
 
-def _place_pairs(pair, eta, tol_zero: float):
+def _place_pairs(pair, eta):
     """((k, 4) isolated zeros, spheres) of the pair representatives eta, from one evaluation."""
     eta = np.asarray(eta, dtype=np.complex128)
     values = _side_values(pair, np.stack([eta, eta.conj()]))
-    sphere = is_spherical_root(pair, eta, values, tol_zero)
+    sphere = is_spherical_root(pair, eta, values)
     return (isolated_zero(pair, eta[~sphere], values[..., ~sphere]),
             [ConjugacyClass.from_complex(e) for e in eta[sphere].tolist()])
 
 
-def solve_discriminant(p: SimplePolynomial,
-                       tols: Tolerances = DEFAULT_TOLS) -> ZeroSet:
+def solve_discriminant(p: SimplePolynomial) -> ZeroSet:
     """Full solution set via the roots of the discriminant polynomial."""
     pair = derived(normalize(p))
-    reals, pairs = classify_real(all_roots(discriminant(pair)), tols.real)
-    isolated, classes = _place_pairs(pair, [v for v, _ in pairs], tols.zero)
+    reals, pairs = classify_real(all_roots(discriminant(pair)))
+    isolated, classes = _place_pairs(pair, [v for v, _ in pairs])
     return ZeroSet.build([x for x, _ in reals], isolated, classes)
 
 
-def factor_g(pair, tol: float = DEFAULT_TOLS.gcd):
+def factor_g(pair):
     """Factor the derived pair (f1, f2) as (g*g1, g*g2) with g = gcd(f1, f2) monic.
 
     The Euclidean gcd can overshoot on ill-conditioned remainder sequences
     (coefficient growth makes a later remainder look relatively zero); a
-    candidate that fails the division check is retried at tol*1e-2 and tol*1e-4.
+    candidate whose remainders exceed tol = DEFAULT_TOLS.gcd relative to f1, f2 is
+    retried at tol*1e-2 and tol*1e-4.
     On Gaussian inputs a retry only returns g of degree 0; on graded coefficients
     it also returns nontrivial factors (ROADMAP item 12).
     Raises InexactDivisionError when no tolerance yields an exact division.
@@ -364,6 +357,7 @@ def factor_g(pair, tol: float = DEFAULT_TOLS.gcd):
     Returns (g, g1, g2).
     """
     f1, f2 = pair
+    tol = DEFAULT_TOLS.gcd
     for attempt_tol in (tol, tol * 1e-2, tol * 1e-4):
         g = poly_gcd(f1, f2, attempt_tol)
         if g.degree == 0:  # exactly 1: monic's c / c[-1] need not round to 1
@@ -376,8 +370,7 @@ def factor_g(pair, tol: float = DEFAULT_TOLS.gcd):
     raise InexactDivisionError("gcd does not divide the derived pair to tolerance")
 
 
-def solve_factored(p: SimplePolynomial,
-                   tols: Tolerances = DEFAULT_TOLS) -> ZeroSet:
+def solve_factored(p: SimplePolynomial) -> ZeroSet:
     """Solution set via the gcd factorization of the derived pair.
 
     Real zeros and zero-spheres come from g = gcd(f1, f2); the remaining
@@ -389,15 +382,15 @@ def solve_factored(p: SimplePolynomial,
     the fallback classifies it by the full derived pair (_place_pairs).
     """
     pair = derived(normalize(p))
-    g, g1, g2 = factor_g(pair, tols.gcd)
+    g, g1, g2 = factor_g(pair)
     reals_g, paired_g, unpaired_g = pair_conjugates(
-        all_roots(g).roots if g.degree >= 1 else (), tols.real)
+        all_roots(g).roots if g.degree >= 1 else ())
     real_zeros = [x for x, _ in reals_g]
     classes = [ConjugacyClass.from_complex(v) for v, _ in paired_g]
     todo = [eta for eta, _ in unpaired_g]
     gt = discriminant((g1, g2))
     if gt.degree >= 1:
-        treals, tpairs = classify_real(all_roots(gt), tols.real)
+        treals, tpairs = classify_real(all_roots(gt))
         # a real root here can only be a gcd-tolerance artifact; it still
         # certifies a genuine real zero (both f1 and f2 vanish there)
         real_zeros.extend(x for x, _ in treals)
@@ -407,13 +400,12 @@ def solve_factored(p: SimplePolynomial,
     if not ok.all():
         # gcd artifact: fall back to classification by the full derived pair
         stuck = eta[~ok]
-        more = _place_pairs(pair, np.where(stuck.imag > 0, stuck, stuck.conj()), tols.zero)
+        more = _place_pairs(pair, np.where(stuck.imag > 0, stuck, stuck.conj()))
         isolated, classes = np.vstack([isolated, more[0]]), classes + more[1]
     return ZeroSet.build(real_zeros, isolated, classes)
 
 
-def solve_complex_coeffs(p: SimplePolynomial,
-                         tols: Tolerances = DEFAULT_TOLS) -> ZeroSet:
+def solve_complex_coeffs(p: SimplePolynomial) -> ZeroSet:
     """Fast path for inputs whose coefficients all lie in the complex plane.
 
     The quaternionic zero set follows from the complex roots alone: real
@@ -426,17 +418,17 @@ def solve_complex_coeffs(p: SimplePolynomial,
         raise NotComplexCoefficientsError(
             "coefficients have j/k components; use a general solver")
     cp = ComplexPolynomial(p.rows.view(np.complex128)[:, 0])
-    reals, paired, unpaired = pair_conjugates(all_roots(cp).roots, tols.real)
+    reals, paired, unpaired = pair_conjugates(all_roots(cp).roots)
     classes = [ConjugacyClass.from_complex(v) for v, _ in paired]
     isolated = [Quaternion(v.real, v.imag) for v, _ in unpaired]  # the zero j, k parts are shared
     return ZeroSet.build([x for x, _ in reals], isolated, classes)
 
 
-def is_finite_zero_set(p: SimplePolynomial, tols: Tolerances = DEFAULT_TOLS) -> bool:
+def is_finite_zero_set(p: SimplePolynomial) -> bool:
     """Whether the zero set of p is finite: no nonreal conjugate pair is a common root
     of the derived polynomials, so solve_factored reports no sphere.
 
     This is the factored route's own verdict, so the two cannot disagree; it raises
     what solve_factored raises and costs one solve_factored call.
     """
-    return not solve_factored(p, tols).spherical
+    return not solve_factored(p).spherical

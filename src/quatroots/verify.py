@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quaternion import Quaternion, hamilton, norms, rows
-from .solver import DEFAULT_TOLS, SimplePolynomial, Tolerances, ZeroSet
+from .solver import DEFAULT_TOLS, SimplePolynomial, ZeroSet
 
 SAMPLES_PER_CLASS = 8  # sphere members audit evaluates per reported sphere
 TERM_BLOCK = 1 << 16  # entries (points x powers) of the terms _eval_rows forms at a time
@@ -49,12 +49,12 @@ def residual(p: SimplePolynomial, z: Quaternion) -> float:
     return float(norms(_eval_rows(p, rows([z])))[0])
 
 
-def _bound(accept: float, coeff_sum: float, norm: float, degree: int) -> float:
+def _bound(coeff_sum: float, norm: float, degree: int) -> float:
     try:
         growth = max(1.0, norm) ** degree
     except OverflowError:
         growth = math.inf  # certifies nothing: residuals_ok rejects an inf bound
-    return accept * coeff_sum * growth
+    return DEFAULT_TOLS.accept * coeff_sum * growth
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,9 @@ class VerificationReport:
         return self.residuals_ok and self.bounds_ok
 
 
-def audit(p: SimplePolynomial, zs: ZeroSet, tols: Tolerances = DEFAULT_TOLS,
-          samples_per_class: int = SAMPLES_PER_CLASS) -> VerificationReport:
-    """Evaluate p at every reported zero and sampled sphere member.
+def audit(p: SimplePolynomial, zs: ZeroSet) -> VerificationReport:
+    """Evaluate p at every reported zero and at SAMPLES_PER_CLASS members of every sphere,
+    each residual against DEFAULT_TOLS.accept * sum |q_j| * max(1, |z|)^n.
 
     Also checks the degree count: a real or isolated zero takes a linear factor and a sphere
     a real quadratic, so reals + isolated + 2 * spheres is at most the degree.
@@ -115,13 +115,13 @@ def audit(p: SimplePolynomial, zs: ZeroSet, tols: Tolerances = DEFAULT_TOLS,
         labels.append(f"isolated {q}")
         points.append(q)
     for cls in zs.spherical:
-        for t, member in enumerate(cls.sample(samples_per_class)):
+        for t, member in enumerate(cls.sample(SAMPLES_PER_CLASS)):
             labels.append(f"sphere {cls} member {t}")
             points.append(member)
     z = rows(points)
     residuals, moduli = norms(_eval_rows(p, z)).tolist(), norms(z).tolist()
     coeff_sum = sum(norms(p.rows).tolist())
-    entries = tuple((label, r, _bound(tols.accept, coeff_sum, norm, p.degree))
+    entries = tuple((label, r, _bound(coeff_sum, norm, p.degree))
                     for label, r, norm in zip(labels, residuals, moduli))
     bounds_ok = len(zs.real_zeros) + len(zs.isolated_zeros) + 2 * len(zs.spherical) <= p.degree
     max_residual = float(np.max(residuals, initial=0.0))  # NaN if any residual is NaN

@@ -533,23 +533,21 @@ def ab_reference(p: SimplePolynomial, z: Quaternion) -> tuple[Quaternion, Quater
     return a, b
 
 
-def solve_companion_reference(p: SimplePolynomial, tols=None) -> ZeroSet:
+def solve_companion_reference(p: SimplePolynomial) -> ZeroSet:
     """solve_companion with the scalar loops and the unscaled sphere test."""
-    from quatroots import Tolerances
     from quatroots.companion import monic_normalized
     from quatroots.quaternion import ConjugacyClass, embed_complex
     from quatroots.roots import all_roots, classify_real
+    from quatroots.solver import DEFAULT_TOLS
 
-    tols = tols or Tolerances()
     pm = monic_normalized(p)
-    reals, pairs = classify_real(
-        all_roots(ComplexPolynomial(companion_reference(pm))), tols.real)
+    reals, pairs = classify_real(all_roots(ComplexPolynomial(companion_reference(pm))))
     isolated, classes = [], []
     for eta, _ in pairs:
         a, b = ab_reference(pm, embed_complex(eta))
         v = a.conjugate() * b
         s = sum(abs(q) * max(1.0, abs(eta)) ** j for j, q in enumerate(pm.coeffs))
-        if abs(v) <= tols.zero * s * s:
+        if abs(v) <= DEFAULT_TOLS.zero * s * s:
             classes.append(ConjugacyClass.from_complex(eta))
             continue
         wnorm = v.vec_norm()

@@ -1,12 +1,13 @@
 """The public API is pinned: a name added to or dropped from __all__ fails here."""
 
+import dataclasses
 import importlib
 import inspect
 
 import pytest
 
 import quatroots
-from quatroots import companion, cpoly, roots, solver
+from quatroots import companion, cpoly, roots, solver, verify
 from quatroots.cpoly import ComplexPolynomial
 from quatroots.roots import RootList
 
@@ -15,7 +16,7 @@ PUBLIC = {
     "solve_companion", "solve_complex_coeffs", "solve_discriminant",
     "solve_factored",
     # types
-    "ConjugacyClass", "Quaternion", "SimplePolynomial", "Tolerances", "ZeroSet",
+    "ConjugacyClass", "Quaternion", "SimplePolynomial", "ZeroSet",
     # checks
     "audit", "compare", "is_finite_zero_set",
     # errors
@@ -50,8 +51,14 @@ REMOVED = {
 
 
 def test_all_is_the_pinned_list():
-    assert len(quatroots.__all__) == len(set(quatroots.__all__)) == 18
+    assert len(quatroots.__all__) == len(set(quatroots.__all__)) == 17
     assert set(quatroots.__all__) == PUBLIC
+
+
+def test_thresholds_are_not_exported():
+    # the library owns its thresholds: solver.DEFAULT_TOLS is their one record
+    assert not hasattr(quatroots, "Tolerances")
+    assert not hasattr(quatroots, "DEFAULT_TOLS")
 
 
 def test_every_public_name_resolves():
@@ -78,7 +85,7 @@ def test_removed_methods_stay_gone():
     assert not hasattr(quatroots.ConjugacyClass, "from_quaternion")
     assert not hasattr(quatroots.Quaternion, "is_real")
     assert not hasattr(quatroots.ZeroSet, "is_empty")
-    assert "dedup" not in quatroots.Tolerances.__dataclass_fields__
+    assert "dedup" not in solver.Tolerances.__dataclass_fields__
     assert not callable(ComplexPolynomial([1.0, 2.0]))
     assert "source_degree" not in RootList.__dataclass_fields__
 
@@ -100,13 +107,50 @@ def test_companion_takes_the_polynomial_only():
     assert list(inspect.signature(companion.companion).parameters) == ["p"]
 
 
+@pytest.mark.parametrize("func", [solver.solve_discriminant, solver.solve_factored,
+                                  solver.solve_complex_coeffs, companion.solve_companion,
+                                  solver.is_finite_zero_set], ids=lambda f: f.__name__)
+def test_solvers_take_the_polynomial_only(func):
+    assert list(inspect.signature(func).parameters) == ["p"]
+
+
+def test_audit_takes_no_threshold():
+    assert list(inspect.signature(verify.audit).parameters) == ["p", "zs"]
+    assert verify.SAMPLES_PER_CLASS == 8
+
+
+# layers that read the thresholds of solver.DEFAULT_TOLS: (function, parameters)
+LAYER_READERS = [
+    (roots.classify_real, ["rl"]),
+    (solver.is_spherical_root, ["pair", "eta", "values"]),
+    (solver.factor_g, ["pair"]),
+]
+
+
+@pytest.mark.parametrize("func, params", LAYER_READERS,
+                         ids=[f.__qualname__ for f, _ in LAYER_READERS])
+def test_layers_take_no_tolerance(func, params):
+    assert list(inspect.signature(func).parameters) == params
+
+
+def test_the_thresholds_keep_their_values():
+    assert solver.DEFAULT_TOLS == solver.Tolerances(real=1e-5, zero=1e-10, gcd=1e-8, accept=1e-8)
+
+
+@pytest.mark.parametrize("mod", [verify, companion], ids=lambda m: m.__name__)
+def test_modules_read_the_one_record(mod):
+    assert mod.DEFAULT_TOLS is solver.DEFAULT_TOLS
+
+
+def test_the_record_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        solver.DEFAULT_TOLS.real = 1e-3
+
+
 # every layer default that restates a Tolerances field: (function, parameter, field)
 LAYER_DEFAULTS = [
     (roots.pair_conjugates, "tol_real", "real"),
-    (roots.classify_real, "tol_real", "real"),
-    (solver.is_spherical_root, "tol_zero", "zero"),
     (cpoly.gcd, "tol", "gcd"),
-    (solver.factor_g, "tol", "gcd"),
 ]
 
 

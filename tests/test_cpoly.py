@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from quatroots.cpoly import BABY, BLOCK, ComplexPolynomial, Evaluator, gcd
 from quatroots.roots import _eval_state
+from quatroots.solver import SimplePolynomial, derived, normalize
 
 from conftest import (forward_sums, horner_reference, kernel_value, poly_add, poly_mul,
                       power_matrix_reference)
@@ -351,6 +353,23 @@ class TestRepresentation:
         # 1e-20 relative to 1 is far above the 1e-30 trim threshold
         p = ComplexPolynomial([1, 0, 1e-20])
         assert p.degree == 2
+
+    def test_coeff_norm_does_not_overflow_below_the_float_range(self):
+        # f1 of x^3 + (1 + 0.25i) x^2 + x scaled by 1.2e154: its sum of squares overflows,
+        # and an inf norm would let factor_g's division check accept any remainder
+        p = SimplePolynomial.from_rows([[0, 0, 0, 0], [1.2e154, 0, 0, 0],
+                                        [1.2e154, 3e153, 0, 0], [1.2e154, 0, 0, 0]])
+        f1 = derived(normalize(p))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = f1.coeff_norm()
+        assert norm == pytest.approx(math.hypot(*np.abs(f1.c)), rel=1e-15)
+
+    @given(st.lists(st.complex_numbers(max_magnitude=1e150, allow_nan=False), min_size=1,
+                    max_size=12))
+    def test_coeff_norm_is_numpys_where_it_is_finite(self, coeffs):
+        p = ComplexPolynomial(coeffs)
+        assert p.coeff_norm() == (float(np.linalg.norm(p.c)) if not p.is_zero else 0.0)
 
     def test_derivative(self):
         p = ComplexPolynomial([5, 3, 0, 2])

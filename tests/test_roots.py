@@ -13,7 +13,7 @@ from quatroots.roots import (CLUSTER_REL, NoConvergenceError, RootList, Unpaired
                              _aberth, _aberth_sums, _cluster, _collisions, _eval_state,
                              _newton_polish, all_roots, classify_real,
                              pair_conjugates, polish_multiples)
-from quatroots.solver import SimplePolynomial, discriminant, solve_complex_coeffs
+from quatroots.solver import DEFAULT_TOLS, SimplePolynomial, discriminant, solve_complex_coeffs
 
 from conftest import (aberth_reference, cluster_reference, kernel_value,
                       pair_conjugates_reference, poly_mul, traced_peak)
@@ -361,6 +361,22 @@ class TestClassifyReal:
         rl = RootList(((1 + 1j, 1), (1 - 1j, 1), (3 - 2j, 1)))
         with pytest.raises(UnpairedRootError):
             classify_real(rl)
+
+
+class TestClassifyRealAtTheThreshold:
+    # classify_real reads the real threshold of solver.DEFAULT_TOLS
+    def test_imaginary_part_below_it_is_real(self):
+        reals, pairs = classify_real(RootList(((complex(2.0, 0.5 * DEFAULT_TOLS.real), 3),)))
+        assert reals == [(2.0, 3)] and pairs == []
+
+    def test_imaginary_part_above_it_needs_a_partner(self):
+        with pytest.raises(UnpairedRootError):
+            classify_real(RootList(((complex(2.0, 2 * DEFAULT_TOLS.real), 1),)))
+
+    def test_imaginary_part_above_it_pairs_with_its_conjugate(self):
+        eta = complex(2.0, 2 * DEFAULT_TOLS.real)
+        reals, pairs = classify_real(RootList(((eta.conjugate(), 1), (eta, 1))))
+        assert reals == [] and pairs == [(eta, 1)]
 
 
 class TestPairConjugates:

@@ -12,9 +12,8 @@ import quatroots.solver as solver_mod
 from quatroots.cpoly import ComplexPolynomial
 from quatroots.quaternion import ConjugacyClass, Quaternion, embed_complex
 from quatroots.solver import (BothDenominatorsZeroError, DegreeError, InexactDivisionError,
-                              NotComplexCoefficientsError, SimplePolynomial,
-                              DEFAULT_TOLS, Tolerances, ZeroSet, derived, discriminant,
-                              factor_g, is_finite_zero_set, is_spherical_root,
+                              NotComplexCoefficientsError, SimplePolynomial, ZeroSet, derived,
+                              discriminant, factor_g, is_finite_zero_set, is_spherical_root,
                               isolated_zero, normalize, solve_complex_coeffs,
                               solve_discriminant, solve_factored)
 from quatroots.companion import solve_companion
@@ -264,6 +263,21 @@ class TestClassifyEta:
         pair = derived(normalize(degree6_mixed))
         assert is_spherical_root(pair, 1j, side_values(pair, 1j))
 
+    # at |eta| <= 1 each value is held against DEFAULT_TOLS.zero * max|c_f|: 2e-10, 4e-10
+    SCALED_PAIR = (ComplexPolynomial([1.0, 2.0]), ComplexPolynomial([1.0, 0.0, 4.0]))
+    SCALES = np.array([2.0, 4.0])[:, None, None]
+
+    def test_values_below_the_threshold_vanish(self):
+        values = np.full((2, 2, 1), 0.5 * solver_mod.DEFAULT_TOLS.zero) * self.SCALES
+        assert is_spherical_root(self.SCALED_PAIR, [0.5j], values.astype(complex))[0]
+
+    @pytest.mark.parametrize("f, side", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                             ids=["f1", "f2", "conj-f1", "conj-f2"])
+    def test_one_value_above_the_threshold_isolates(self, f, side):
+        values = np.full((2, 2, 1), 0.5 * solver_mod.DEFAULT_TOLS.zero) * self.SCALES
+        values[f, side] = 2 * solver_mod.DEFAULT_TOLS.zero * self.SCALES[f]
+        assert not is_spherical_root(self.SCALED_PAIR, [0.5j], values.astype(complex))[0]
+
 
 class TestIsolatedZero:
     def test_cubic_ijk_at_i(self, cubic_ijk):
@@ -425,6 +439,19 @@ class TestFactorG:
         assert g.c.tobytes() == np.ones(1, complex).tobytes()
         assert discriminant((g1, g2)).c.tobytes() == discriminant(pair).c.tobytes()
 
+    # (t - 1)(t - 2) and (t - 1.001)(t - 3): a root in common only to a gcd cutoff of 1e-2
+    NEAR_PAIR = tuple(ComplexPolynomial(np.convolve(a, b).astype(complex))
+                      for a, b in (([-1, 1], [-2, 1]), ([-1.001, 1], [-3, 1])))
+
+    def test_near_common_root_is_not_common_at_the_record(self):
+        g, g1, g2 = factor_g(self.NEAR_PAIR)
+        assert g.degree == 0 and g1 is self.NEAR_PAIR[0] and g2 is self.NEAR_PAIR[1]
+
+    def test_reads_the_gcd_cutoff_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "DEFAULT_TOLS", solver_mod.Tolerances(gcd=1e-2))
+        g, _, _ = factor_g(self.NEAR_PAIR)
+        assert g.degree == 1 and abs(g.c[0] + 1) <= 2e-3
+
     def test_inexact_division_guard(self, monkeypatch, cubic_ijk):
         monkeypatch.setattr(solver_mod, "poly_gcd",
                             lambda *a, **k: ComplexPolynomial([0.5, 1]))
@@ -504,7 +531,7 @@ class TestSolveFactored:
         want = solve_factored(p)
         s = ComplexPolynomial(quad)
 
-        def partial_g(pair, tol):
+        def partial_g(pair):
             (g1, r1), (g2, r2) = (f.divrem(s) for f in pair)
             assert max(r1.coeff_norm(), r2.coeff_norm()) <= 1e-10
             for g in (g1, g2):
@@ -645,18 +672,6 @@ class TestComplexCoeffsAgainstTheGeneralRoutes:
         zs = solve(LARGE_ISOLATED)
         assert not zs.spherical and len(zs.isolated_zeros) == 1
         assert qapprox(zs.isolated_zeros[0], Quaternion(0.0, 1e13), 1e-12)
-
-
-class TestTolerances:
-    @pytest.mark.parametrize("field", ["real", "zero", "gcd", "accept"])
-    @pytest.mark.parametrize("value", [0.0, -1e-8, math.inf, math.nan])
-    def test_every_field_must_be_finite_and_positive(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            Tolerances(**{field: value})
-
-    def test_finite_positive_values_are_kept(self):
-        tols = Tolerances(real=1e-3, gcd=1e-300)
-        assert (tols.real, tols.gcd, tols.zero) == (1e-3, 1e-300, DEFAULT_TOLS.zero)
 
 
 class TestZeroSetBuild:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from quatroots import verify as verify_mod
 from quatroots.quaternion import ConjugacyClass, Quaternion, embed_complex, rows
-from quatroots.solver import (SimplePolynomial, ZeroSet, solve_discriminant)
+from quatroots.solver import SimplePolynomial, Tolerances, ZeroSet, solve_discriminant
 from quatroots.companion import solve_companion
 from quatroots.verify import SAMPLES_PER_CLASS, TERM_BLOCK, _eval_rows, audit, compare
 
@@ -76,7 +77,7 @@ class TestAudit:
             [1.0, -1.0],
             [Quaternion(0.5, -0.5, -0.5, -0.5), Quaternion(-0.5, 0.5, -0.5, -0.5)],
             [ConjugacyClass.from_complex(1j)])
-        rep = audit(degree6_mixed, zs, samples_per_class=8)
+        rep = audit(degree6_mixed, zs)
         assert rep.max_residual < 1e-10
         assert rep.bounds_ok
 
@@ -132,9 +133,23 @@ class TestAudit:
 
     def test_entries_capture_every_sample(self, cubic_real):
         zs = solve_discriminant(cubic_real)
-        rep = audit(cubic_real, zs, samples_per_class=5)
-        assert len(rep.entries) == 1 + 5  # one real zero + 5 sphere samples
+        rep = audit(cubic_real, zs)
+        # one real zero and the samples of one sphere
+        assert len(rep.entries) == 1 + SAMPLES_PER_CLASS
         assert rep.max_residual == max(r for _, r, _ in rep.entries)
+
+    def test_reads_the_sample_count_at_each_call(self, monkeypatch, cubic_real):
+        zs = solve_discriminant(cubic_real)
+        monkeypatch.setattr(verify_mod, "SAMPLES_PER_CLASS", 3)
+        assert len(audit(cubic_real, zs).entries) == 1 + 3
+
+    def test_bounds_scale_with_the_record(self, monkeypatch, cubic_real):
+        zs = solve_discriminant(cubic_real)
+        rep = audit(cubic_real, zs)
+        monkeypatch.setattr(verify_mod, "DEFAULT_TOLS",
+                            Tolerances(accept=2 * verify_mod.DEFAULT_TOLS.accept))
+        doubled = audit(cubic_real, zs)
+        assert [(label, r, 2 * b) for label, r, b in rep.entries] == list(doubled.entries)
 
     @pytest.mark.parametrize("isolated", [(Quaternion(1.0), Quaternion(1e300, 1e300)),
                                           (Quaternion(1e300, 1e300), Quaternion(1.0))],
@@ -155,9 +170,9 @@ class TestAudit:
                                                    classes):
         p = SimplePolynomial(coeffs + [ONE])
         zs = ZeroSet(tuple(reals), tuple(isolated), tuple(classes))
-        rep = audit(p, zs, samples_per_class=3)
+        rep = audit(p, zs)
         points = ([Quaternion(x) for x in reals] + isolated
-                  + [m for c in classes for m in c.sample(3)])
+                  + [m for c in classes for m in c.sample(SAMPLES_PER_CLASS)])
         assert [r for _, r, _ in rep.entries] == [
             _modulus(eval_qpoly_reference(p, z)) for z in points]
         assert [b for _, _, b in rep.entries] == [
