@@ -65,6 +65,9 @@ class Tolerances:
 
 DEFAULT_TOLS = Tolerances()
 DEDUP_REL = 1e-8  # relative distance within which ZeroSet.build merges equal zeros
+# |(g1, g2)(conj eta)| / max|c| at or below which the cofactor form defers to _place_pairs;
+# DEFAULT_TOLS.zero times their majorant there changed 47 of 400 graded factored outputs
+COFACTOR_ZERO_REL = 1e-12
 
 
 def _moduli(rows: np.ndarray) -> np.ndarray:
@@ -248,29 +251,17 @@ def discriminant(pair) -> ComplexPolynomial:
     return ComplexPolynomial(norm_polynomial(_stacked(pair).view(float)))
 
 
-def _side_values(pair, z: np.ndarray) -> np.ndarray:
-    """The pair, _stacked to degree n, at every z: shape (2,) + z.shape.
-
-    Where |z| > 1 each value carries a factor 1/z^n (cpoly.Evaluator),
-    which the closed form, homogeneous of degree 0 in (f1, f2), cancels.
-    """
-    return Evaluator(_stacked(pair))(z)[0]
-
-
-def is_spherical_root(pair, eta, values: np.ndarray) -> np.ndarray:
+def is_spherical_root(values: np.ndarray, majorants: np.ndarray) -> np.ndarray:
     """Whether all four derived polynomials vanish, at each eta of an array.
 
     True means the whole conjugacy sphere of eta consists of zeros; False, that
     it holds one isolated zero.  |conj-f(eta)| is |f(conj eta)|, so the four are
-    f1, f2 at eta and conj(eta): values is _side_values(pair, [eta, conj(eta)]),
-    indexed [f][side].  Each |f| is held against its evaluation roundoff scale
-    DEFAULT_TOLS.zero * max|c_f| * max(1,|eta|)^deg f.
+    f1, f2 at eta and conj(eta): values and majorants are the Evaluator's p and
+    sum |c_k||z|^k of the _stacked pair at [eta, conj(eta)], indexed [f][side].
+    Each |f| is held against DEFAULT_TOLS.zero times its majorant, Horner's running
+    error bound (Higham, ch. 5), which the Evaluator scales like the value.
     """
-    eta = np.asarray(eta, dtype=np.complex128)
-    n = max(pair[0].degree, pair[1].degree, 1)
-    grow = np.maximum(1.0, np.abs(eta))
-    return np.all([np.abs(v) <= DEFAULT_TOLS.zero * f.max_coeff() * grow ** (f.degree - n)
-                   for f, v in zip(pair, values)], axis=(0, 1))
+    return np.all(np.abs(values) <= DEFAULT_TOLS.zero * majorants, axis=(0, 1))
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -298,7 +289,9 @@ def isolated_zero(pair, eta, values: np.ndarray) -> np.ndarray:
     Two equivalent closed forms exist, one from f1, f2 at eta and one at
     conj(eta) (values as in is_spherical_root); each is _conj_side_zero on
     its side of the sphere.  Their denominators cannot both vanish, and the
-    better conditioned (larger) one is used.
+    better conditioned (larger) one is used.  Where |eta| > 1 each value carries
+    the Evaluator's factor 1/eta^n, which the closed form, homogeneous of degree 0
+    in (f1, f2), cancels.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     (f1e, f1c), (f2e, f2c) = values
@@ -321,16 +314,16 @@ def _isolated_zero_cofactor(g1: ComplexPolynomial, g2: ComplexPolynomial,
     formula fails at the conjugate.  The mask marks the eta the zeros come from:
     False where both cofactors vanish at conj(eta), a gcd tolerance mismatch.
     """
-    a, b = _side_values((g1, g2), eta.conj())
-    ok = _abs2(a) + _abs2(b) > (1e-12 * max(g1.max_coeff(), g2.max_coeff(), 1.0)) ** 2
+    a, b = Evaluator(_stacked((g1, g2)))(eta.conj())[0]
+    ok = _abs2(a) + _abs2(b) > (COFACTOR_ZERO_REL * max(g1.max_coeff(), g2.max_coeff(), 1.0)) ** 2
     return _conj_side_zero(a[ok], b[ok], eta[ok]), ok
 
 
 def _place_pairs(pair, eta):
     """((k, 4) isolated zeros, spheres) of the pair representatives eta, from one evaluation."""
     eta = np.asarray(eta, dtype=np.complex128)
-    values = _side_values(pair, np.stack([eta, eta.conj()]))
-    sphere = is_spherical_root(pair, eta, values)
+    values, _, majorants = Evaluator(_stacked(pair))(np.stack([eta, eta.conj()]))
+    sphere = is_spherical_root(values, majorants)
     return (isolated_zero(pair, eta[~sphere], values[..., ~sphere]),
             [ConjugacyClass.from_complex(e) for e in eta[sphere].tolist()])
 

@@ -7,7 +7,7 @@ from quatroots import SimplePolynomial, ZeroSet
 from quatroots.cpoly import BLOCK, ComplexPolynomial, Evaluator
 from quatroots.quaternion import Quaternion, hamilton, rows
 from quatroots.roots import CLUSTER_REL, DEFAULT_REAL_TOL
-from quatroots.solver import _side_values
+from quatroots.solver import _stacked
 from quatroots.verify import ZeroSetDiff, _eval_rows
 
 SQRT2_2 = 0.7071067811865476
@@ -129,6 +129,65 @@ def multiple_zero_inputs(family: str, count: int, rng: np.random.Generator):
     return out
 
 
+def graded_inputs(count: int) -> list[SimplePolynomial]:
+    """The first count inputs of the graded family: from default_rng(7), degree n from
+    2..20, then rows standard_normal((n + 1, 4)) * 10**uniform(-12, 12, (n + 1, 1)),
+    cycling complex, real and quaternionic by index mod 3."""
+    rng = np.random.default_rng(7)
+    out = []
+    for i in range(count):
+        n = int(rng.integers(2, 21))
+        rows = rng.standard_normal((n + 1, 4)) * 10 ** rng.uniform(-12, 12, (n + 1, 1))
+        rows[:, (2, 1, 4)[i % 3]:] = 0.0
+        out.append(SimplePolynomial.from_rows(rows))
+    return out
+
+
+def _times_linear(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The (k + 1, 4) rows of G(x) (x - c) for the (k, 4) rows of G, x central."""
+    out = np.zeros((len(rows) + 1, 4))
+    out[1:] = rows
+    out[:-1] -= np.stack(hamilton(rows.T, c), axis=1)
+    return out
+
+
+def isolated_zero_inputs(delta, count: int, rng: np.random.Generator):
+    """count inputs with a known isolated zero b, as (SimplePolynomial, b) pairs.
+
+    The factor theorem makes b a zero of G(x) (x - b) (isolated, delta None) and of
+    G(x) (x - a) (x - b) (near(delta)), with a in b's conjugacy class at angle delta from
+    conj(b): for a != conj(b), b is the only zero of (x - a) (x - b).  It draws the degree
+    n from 9..44, then b, with real part uniform in [-1, 1] and a vector part of modulus
+    uniform in [0.5, 1.5] in a uniform direction v, then, for near(delta) only, a uniform
+    direction w orthogonal to v, towards which a's vector part turns from -v, then the
+    Gaussian rows of G.
+    """
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(9, 45))
+        re, mod = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5)
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        b = np.array([re, *(mod * v)])
+        factors = [b]
+        if delta is not None:
+            w = rng.standard_normal(3)
+            w -= (w @ v) * v
+            w /= np.linalg.norm(w)
+            factors.insert(0, np.array([re, *(mod * (np.sin(delta) * w - np.cos(delta) * v))]))
+        rows = rng.standard_normal((n - len(factors) + 1, 4))
+        for c in factors:
+            rows = _times_linear(rows, c)
+        out.append((SimplePolynomial.from_rows(rows), Quaternion(*b.tolist())))
+    return out
+
+
+def reports_isolated_once(zs: ZeroSet, b: Quaternion, tol: float = 1e-6) -> bool:
+    """Whether zs holds the isolated zero b exactly once within tol * max(1, |b|)."""
+    near = tol * max(1.0, abs(b))
+    return sum(abs(q - b) <= near for q in zs.isolated_zeros) == 1
+
+
 def reports_injected_once(zs: ZeroSet, injected, tol: float = 1e-6) -> bool:
     """Whether zs holds the injected real zero, or sphere (Re, modulus), exactly once within
     tol (times max(1, modulus) for a sphere)."""
@@ -166,9 +225,11 @@ def residual_limit_reference(p: SimplePolynomial, z: Quaternion, accept: float) 
 
 
 def side_values(pair, eta):
-    """The values argument of is_spherical_root and isolated_zero: f1, f2 at eta and conj(eta)."""
+    """(values, majorants) of f1, f2 at eta and conj(eta), as the routes evaluate them: the
+    arguments of is_spherical_root; values is isolated_zero's."""
     eta = np.asarray(eta, dtype=np.complex128)
-    return _side_values(pair, np.stack([eta, eta.conj()]))
+    values, _, majorants = Evaluator(_stacked(pair))(np.stack([eta, eta.conj()]))
+    return values, majorants
 
 
 def sigma(q: Quaternion) -> np.ndarray:
@@ -435,12 +496,14 @@ def kernel_value(c: np.ndarray, t):
 
 
 def is_spherical_root_reference(pair, eta: complex, tol_zero: float = 1e-10) -> bool:
-    """is_spherical_root with unscaled values and thresholds tol_zero * max|c|."""
+    """is_spherical_root on unscaled values: each of the four derived polynomials, by the
+    Horner loop at eta, against tol_zero times its majorant sum |c_k||eta|^k."""
     f1, f2 = pair
     for c in (f1.c, f2.c, np.conj(f1.c), np.conj(f2.c)):
-        scale = float(np.abs(c).max()) if len(c) else 0.0
-        if abs(kernel_value(c, eta)) > tol_zero * scale:
-            return False
+        if len(c):
+            value, _, majorant = horner_reference(c, np.complex128(eta))
+            if abs(value) > tol_zero * majorant:
+                return False
     return True
 
 

@@ -41,7 +41,7 @@ REMOVED = {
                    "same_class", "class_sample", "ZERO", "split", "ONE", "I", "J", "K"],
     "solver": ["classify_eta", "_classify_complex_root_values",
                "_cofactor_discriminant", "NormalizedPolynomial", "DerivedPolynomials",
-               "_norm_polynomial", "NonRealDiscriminantError", "NORM_REAL_TOL"],
+               "_norm_polynomial", "NonRealDiscriminantError", "NORM_REAL_TOL", "_side_values"],
     "roots": ["polish_double", "_safe_ratio", "polished_roots", "_newton_refine"],
     "companion": ["CompanionPolynomial", "PowerDecomposition", "NonRealCompanionError"],
     "cpoly": ["scaled_values", "gcd_many", "scaled_horner"],
@@ -122,7 +122,7 @@ def test_audit_takes_no_threshold():
 # layers that read the thresholds of solver.DEFAULT_TOLS: (function, parameters)
 LAYER_READERS = [
     (roots.classify_real, ["rl"]),
-    (solver.is_spherical_root, ["pair", "eta", "values"]),
+    (solver.is_spherical_root, ["values", "majorants"]),
     (solver.factor_g, ["pair"]),
 ]
 

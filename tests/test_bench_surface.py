@@ -54,6 +54,7 @@ def test_a_traced_cli_problem_counts_every_layer(bench, tmp_path):
         out = wl.execute(item)
     _checked(wl.check(problem, out))
     for key in ("verify.audit.entries", "solver.ZeroSet.build.items_kept",
-                "roots.polish_multiples.calls", "roots.eval_state.points"):
+                "roots.polish_multiples.calls", "roots.eval_state.points",
+                "solver.is_spherical_root.calls", "solver.isolated_zero.calls"):
         assert tracer.counts[key] > 0, key
     assert tracer.counts["roots.polish_multiples.multiple_entries"] > 0
