@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from .companion import solve_companion
-from .quaternion import ConjugacyClass, Quaternion
 from .solver import SimplePolynomial, ZeroSet, solve_discriminant, solve_factored
 from .verify import ZeroSetDiff, audit, compare
 
@@ -48,7 +47,7 @@ def parse_problem(text: str):
     return _parse_rows(stripped)
 
 
-def _quaternion(row, what: str) -> Quaternion:
+def _components(row, what: str) -> list[float]:
     if not isinstance(row, (list, tuple)) or len(row) != 4:
         raise ProblemError(
             f"{what}: expected 4 components, got "
@@ -59,16 +58,16 @@ def _quaternion(row, what: str) -> Quaternion:
         raise ProblemError(f"{what}: {exc}") from exc
     if not all(math.isfinite(x) for x in comps):
         raise ProblemError(f"{what}: components must be finite")
-    return Quaternion(*comps)
+    return comps
 
 
-def _coeff_rows(rows):
+def _polynomial(rows) -> SimplePolynomial:
     if not isinstance(rows, list) or len(rows) < 2:
         raise ProblemError("need at least 2 coefficient entries")
-    quats = [_quaternion(row, f"coefficient {idx}") for idx, row in enumerate(rows)]
-    if abs(quats[-1]) == 0.0:
+    comps = [_components(row, f"coefficient {idx}") for idx, row in enumerate(rows)]
+    if sum(x * x for x in comps[-1]) == 0.0:  # |q|^2 as abs(Quaternion) rounds it
         raise ProblemError("last coefficient entry must be nonzero")
-    return quats
+    return SimplePolynomial.from_rows(comps)
 
 
 def _parse_json(text: str):
@@ -80,7 +79,7 @@ def _parse_json(text: str):
         doc = {"coefficients": doc}
     if not isinstance(doc, dict) or "coefficients" not in doc:
         raise ProblemError('missing "coefficients" field')
-    poly = SimplePolynomial(_coeff_rows(doc["coefficients"]))
+    poly = _polynomial(doc["coefficients"])
     expected = _parse_expected(doc.get("expected")) if doc.get("expected") else None
     return doc.get("name", ""), poly, expected
 
@@ -99,7 +98,7 @@ def _parse_rows(text: str):
             rows.append([float(x) for x in fields])
         except ValueError as exc:
             raise ProblemError(f"row {len(rows)}: {exc}") from exc
-    return "", SimplePolynomial(_coeff_rows(rows)), None
+    return "", _polynomial(rows), None
 
 
 def _parse_expected(doc) -> ZeroSet:
@@ -109,20 +108,19 @@ def _parse_expected(doc) -> ZeroSet:
         reals = [float(x) for x in doc.get("real", [])]
         if not all(math.isfinite(x) for x in reals):
             raise ValueError("real zeros must be finite")
-        isolated = [_quaternion(row, "isolated zero")
-                    for row in doc.get("isolated", [])]
-        classes = []
+        isolated = [_components(row, "isolated zero") for row in doc.get("isolated", [])]
+        spheres = []
         for entry in doc.get("spherical", []):
             re = float(entry["re"])
             mod = float(entry["modulus"])
             if not abs(re) < mod < math.inf:
                 raise ValueError(f"sphere modulus {mod} must exceed |re| = {abs(re)}")
-            classes.append(ConjugacyClass(complex(re, math.sqrt(mod - re) * math.sqrt(mod + re))))
+            spheres.append(complex(re, math.sqrt(mod - re) * math.sqrt(mod + re)))
+        return ZeroSet.build(reals, np.reshape(isolated, (-1, 4)), spheres)
     except KeyError as exc:
         raise ProblemError(f"expected sphere lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ProblemError(f"expected: {exc}") from exc
-    return ZeroSet.build(reals, isolated, classes)
 
 
 def zero_set_json(zs: ZeroSet) -> dict:
@@ -138,10 +136,8 @@ def zero_set_json(zs: ZeroSet) -> dict:
 
 
 def zero_set_from_json(doc: dict) -> ZeroSet:
-    return ZeroSet.build(
-        doc.get("real", []),
-        np.array(doc.get("isolated", []), dtype=float).reshape(-1, 4),
-        [ConjugacyClass(complex(*entry["representative"])) for entry in doc.get("spherical", [])])
+    return ZeroSet.build(doc.get("real", []), np.reshape(doc.get("isolated", []), (-1, 4)),
+                         [complex(*entry["representative"]) for entry in doc.get("spherical", [])])
 
 
 def _diff_json(diff: ZeroSetDiff) -> dict:

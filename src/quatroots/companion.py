@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cpoly import ComplexPolynomial
-from .quaternion import ConjugacyClass, Quaternion, hamilton, norms
+from .quaternion import Quaternion, hamilton, norms
 from .roots import all_roots, classify_real
 from .solver import (DEFAULT_TOLS, BothDenominatorsZeroError, DegreeError, SimplePolynomial,
                      ZeroSet, norm_polynomial)
@@ -82,8 +82,7 @@ def solve_companion(p: SimplePolynomial) -> ZeroSet:
     if p.degree < 1:
         raise DegreeError("cannot solve a constant polynomial")
     pm = monic_normalized(p)
-    reals, pairs = classify_real(all_roots(companion(pm)))
-    eta = np.array([z for z, _ in pairs], dtype=complex)
+    (reals, _), (eta, _) = classify_real(all_roots(companion(pm)))
     a, b = ab(pm, eta)
     v = np.stack(hamilton((a * _CONJ).T, b.T), axis=-1)
     r = np.maximum(1.0, np.abs(eta))
@@ -96,5 +95,4 @@ def solve_companion(p: SimplePolynomial) -> ZeroSet:
                                         f"{complex(eta[stuck][0])}; inconsistent companion root")
     f = np.abs(eta.imag[~sphere]) / wnorm[~sphere]
     isolated = np.column_stack([eta.real[~sphere], -f[:, None] * v[~sphere, 1:]])
-    classes = [ConjugacyClass.from_complex(z) for z in eta[sphere].tolist()]
-    return ZeroSet.build([x for x, _ in reals], isolated, classes)
+    return ZeroSet.build(reals, isolated, eta[sphere])

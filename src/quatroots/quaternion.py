@@ -146,19 +146,19 @@ def embed_complex(c: complex) -> Quaternion:
     return Quaternion(c.real, c.imag, 0.0, 0.0)
 
 
-def _sphere_directions(n: int) -> list[tuple[float, float, float]]:
-    """n unit vectors spread over the 2-sphere.
+def sphere_directions(n: int) -> np.ndarray:
+    """(n, 3) unit vectors spread over the 2-sphere.
 
     Deterministic: the first direction is always (1, 0, 0); the rest follow a
     golden-angle spiral.
     """
-    dirs: list[tuple[float, float, float]] = [(1.0, 0.0, 0.0)]
+    dirs = [(1.0, 0.0, 0.0)]
     for m in range(1, n):
         cos_t = 1.0 - 2.0 * (m + 0.5) / n
         sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
         phi = m * _GOLDEN_ANGLE
         dirs.append((cos_t, sin_t * math.cos(phi), sin_t * math.sin(phi)))
-    return dirs
+    return np.array(dirs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,7 +206,7 @@ class ConjugacyClass:
             raise ValueError("need at least one sample")
         v = self.representative.imag
         return [Quaternion(self.re, v * d1, v * d2, v * d3)
-                for d1, d2, d3 in _sphere_directions(n)]
+                for d1, d2, d3 in sphere_directions(n).tolist()]
 
     def __str__(self) -> str:
         return f"[Re {self.re:.12g}, |.| {self.modulus:.12g}]"

@@ -1,15 +1,15 @@
 """All-roots finder for dense complex polynomials.
 
-Simultaneous Ehrlich-Aberth iteration started from Newton-polygon radius
-estimates with golden-angle phases, followed by per-root Newton polishing,
-then clustering of near-coincident roots into multiplicity entries.  all_roots
-polishes each multiple root itself, as a simple root of a derivative
-(polish_multiples).  Each Aberth step evaluates and moves the unconverged
-roots only; converged ones stay frozen, and exact collisions are found by
-sorting the roots.  The evaluation kernel gives a point the same value in any
-batch, so a root is evaluated again only where it has moved: the polish starts
-from Aberth's last evaluation, and the acceptance check evaluates a lone root
-only when its polished residual does not already bound |p|.
+Simultaneous Ehrlich-Aberth iteration started from Newton-polygon radius estimates
+with golden-angle phases, followed by per-root Newton polishing, then clustering of
+near-coincident roots into multiplicity entries, which pair_conjugates splits into
+sorted arrays of reals, conjugate pairs and the rest.  all_roots polishes each
+multiple root itself, as a simple root of a derivative (polish_multiples).  Each
+Aberth step evaluates and moves the unconverged roots only; converged ones stay
+frozen, and exact collisions are found by sorting the roots.  The evaluation kernel
+gives a point the same value in any batch, so a root is evaluated again only where it
+has moved: the polish starts from Aberth's last evaluation, and the acceptance check
+evaluates a lone root only when its polished residual does not already bound |p|.
 
 Evaluation switches to the power-reversed polynomial at 1/z whenever |z| > 1,
 so high degrees never overflow.  A root is accepted either when its step
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpoly import BLOCK, ComplexPolynomial, Evaluator, TRIM_REL
+from .quaternion import _GOLDEN_ANGLE
 
 MAX_ITERATIONS = 500
 STEP_REL = 1e-14
@@ -33,7 +34,6 @@ RESIDUAL_REL = 1e-8
 DEFAULT_REAL_TOL = 1e-5  # |Im| below which a root counts as real
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 class NoConvergenceError(RuntimeError):
@@ -207,8 +207,8 @@ def _newton_polish(ev: Evaluator, z: np.ndarray, state, steps: int = 8):
     return best, best_rel
 
 
-def _cluster(points: np.ndarray, radii: np.ndarray) -> list[tuple[complex, int]]:
-    """Single-linkage merge of points closer than their merge radii into sorted (mean, count).
+def _cluster(points: np.ndarray, radii: np.ndarray):
+    """Single-linkage merge of points closer than their merge radii into sorted (means, counts).
 
     The radius of a point is the larger of CLUSTER_REL*(1+|z|) and the caller's
     radii, which cover the roundoff noise ball a multiple root's iteration
@@ -242,13 +242,13 @@ def _cluster(points: np.ndarray, radii: np.ndarray) -> list[tuple[complex, int]]
             total[more] += pts[perm[start[more] + t]]
     tr, ti, mean = total.real, total.imag, np.empty(len(size), dtype=np.complex128)
     mean.real, mean.imag = (tr + ti * 0.0) / size, (ti - tr * 0.0) / size
-    return _listed(mean, size)
+    return _sorted(mean, size)
 
 
-def _listed(values: np.ndarray, mult: np.ndarray) -> list:
-    """(value, multiplicity) pairs as Python scalars, stably sorted by (real, imag)."""
+def _sorted(values: np.ndarray, mult: np.ndarray):
+    """(values, multiplicities), stably sorted by (real, imag) of the values."""
     o = np.lexsort((values.imag, values.real))
-    return list(zip(values[o].tolist(), mult[o].tolist()))
+    return values[o], mult[o]
 
 
 def all_roots(p: ComplexPolynomial) -> RootList:
@@ -285,15 +285,14 @@ def all_roots(p: ComplexPolynomial) -> RootList:
             # majorant is sum|c_k| at most, up to rounding that 4 (n+1) eps covers
             bound = max(float(np.abs(c).sum()), _TINY) / scale * (1.0 + 4.0 * len(c) * _EPS)
             passed = rel * bound <= RESIDUAL_REL
-    clusters = _cluster(found, radii=8.0 * stall)
-    values, mult = map(np.array, zip(*clusters))
+    values, mult = _cluster(found, radii=8.0 * stall)
     # |p(z)| / max(1,|z|)^deg, relative to the largest coefficient, where a lone root's
     # polished residual does not already bound it
     check = (mult > 1) | ~np.isin(values, found[passed])
     if np.any(np.abs(whole(values[check])[0]) / scale > RESIDUAL_REL):
         raise NoConvergenceError("residual acceptance bound exceeded", roots=list(values),
                                  residuals=list(np.abs(whole(values)[0])))
-    return polish_multiples(p, RootList(tuple(clusters)))
+    return polish_multiples(p, RootList(tuple(zip(values.tolist(), mult.tolist()))))
 
 
 def polish_multiples(p: ComplexPolynomial, rl: RootList) -> RootList:
@@ -346,7 +345,7 @@ def pair_conjugates(roots, tol_real: float = DEFAULT_REAL_TOL):
     reported once with positive imaginary part, and carries the larger
     multiplicity.  Roots left without a partner are returned as found.
 
-    Returns (reals, pairs, unpaired), each a sorted list of (value, m).
+    Returns (reals, pairs, unpaired), each as sorted (values, multiplicities) arrays.
     """
     roots = list(roots)
     z = np.array([v for v, _ in roots], dtype=np.complex128)
@@ -362,8 +361,8 @@ def pair_conjugates(roots, tol_real: float = DEFAULT_REAL_TOL):
     eta.imag = np.abs(eta.imag)
     mu, md = mult[up[k]], mult[down[j[k]]]
     left = np.concatenate([up[~k], down[np.bincount(j[k], minlength=len(down)) == 0]])
-    return (_listed(z.real[real], mult[real]), _listed(eta, np.where(md > mu, md, mu)),
-            _listed(z[left], mult[left]))
+    return (_sorted(z.real[real], mult[real]), _sorted(eta, np.where(md > mu, md, mu)),
+            _sorted(z[left], mult[left]))
 
 
 def classify_real(rl: RootList):
@@ -372,8 +371,7 @@ def classify_real(rl: RootList):
     pair_conjugates at DEFAULT_REAL_TOL without leftovers: an unpaired root raises
     UnpairedRootError, which signals root-finder failure upstream.
     """
-    reals, pairs, unpaired = pair_conjugates(rl.roots)
-    if unpaired:
-        raise UnpairedRootError(
-            f"no conjugate partner for {[z for z, _ in unpaired]}")
+    reals, pairs, (unpaired, _) = pair_conjugates(rl.roots)
+    if len(unpaired):
+        raise UnpairedRootError(f"no conjugate partner for {unpaired.tolist()}")
     return reals, pairs

@@ -7,7 +7,8 @@ and discriminant forms the real D = f1*conj(f1) + f2*conj(f2) by norm_polynomial
 also forms the companion polynomial.  Its real roots are exactly the real zeros; each
 conjugate pair of complex roots yields either a whole sphere of zeros (when all four derived
 polynomials vanish there) or a single isolated zero given in closed form as a component
-row.  The pair is evaluated at every representative by one cpoly.Evaluator call.
+row, from one cpoly.Evaluator call at every representative.  The routes hand ZeroSet.build
+arrays (reals, rows, sphere representatives), and it makes the field objects once.
 
 Two routes are provided: solve_discriminant works on the full discriminant,
 solve_factored first divides out g = gcd(f1, f2), which holds most real zeros
@@ -19,7 +20,6 @@ whose coefficients are all complex (or all real).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +74,8 @@ def _moduli(rows: np.ndarray) -> np.ndarray:
     """abs(Quaternion) of every row, squares added in order: above about 1e154 it is inf,
     and then every coefficient trims away (the pipeline behind the trim is not scale-safe)."""
     with np.errstate(over="ignore"):
-        return np.sqrt(sum(rows[..., c] * rows[..., c] for c in range(4)))
+        sq = rows * rows
+        return np.sqrt(((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3])
 
 
 def _left_mul(c: Quaternion, rows: np.ndarray) -> np.ndarray:
@@ -151,33 +152,33 @@ class ZeroSet:
     spherical: tuple[ConjugacyClass, ...]
 
     @classmethod
-    def build(cls, reals, isolated, classes) -> ZeroSet:
-        """Deduplicate, drop isolated zeros subsumed by a sphere, and sort; isolated
-        holds Quaternions, or (k, 4) component rows as the routes give them."""
-        if isinstance(isolated, np.ndarray):
-            isolated = [Quaternion(*row) for row in isolated.tolist()]
-        rs: list[float] = []
-        for x in sorted(float(v) for v in reals):
-            if not rs or abs(x - rs[-1]) > DEDUP_REL * max(1.0, abs(x)):
-                rs.append(x)
-        # kept spheres and zeros are sorted by real part, and their distances are at least
-        # the gap in real part, so only the band of kept items this near can be duplicates
-        cl: list[ConjugacyClass] = []
-        for c in sorted(classes, key=lambda c: (c.re, c.modulus)):
-            near = DEDUP_REL * max(1.0, c.modulus)
-            lo = bisect_left(cl, True, key=lambda k: abs(c.re - k.re) <= near)
-            if not any(cl[k].distance(c) <= near for k in range(lo, len(cl))):
-                cl.append(c)
-        iso: list[Quaternion] = []
-        for q in sorted(isolated, key=lambda q: q.components()):
-            near = DEDUP_REL * max(1.0, abs(q))
-            lo = bisect_left(iso, True, key=lambda r: abs(q.a0 - r.a0) <= near)
-            if any(abs(q - iso[k]) <= near for k in range(lo, len(iso))):
-                continue
-            if any(c.contains(q, DEDUP_REL) for c in cl):
-                continue
-            iso.append(q)
-        return cls(tuple(rs), tuple(iso), tuple(cl))
+    @np.errstate(invalid="ignore")  # inf - inf is NaN, as for Python floats
+    def build(cls, reals, isolated, spheres) -> ZeroSet:
+        """The zero set of (k,) reals, (k, 4) isolated-zero rows and (k,) complex sphere
+        representatives of either sign, each kind sorted.  A zero within DEDUP_REL * max(1, |z|)
+        of a kept earlier one of its kind (spheres: by the larger gap in Re or modulus), or on a
+        kept sphere, is dropped; an entry with a NaN part is kept, never merged, and sorted last."""
+        x = np.sort(np.asarray(reals, dtype=float), kind="stable")  # as Python sorts; NaN last
+        if len(x) > 1:
+            x = x[_kept(x, np.abs(x), lambda i, j, r: ~(x[j] - x[i] > r), np.ones(len(x), bool))]
+        s = np.asarray(spheres, dtype=complex)
+        if len(s) > 1:
+            s = s[np.lexsort((np.hypot(s.real, s.imag), s.real, np.isnan(s.real)))]
+            re, m = s.real, np.hypot(s.real, s.imag)
+            s = s[_kept(re, m, lambda i, j, r: np.maximum(abs(re[j] - re[i]), abs(m[j] - m[i]))
+                        <= r, np.ones(len(s), bool))]
+        q = np.asarray(isolated, dtype=float).reshape(-1, 4)
+        mq = _moduli(q)  # NaN where a component is
+        o = np.lexsort([*q.T[::-1], np.isnan(mq)])
+        q, mq, keep, re, mod = q[o], mq[o], np.ones(len(q), bool), s.real, np.hypot(s.real, s.imag)
+        if len(s):  # an isolated zero on a kept sphere
+            t = DEDUP_REL * np.maximum(np.maximum(1.0, mod), mq[:, None])
+            keep = ~((abs(q[:, :1] - re) <= t) & (abs(mq[:, None] - mod) <= t)).any(axis=1)
+        q = q[_kept(q[:, 0], mq, lambda i, j, r: _moduli(q[j] - q[i]) <= r, keep)]
+        # j and k parts that are +0.0 throughout (complex zeros) take Quaternion's one default
+        width = 4 if q.view(np.uint64)[:, 2:].any() else 2
+        return cls(tuple(x.tolist()), tuple(map(Quaternion, *q[:, :width].T.tolist())),
+                   tuple(map(ConjugacyClass.from_complex, s.tolist())))
 
     def class_count(self) -> int:
         return len(self.real_zeros) + len(self.isolated_zeros) + len(self.spherical)
@@ -187,6 +188,21 @@ class ZeroSet:
         return ZeroSet(self.real_zeros,
                        tuple(q.conjugate() for q in self.isolated_zeros),
                        self.spherical)
+
+
+def _kept(x: np.ndarray, size: np.ndarray, close, keep: np.ndarray) -> np.ndarray:
+    """The sorted entries ZeroSet.build keeps: those of keep not close(i, j, r) to a kept earlier
+    i, r = DEDUP_REL * max(1, size[j]).  close is asked only where the first sort keys x lie within
+    r (at offsets 1, 2, ..., as in roots._cluster), never of NaN sizes, which come last."""
+    x = x[:len(x) - np.count_nonzero(np.isnan(size))]
+    r, scan, k, ties = DEDUP_REL * np.maximum(1.0, size), np.ones(len(x), dtype=bool), 1, []
+    while (scan := scan[1:] & ~(x[k:] - x[:-k] > r[k:len(x)])).any():
+        j = k + scan.nonzero()[0]
+        ties += [(b, b - k) for b in j[close(j - k, j, r[j])].tolist()]
+        k += 1
+    for j, i in sorted(ties):  # in order of j, so keep[i] is final
+        keep[j] &= not keep[i]
+    return keep
 
 
 def normalize(p: SimplePolynomial) -> np.ndarray:
@@ -319,21 +335,18 @@ def _isolated_zero_cofactor(g1: ComplexPolynomial, g2: ComplexPolynomial,
     return _conj_side_zero(a[ok], b[ok], eta[ok]), ok
 
 
-def _place_pairs(pair, eta):
-    """((k, 4) isolated zeros, spheres) of the pair representatives eta, from one evaluation."""
-    eta = np.asarray(eta, dtype=np.complex128)
+def _place_pairs(pair, eta: np.ndarray):
+    """((k, 4) isolated zeros, sphere representatives) of the pair representatives eta."""
     values, _, majorants = Evaluator(_stacked(pair))(np.stack([eta, eta.conj()]))
     sphere = is_spherical_root(values, majorants)
-    return (isolated_zero(pair, eta[~sphere], values[..., ~sphere]),
-            [ConjugacyClass.from_complex(e) for e in eta[sphere].tolist()])
+    return isolated_zero(pair, eta[~sphere], values[..., ~sphere]), eta[sphere]
 
 
 def solve_discriminant(p: SimplePolynomial) -> ZeroSet:
     """Full solution set via the roots of the discriminant polynomial."""
     pair = derived(normalize(p))
-    reals, pairs = classify_real(all_roots(discriminant(pair)))
-    isolated, classes = _place_pairs(pair, [v for v, _ in pairs])
-    return ZeroSet.build([x for x, _ in reals], isolated, classes)
+    (reals, _), (pairs, _) = classify_real(all_roots(discriminant(pair)))
+    return ZeroSet.build(reals, *_place_pairs(pair, pairs))
 
 
 def factor_g(pair):
@@ -376,26 +389,21 @@ def solve_factored(p: SimplePolynomial) -> ZeroSet:
     """
     pair = derived(normalize(p))
     g, g1, g2 = factor_g(pair)
-    reals_g, paired_g, unpaired_g = pair_conjugates(
+    (reals, _), (spheres, _), (eta, _) = pair_conjugates(
         all_roots(g).roots if g.degree >= 1 else ())
-    real_zeros = [x for x, _ in reals_g]
-    classes = [ConjugacyClass.from_complex(v) for v, _ in paired_g]
-    todo = [eta for eta, _ in unpaired_g]
     gt = discriminant((g1, g2))
     if gt.degree >= 1:
-        treals, tpairs = classify_real(all_roots(gt))
+        (treals, _), (tpairs, _) = classify_real(all_roots(gt))
         # a real root here can only be a gcd-tolerance artifact; it still
         # certifies a genuine real zero (both f1 and f2 vanish there)
-        real_zeros.extend(x for x, _ in treals)
-        todo += [eta for eta, _ in tpairs]
-    eta = np.array(todo, dtype=np.complex128)
+        reals, eta = np.concatenate([reals, treals]), np.concatenate([eta, tpairs])
     isolated, ok = _isolated_zero_cofactor(g1, g2, eta)
     if not ok.all():
         # gcd artifact: fall back to classification by the full derived pair
         stuck = eta[~ok]
         more = _place_pairs(pair, np.where(stuck.imag > 0, stuck, stuck.conj()))
-        isolated, classes = np.vstack([isolated, more[0]]), classes + more[1]
-    return ZeroSet.build(real_zeros, isolated, classes)
+        isolated, spheres = np.vstack([isolated, more[0]]), np.concatenate([spheres, more[1]])
+    return ZeroSet.build(reals, isolated, spheres)
 
 
 def solve_complex_coeffs(p: SimplePolynomial) -> ZeroSet:
@@ -411,10 +419,8 @@ def solve_complex_coeffs(p: SimplePolynomial) -> ZeroSet:
         raise NotComplexCoefficientsError(
             "coefficients have j/k components; use a general solver")
     cp = ComplexPolynomial(p.rows.view(np.complex128)[:, 0])
-    reals, paired, unpaired = pair_conjugates(all_roots(cp).roots)
-    classes = [ConjugacyClass.from_complex(v) for v, _ in paired]
-    isolated = [Quaternion(v.real, v.imag) for v, _ in unpaired]  # the zero j, k parts are shared
-    return ZeroSet.build([x for x, _ in reals], isolated, classes)
+    (reals, _), (spheres, _), (z, _) = pair_conjugates(all_roots(cp).roots)
+    return ZeroSet.build(reals, np.column_stack([z.real, z.imag, np.zeros((len(z), 2))]), spheres)
 
 
 def is_finite_zero_set(p: SimplePolynomial) -> bool:

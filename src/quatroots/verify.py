@@ -3,11 +3,11 @@
 _eval_rows evaluates the original quaternionic polynomial by accumulating
 powers with plain quaternion multiplication.  It shares no algorithm with
 the solver routes, only quaternion.py's Hamilton product and norm, so it
-serves as the acceptance oracle for every route.  audit runs it on all its
-points at once, one numpy row per point, so a batched residual equals the
-one-point residual bit for bit.  It forms the terms q_j z^j of a block of j
-at once and adds them in order of j (np.add.accumulate): the roundings of
-the term-by-term sum.
+serves as the acceptance oracle for every route.  audit runs it on one (k, 4)
+array of all its points, each sphere's members broadcast from one direction
+array, and a batched residual equals the one-point residual bit for bit: it
+forms the terms q_j z^j of a block of j at once and adds them in order of j
+(np.add.accumulate), the roundings of the term-by-term sum.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quaternion import Quaternion, hamilton, norms, rows
+from .quaternion import Quaternion, hamilton, norms, rows, sphere_directions
 from .solver import DEFAULT_TOLS, SimplePolynomial, ZeroSet
 
 SAMPLES_PER_CLASS = 8  # sphere members audit evaluates per reported sphere
@@ -99,26 +99,27 @@ class VerificationReport:
         return self.residuals_ok and self.bounds_ok
 
 
+@np.errstate(invalid="ignore")  # inf * 0 is NaN, as for Python floats
 def audit(p: SimplePolynomial, zs: ZeroSet) -> VerificationReport:
     """Evaluate p at every reported zero and at SAMPLES_PER_CLASS members of every sphere,
     each residual against DEFAULT_TOLS.accept * sum |q_j| * max(1, |z|)^n.
 
+    The points form one (k, 4) array; entries are named by kind and position ("sphere 1 member 5").
+
     Also checks the degree count: a real or isolated zero takes a linear factor and a sphere
     a real quadratic, so reals + isolated + 2 * spheres is at most the degree.
     """
-    labels: list[str] = []
-    points: list[Quaternion] = []
-    for x in zs.real_zeros:
-        labels.append(f"real {x:.12g}")
-        points.append(Quaternion(x))
-    for q in zs.isolated_zeros:
-        labels.append(f"isolated {q}")
-        points.append(q)
-    for cls in zs.spherical:
-        for t, member in enumerate(cls.sample(SAMPLES_PER_CLASS)):
-            labels.append(f"sphere {cls} member {t}")
-            points.append(member)
-    z = rows(points)
+    reals = np.zeros((len(zs.real_zeros), 4))
+    reals[:, 0] = zs.real_zeros
+    rep = np.array([c.representative for c in zs.spherical], dtype=complex)
+    members = np.zeros((len(rep), SAMPLES_PER_CLASS, 4))
+    if len(rep):  # sphere_directions is a Python loop, and most zero sets have no sphere
+        members[..., 0] = rep.real[:, None]
+        members[..., 1:] = rep.imag[:, None, None] * sphere_directions(SAMPLES_PER_CLASS)
+    z = np.vstack([reals, rows(zs.isolated_zeros), members.reshape(-1, 4)])
+    labels = ([f"real {k}" for k in range(len(reals))]
+              + [f"isolated {k}" for k in range(len(zs.isolated_zeros))]
+              + [f"sphere {k} member {t}" for k, t in np.ndindex(len(rep), SAMPLES_PER_CLASS)])
     residuals, moduli = norms(_eval_rows(p, z)).tolist(), norms(z).tolist()
     coeff_sum = sum(norms(p.rows).tolist())
     entries = tuple((label, r, _bound(coeff_sum, norm, p.degree))

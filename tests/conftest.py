@@ -445,6 +445,12 @@ def cluster_reference(points: np.ndarray, radii: np.ndarray) -> list[tuple[compl
     return out
 
 
+def listed(values: np.ndarray, mult: np.ndarray) -> list:
+    """(values, multiplicities) arrays as the (value, multiplicity) pairs of Python scalars
+    that the scalar references return."""
+    return list(zip(values.tolist(), mult.tolist()))
+
+
 def pair_conjugates_reference(roots, tol_real: float = DEFAULT_REAL_TOL):
     """roots.pair_conjugates as the per-root loop it replaced: split (value, multiplicity)
     roots into reals, conjugate pairs and the rest.
@@ -599,23 +605,23 @@ def ab_reference(p: SimplePolynomial, z: Quaternion) -> tuple[Quaternion, Quater
 def solve_companion_reference(p: SimplePolynomial) -> ZeroSet:
     """solve_companion with the scalar loops and the unscaled sphere test."""
     from quatroots.companion import monic_normalized
-    from quatroots.quaternion import ConjugacyClass, embed_complex
+    from quatroots.quaternion import embed_complex
     from quatroots.roots import all_roots, classify_real
     from quatroots.solver import DEFAULT_TOLS
 
     pm = monic_normalized(p)
-    reals, pairs = classify_real(all_roots(ComplexPolynomial(companion_reference(pm))))
-    isolated, classes = [], []
-    for eta, _ in pairs:
+    (reals, _), (pairs, _) = classify_real(all_roots(ComplexPolynomial(companion_reference(pm))))
+    isolated, spheres = [], []
+    for eta in pairs.tolist():
         a, b = ab_reference(pm, embed_complex(eta))
         v = a.conjugate() * b
         s = sum(abs(q) * max(1.0, abs(eta)) ** j for j, q in enumerate(pm.coeffs))
         if abs(v) <= DEFAULT_TOLS.zero * s * s:
-            classes.append(ConjugacyClass.from_complex(eta))
+            spheres.append(eta)
             continue
         wnorm = v.vec_norm()
         if wnorm <= 1e-300 * abs(v):
             raise RuntimeError(f"nonzero v with vanishing imaginary part at {eta}")
         f = abs(eta.imag) / wnorm
         isolated.append(Quaternion(eta.real, -f * v.a1, -f * v.a2, -f * v.a3))
-    return ZeroSet.build([x for x, _ in reals], isolated, classes)
+    return ZeroSet.build(reals, rows(isolated), spheres)

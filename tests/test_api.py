@@ -28,7 +28,7 @@ PUBLIC = {
 INTERNAL = {
     "companion": ["ab", "companion", "monic_normalized", "power_decomp"],
     "cpoly": ["ComplexPolynomial", "gcd"],
-    "quaternion": ["embed_complex"],
+    "quaternion": ["embed_complex", "sphere_directions"],
     "roots": ["RootList", "all_roots", "classify_real", "polish_multiples"],
     "solver": ["DEFAULT_TOLS", "all_roots", "derived", "discriminant", "factor_g",
                "is_spherical_root", "isolated_zero", "norm_polynomial", "normalize"],
@@ -38,14 +38,15 @@ INTERNAL = {
 # test-only helpers and aliases that were folded into the names above, and deleted names
 REMOVED = {
     "quaternion": ["ComplexMatrix2", "ComplexPair", "sigma", "unsplit",
-                   "same_class", "class_sample", "ZERO", "split", "ONE", "I", "J", "K"],
+                   "same_class", "class_sample", "ZERO", "split", "ONE", "I", "J", "K",
+                   "_sphere_directions"],
     "solver": ["classify_eta", "_classify_complex_root_values",
                "_cofactor_discriminant", "NormalizedPolynomial", "DerivedPolynomials",
                "_norm_polynomial", "NonRealDiscriminantError", "NORM_REAL_TOL", "_side_values"],
-    "roots": ["polish_double", "_safe_ratio", "polished_roots", "_newton_refine"],
+    "roots": ["polish_double", "_safe_ratio", "polished_roots", "_newton_refine", "_listed"],
     "companion": ["CompanionPolynomial", "PowerDecomposition", "NonRealCompanionError"],
     "cpoly": ["scaled_values", "gcd_many", "scaled_horner"],
-    "cli": ["_fmt"],
+    "cli": ["_fmt", "_quaternion", "_coeff_rows"],
     "verify": ["eval_qpoly", "residual_limit"],
 }
 
@@ -101,6 +102,12 @@ def test_complex_polynomial_has_no_ring_api():
 
 def test_discriminant_takes_the_pair_only():
     assert list(inspect.signature(solver.discriminant).parameters) == ["pair"]
+
+
+def test_zero_set_build_takes_one_array_format():
+    # (k,) real zeros, (k, 4) isolated-zero rows and (k,) complex sphere representatives
+    assert list(inspect.signature(solver.ZeroSet.build).parameters) == [
+        "reals", "isolated", "spheres"]
 
 
 def test_companion_takes_the_polynomial_only():

@@ -7,6 +7,7 @@ that would break a benchmark run fails here instead.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -53,8 +54,26 @@ def test_a_traced_cli_problem_counts_every_layer(bench, tmp_path):
     with tracer.problem_span(0):
         out = wl.execute(item)
     _checked(wl.check(problem, out))
-    for key in ("verify.audit.entries", "solver.ZeroSet.build.items_kept",
+    for key in ("verify.audit.entries", "solver.ZeroSet.build.items_in",
+                "solver.ZeroSet.build.items_kept",
                 "roots.polish_multiples.calls", "roots.eval_state.points",
                 "solver.is_spherical_root.calls", "solver.isolated_zero.calls"):
         assert tracer.counts[key] > 0, key
     assert tracer.counts["roots.polish_multiples.multiple_entries"] > 0
+
+
+def test_a_traced_sphere_problem_counts_every_audited_member(bench, tmp_path):
+    # audit evaluates SAMPLES_PER_CLASS members per sphere, assembled as one array, and
+    # perfbench counts its entries with len()
+    wl = bench.worker.CliWorkload(bench.lib)
+    problem = next(p for p in bench.problems.build_pool("cli-compare", 1) if p.family == "sphere")
+    item = wl.prepare(problem, tmp_path)
+    tracer = bench.spans.Tracer()
+    with tracer.problem_span(0):
+        out = wl.execute(item)
+    _checked(wl.check(problem, out))
+    zero_sets = [z["zeros"] for z in json.loads(out[1])["algorithms"].values()]
+    samples = bench.lib["verify"].SAMPLES_PER_CLASS
+    assert all(z["spherical"] for z in zero_sets)
+    assert tracer.counts["verify.audit.entries"] == sum(
+        len(z["real"]) + len(z["isolated"]) + samples * len(z["spherical"]) for z in zero_sets)

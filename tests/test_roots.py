@@ -15,7 +15,7 @@ from quatroots.roots import (CLUSTER_REL, NoConvergenceError, RootList, Unpaired
                              pair_conjugates, polish_multiples)
 from quatroots.solver import DEFAULT_TOLS, SimplePolynomial, discriminant, solve_complex_coeffs
 
-from conftest import (aberth_reference, cluster_reference, kernel_value,
+from conftest import (aberth_reference, cluster_reference, kernel_value, listed,
                       pair_conjugates_reference, poly_mul, traced_peak)
 
 # the machine-computed roots of the degree-12 discriminant of the
@@ -34,6 +34,16 @@ TABLE_ROOTS = [
     -0.000000000016074 + 0.999999991468949j,
     -0.000000000016074 - 0.999999991468949j,
 ]
+
+
+def classified(rl: RootList):
+    """classify_real's (reals, pairs) as sorted lists of (value, multiplicity)."""
+    return tuple(listed(*part) for part in classify_real(rl))
+
+
+def paired(roots, *tol_real):
+    """pair_conjugates' (reals, pairs, unpaired) as sorted lists of (value, multiplicity)."""
+    return tuple(listed(*part) for part in pair_conjugates(roots, *tol_real))
 
 
 def sorted_values(rl: RootList):
@@ -320,7 +330,7 @@ class TestClassifyReal:
     def test_double_real_and_simple_pair(self):
         # (t-1)^2 (t^2+1)
         p = ComplexPolynomial([1, -2, 2, -2, 1])
-        reals, pairs = classify_real(all_roots(p))
+        reals, pairs = classified(all_roots(p))
         assert len(reals) == 1 and reals[0][1] == 2
         assert abs(reals[0][0] - 1) <= 1e-6
         assert len(pairs) == 1 and pairs[0][1] == 1
@@ -329,16 +339,16 @@ class TestClassifyReal:
     def test_squared_cubic(self):
         # (t^3+t^2+t+1)^2: double real at -1 and a double pair at i
         p = ComplexPolynomial([1, 2, 3, 4, 3, 2, 1])
-        reals, pairs = classify_real(all_roots(p))
+        reals, pairs = classified(all_roots(p))
         assert len(reals) == 1 and reals[0][1] == 2
         assert abs(reals[0][0] + 1) <= 1e-6
         assert len(pairs) == 1 and pairs[0][1] == 2
         assert abs(pairs[0][0] - 1j) <= 1e-6
 
     def test_machine_root_table(self):
-        clusters = _cluster(np.array(TABLE_ROOTS, dtype=complex), np.zeros(len(TABLE_ROOTS)))
-        rl = RootList(tuple(clusters))
-        reals, pairs = classify_real(rl)
+        values, mult = _cluster(np.array(TABLE_ROOTS, dtype=complex), np.zeros(len(TABLE_ROOTS)))
+        rl = RootList(tuple(listed(values, mult)))
+        reals, pairs = classified(rl)
         assert [(round(x, 6), m) for x, m in reals] == [(-1.0, 2), (1.0, 2)]
         expected_pairs = [(-0.5 + 0.866025403784j, 1), (0j + 1j, 2),
                           (0.5 + 0.866025403784j, 1)]
@@ -349,7 +359,7 @@ class TestClassifyReal:
 
     def test_pairs_have_positive_imaginary(self):
         p = ComplexPolynomial([5, 0, 1, 0, 1])
-        _, pairs = classify_real(all_roots(p))
+        _, pairs = classified(all_roots(p))
         assert all(eta.imag > 0 for eta, _ in pairs)
 
     def test_unpaired_root_raises(self):
@@ -366,7 +376,7 @@ class TestClassifyReal:
 class TestClassifyRealAtTheThreshold:
     # classify_real reads the real threshold of solver.DEFAULT_TOLS
     def test_imaginary_part_below_it_is_real(self):
-        reals, pairs = classify_real(RootList(((complex(2.0, 0.5 * DEFAULT_TOLS.real), 3),)))
+        reals, pairs = classified(RootList(((complex(2.0, 0.5 * DEFAULT_TOLS.real), 3),)))
         assert reals == [(2.0, 3)] and pairs == []
 
     def test_imaginary_part_above_it_needs_a_partner(self):
@@ -375,7 +385,7 @@ class TestClassifyRealAtTheThreshold:
 
     def test_imaginary_part_above_it_pairs_with_its_conjugate(self):
         eta = complex(2.0, 2 * DEFAULT_TOLS.real)
-        reals, pairs = classify_real(RootList(((eta.conjugate(), 1), (eta, 1))))
+        reals, pairs = classified(RootList(((eta.conjugate(), 1), (eta, 1))))
         assert reals == [] and pairs == [(eta, 1)]
 
 
@@ -384,24 +394,24 @@ class TestPairConjugates:
         # (t - i)(t - 2)(t^2 + 4): the root i has no conjugate twin
         p = poly_mul(poly_mul(ComplexPolynomial([-1j, 1]), ComplexPolynomial([-2, 1])),
                      ComplexPolynomial([4, 0, 1]))
-        reals, pairs, unpaired = pair_conjugates(all_roots(p).roots)
+        reals, pairs, unpaired = paired(all_roots(p).roots)
         assert len(reals) == 1 and abs(reals[0][0] - 2) <= 1e-10
         assert len(pairs) == 1 and abs(pairs[0][0] - 2j) <= 1e-10
         assert len(unpaired) == 1 and abs(unpaired[0][0] - 1j) <= 1e-10
 
     def test_unpaired_values_are_returned_as_found(self):
         roots = ((0.5 - 3j, 2), (1 + 1j, 1), (1 - 1j, 1))
-        _, pairs, unpaired = pair_conjugates(roots)
+        _, pairs, unpaired = paired(roots)
         assert pairs == [(1 + 1j, 1)]
         assert unpaired == [(0.5 - 3j, 2)]
 
     def test_pair_carries_the_larger_multiplicity(self):
         roots = ((2 + 1j, 1), (2 - 1j, 3))
-        assert pair_conjugates(roots)[1] == [(2 + 1j, 3)]
-        assert pair_conjugates(roots[::-1])[1] == [(2 + 1j, 3)]
+        assert paired(roots)[1] == [(2 + 1j, 3)]
+        assert paired(roots[::-1])[1] == [(2 + 1j, 3)]
 
     def test_pair_is_averaged_across_the_axis(self):
-        _, pairs, _ = pair_conjugates(((1 + 1e-7 + 1j, 1), (1 - (1 + 2e-7) * 1j, 1)))
+        _, pairs, _ = paired(((1 + 1e-7 + 1j, 1), (1 - (1 + 2e-7) * 1j, 1)))
         assert len(pairs) == 1
         assert abs(pairs[0][0] - (1 + 5e-8 + (1 + 1e-7) * 1j)) <= 1e-15
 
@@ -409,17 +419,17 @@ class TestPairConjugates:
         # conj(z) is within tol_real * (1 + |z|) of w, but both lie above the axis
         z, w = 100 + 1e-5j, 100 + 2e-5j
         assert abs(w - z.conjugate()) <= 1e-5 * (1 + abs(z))
-        _, pairs, unpaired = pair_conjugates(((z, 1), (w, 1)))
+        _, pairs, unpaired = paired(((z, 1), (w, 1)))
         assert pairs == []
         assert unpaired == [(z, 1), (w, 1)]
 
     def test_each_partner_is_used_once(self):
         roots = ((1 + 1j, 1), (1 + 1j + 1e-9, 1), (1 - 1j, 1))
-        _, pairs, unpaired = pair_conjugates(roots)
+        _, pairs, unpaired = paired(roots)
         assert len(pairs) == 1 and len(unpaired) == 1
 
     def test_near_real_roots_snap_to_real(self):
-        reals, pairs, unpaired = pair_conjugates(((3 + 1e-6j, 2), (-1 - 1e-7j, 1)))
+        reals, pairs, unpaired = paired(((3 + 1e-6j, 2), (-1 - 1e-7j, 1)))
         assert reals == [(-1.0, 1), (3.0, 2)]
         assert pairs == [] and unpaired == []
 
@@ -538,7 +548,7 @@ class TestArrayClustering:
     @given(_cluster_cases())
     def test_cluster_equals_the_greedy_loop(self, case):
         pts, radii = case
-        got, want = _cluster(pts.copy(), radii), cluster_reference(pts.copy(), radii)
+        got, want = listed(*_cluster(pts.copy(), radii)), cluster_reference(pts.copy(), radii)
         assert got == want and repr(got) == repr(want)
 
     @given(_root_cases())
@@ -546,7 +556,7 @@ class TestArrayClustering:
     @example(([(0.37 + 3.46j, 1), (1.265945400157225 - 3.46j, 1)], 0.2))
     def test_pairing_equals_the_greedy_loop(self, case):
         roots, tol = case
-        got, want = pair_conjugates(roots, tol), pair_conjugates_reference(roots, tol)
+        got, want = paired(roots, tol), pair_conjugates_reference(roots, tol)
         assert got == want and repr(got) == repr(want)
 
     def test_a_shared_partner_goes_to_the_earlier_root(self):
@@ -555,7 +565,7 @@ class TestArrayClustering:
         roots = [(1 + 1.0000012j, 1), (1 + 1j, 2), (1 - 1j, 1), (1 - 1.000004j, 3)]
         for order, means, mult in ((roots, [1.0000006, 1.000002], [1, 3]),
                                    (roots[1::-1] + roots[2:], [1.0, 1.0000026], [2, 3])):
-            got = pair_conjugates(order)
+            got = paired(order)
             assert got == pair_conjugates_reference(order) and got[2] == []
             assert np.allclose([v.imag for v, _ in got[1]], means, rtol=0, atol=1e-15)
             assert [m for _, m in got[1]] == mult
@@ -564,13 +574,16 @@ class TestArrayClustering:
         h = 2.0**-10
         pts = np.array([complex(3.0, h), 0.5, 3.0, 0.5 + h])  # gaps of exactly h
         radii = np.full(4, h)
-        assert _cluster(pts, radii) == cluster_reference(pts, radii) == [
+        assert listed(*_cluster(pts, radii)) == cluster_reference(pts, radii) == [
             (0.5 + h / 2, 2), (complex(3.0, h / 2), 2)]
 
     def test_empty_input(self):
         empty = np.zeros(0, dtype=np.complex128)
-        assert _cluster(empty, empty.real) == cluster_reference(empty, empty.real) == []
-        assert pair_conjugates([]) == pair_conjugates_reference([]) == ([], [], [])
+        assert listed(*_cluster(empty, empty.real)) == cluster_reference(empty, empty.real) == []
+        assert paired([]) == pair_conjugates_reference([]) == ([], [], [])
+        # the empty arrays keep their kinds: float reals, complex pairs and leftovers
+        assert [v.dtype for v, _ in pair_conjugates([])] == [np.float64, np.complex128,
+                                                             np.complex128]
 
     @pytest.mark.parametrize("c", _aberth_corpus(), ids=lambda c: f"n{len(c) - 1}")
     def test_the_aberth_corpus(self, monkeypatch, c):
@@ -579,12 +592,12 @@ class TestArrayClustering:
 
         def spy(points, radii):
             seen.append(_cluster(points.copy(), radii))
-            assert seen[-1] == cluster_reference(points.copy(), radii)
+            assert listed(*seen[-1]) == cluster_reference(points.copy(), radii)
             return seen[-1]
         monkeypatch.setattr(roots_mod, "_cluster", spy)
         rl = all_roots(ComplexPolynomial(c))
         assert len(seen) == 1
-        assert pair_conjugates(rl.roots) == pair_conjugates_reference(rl.roots)
+        assert paired(rl.roots) == pair_conjugates_reference(rl.roots)
 
 
 class TestTransientMemory:

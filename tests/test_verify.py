@@ -66,8 +66,8 @@ class TestEvalQPoly:
 
 class TestAudit:
     def test_cubic_ijk_published_set(self, cubic_ijk):
-        zs = ZeroSet.build([], [K, Quaternion(SQRT2_2, 0.5, 0, 0.5),
-                                Quaternion(-SQRT2_2, 0.5, 0, 0.5)], [])
+        zs = ZeroSet.build([], rows([K, Quaternion(SQRT2_2, 0.5, 0, 0.5),
+                                     Quaternion(-SQRT2_2, 0.5, 0, 0.5)]), [])
         rep = audit(cubic_ijk, zs)
         assert rep.max_residual < 1e-10
         assert rep.passed
@@ -75,14 +75,14 @@ class TestAudit:
     def test_degree6_published_set(self, degree6_mixed):
         zs = ZeroSet.build(
             [1.0, -1.0],
-            [Quaternion(0.5, -0.5, -0.5, -0.5), Quaternion(-0.5, 0.5, -0.5, -0.5)],
-            [ConjugacyClass.from_complex(1j)])
+            [(0.5, -0.5, -0.5, -0.5), (-0.5, 0.5, -0.5, -0.5)],
+            [1j])
         rep = audit(degree6_mixed, zs)
         assert rep.max_residual < 1e-10
         assert rep.bounds_ok
 
     def test_corrupted_zero_flagged(self, cubic_ijk):
-        zs = ZeroSet.build([], [Quaternion(0.1, 0, 0, 1)], [])  # k shifted
+        zs = ZeroSet.build([], [(0.1, 0, 0, 1)], [])  # k shifted
         rep = audit(cubic_ijk, zs)
         assert rep.max_residual > 1e-2
         assert not rep.passed
@@ -138,6 +138,14 @@ class TestAudit:
         assert len(rep.entries) == 1 + SAMPLES_PER_CLASS
         assert rep.max_residual == max(r for _, r, _ in rep.entries)
 
+    def test_entries_are_named_by_kind_and_position(self, degree6_mixed):
+        zs = ZeroSet.build([1.0, -1.0], [(0.5, -0.5, -0.5, -0.5), (-0.5, 0.5, -0.5, -0.5)],
+                           [1j, 2j])
+        names = [name for name, _, _ in audit(degree6_mixed, zs).entries]
+        assert names == (["real 0", "real 1", "isolated 0", "isolated 1"]
+                         + [f"sphere {k} member {t}" for k in range(2)
+                            for t in range(SAMPLES_PER_CLASS)])
+
     def test_reads_the_sample_count_at_each_call(self, monkeypatch, cubic_real):
         zs = solve_discriminant(cubic_real)
         monkeypatch.setattr(verify_mod, "SAMPLES_PER_CLASS", 3)
@@ -160,6 +168,13 @@ class TestAudit:
         residuals = [r for _, r, _ in rep.entries]
         assert 0.0 in residuals and any(map(math.isnan, residuals))
         assert math.isnan(rep.max_residual) and not rep.passed
+
+    def test_an_infinite_sphere_gives_nan_members_silently(self):
+        # inf * 0 is NaN, as the Python products of ConjugacyClass.sample give it
+        zs = ZeroSet((), (), (ConjugacyClass(complex(0.0, math.inf)),))
+        rep = audit(SimplePolynomial([1, 0, 1]), zs)
+        assert math.isnan(rep.max_residual) and not rep.passed
+        assert math.isnan(zs.spherical[0].sample(SAMPLES_PER_CLASS)[0].a2)
 
     @given(st.lists(_quaternions, min_size=1, max_size=7),
            st.lists(_finite, max_size=3), st.lists(_quaternions, max_size=3),
@@ -222,19 +237,19 @@ class TestCompare:
         assert not d
 
     def test_category_mismatch_reported(self):
-        a = ZeroSet.build([], [I], [])
-        b = ZeroSet.build([], [], [ConjugacyClass.from_complex(1j)])
+        a = ZeroSet.build([], rows([I]), [])
+        b = ZeroSet.build([], [], [1j])
         d = compare(a, b)
         assert d
         assert len(d.isolated) == 1 and len(d.spherical) == 1
 
     def test_identical_sets_empty_diff(self):
-        zs = ZeroSet.build([2.0], [ONE + I], [ConjugacyClass.from_complex(3j)])
+        zs = ZeroSet.build([2.0], rows([ONE + I]), [3j])
         assert not compare(zs, zs)
 
     def test_symmetry(self):
-        a = ZeroSet.build([0.0], [I + J], [])
-        b = ZeroSet.build([0.0 + 5e-7], [I + J], [])
+        a = ZeroSet.build([0.0], rows([I + J]), [])
+        b = ZeroSet.build([0.0 + 5e-7], rows([I + J]), [])
         assert bool(compare(a, b)) == bool(compare(b, a))
         c = ZeroSet.build([1.0], [], [])
         assert bool(compare(a, c)) == bool(compare(c, a))
