@@ -40,7 +40,7 @@ def companion(p: SimplePolynomial) -> ComplexPolynomial:
 def power_decomp(x, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta), each of shape (n + 1,) + x.shape, with x^j = alpha[j] x + beta[j].
 
-    Only Re x and |x| enter: a quaternion q decomposes as complex(q.re, q.vec_norm()).
+    Only Re x and |x| enter: a quaternion q decomposes as complex(Re q, |Im q|).
     """
     if n < 0:
         raise ValueError("need n >= 0")

@@ -9,6 +9,7 @@ Everything here is immutable and side-effect free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,10 +47,6 @@ class Quaternion:
 
     def __abs__(self) -> float:
         return math.sqrt(self.norm_sq())
-
-    def vec_norm(self) -> float:
-        """Modulus of the imaginary (i, j, k) part."""
-        return math.sqrt(self.a1 * self.a1 + self.a2 * self.a2 + self.a3 * self.a3)
 
     def __add__(self, other: Quaternion) -> Quaternion:
         if not isinstance(other, Quaternion):
@@ -146,8 +143,9 @@ def embed_complex(c: complex) -> Quaternion:
     return Quaternion(c.real, c.imag, 0.0, 0.0)
 
 
+@functools.lru_cache(maxsize=16)  # bounded: ConjugacyClass.sample passes any n
 def sphere_directions(n: int) -> np.ndarray:
-    """(n, 3) unit vectors spread over the 2-sphere.
+    """(n, 3) unit vectors spread over the 2-sphere, read-only and formed once per n.
 
     Deterministic: the first direction is always (1, 0, 0); the rest follow a
     golden-angle spiral.
@@ -158,7 +156,9 @@ def sphere_directions(n: int) -> np.ndarray:
         sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
         phi = m * _GOLDEN_ANGLE
         dirs.append((cos_t, sin_t * math.cos(phi), sin_t * math.sin(phi)))
-    return np.array(dirs)
+    out = np.array(dirs)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,16 +189,6 @@ class ConjugacyClass:
     @property
     def modulus(self) -> float:
         return abs(self.representative)
-
-    def contains(self, q: Quaternion, tol: float = 1e-10) -> bool:
-        """Whether q shares the members' real part and modulus, relative to max(1, |.|)."""
-        s = max(1.0, self.modulus, abs(q))
-        return (abs(q.re - self.re) <= tol * s
-                and abs(abs(q) - self.modulus) <= tol * s)
-
-    def distance(self, other: ConjugacyClass) -> float:
-        """Separation as (real part, modulus) pairs."""
-        return max(abs(self.re - other.re), abs(self.modulus - other.modulus))
 
     def sample(self, n: int) -> list[Quaternion]:
         """n members of the class, imaginary directions spread over the sphere."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cpoly import BLOCK, DEFAULT_GCD_TOL, ComplexPolynomial, Evaluator, TRIM_REL, gcd as poly_gcd
 from .quaternion import ConjugacyClass, Quaternion, embed_complex, hamilton
-from .roots import DEFAULT_REAL_TOL, all_roots, classify_real, pair_conjugates
+from .roots import all_roots, classify_real, pair_conjugates
 
 
 class DegreeError(ValueError):
@@ -49,15 +49,14 @@ class NotComplexCoefficientsError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The numerical thresholds of the library, fixed in DEFAULT_TOLS.
+    """The numerical thresholds of the library, fixed in DEFAULT_TOLS; the real-axis
+    threshold is roots.DEFAULT_REAL_TOL.
 
-    real:   |Im| below which a root counts as real
     zero:   |f(eta)| below which a derived polynomial counts as vanishing
     gcd:    relative remainder cutoff for the approximate gcd
     accept: relative residual acceptance for verification
     """
 
-    real: float = DEFAULT_REAL_TOL
     zero: float = 1e-10
     gcd: float = DEFAULT_GCD_TOL
     accept: float = 1e-8

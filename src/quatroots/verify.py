@@ -113,9 +113,8 @@ def audit(p: SimplePolynomial, zs: ZeroSet) -> VerificationReport:
     reals[:, 0] = zs.real_zeros
     rep = np.array([c.representative for c in zs.spherical], dtype=complex)
     members = np.zeros((len(rep), SAMPLES_PER_CLASS, 4))
-    if len(rep):  # sphere_directions is a Python loop, and most zero sets have no sphere
-        members[..., 0] = rep.real[:, None]
-        members[..., 1:] = rep.imag[:, None, None] * sphere_directions(SAMPLES_PER_CLASS)
+    members[..., 0] = rep.real[:, None]
+    members[..., 1:] = rep.imag[:, None, None] * sphere_directions(SAMPLES_PER_CLASS)
     z = np.vstack([reals, rows(zs.isolated_zeros), members.reshape(-1, 4)])
     labels = ([f"real {k}" for k in range(len(reals))]
               + [f"isolated {k}" for k in range(len(zs.isolated_zeros))]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,29 @@ def multiple_zero_inputs(family: str, count: int, rng: np.random.Generator):
     return out
 
 
+def shifted_inputs(n: int, count: int) -> list[SimplePolynomial]:
+    """count degree-n inputs p(x + 0.375) of the shifted family, p from default_rng(1) as
+    standard_normal((n + 1, 4)), one draw per input.
+
+    The shift is expanded in float64 by Horner's Taylor shift, q <- q (x + 0.375) + p_k for
+    k from n - 1 down to 0, componentwise: it rounds, so the zeros are those of the rounded
+    rows, not exactly p's moved by -0.375.
+    """
+    rng = np.random.default_rng(1)
+    out = []
+    for _ in range(count):
+        p = rng.standard_normal((n + 1, 4))
+        q = p[n:]
+        for k in range(n - 1, -1, -1):
+            nxt = np.zeros((len(q) + 1, 4))
+            nxt[1:] = q
+            nxt[:-1] += 0.375 * q
+            nxt[0] += p[k]
+            q = nxt
+        out.append(SimplePolynomial.from_rows(q))
+    return out
+
+
 def graded_inputs(count: int) -> list[SimplePolynomial]:
     """The first count inputs of the graded family: from default_rng(7), degree n from
     2..20, then rows standard_normal((n + 1, 4)) * 10**uniform(-12, 12, (n + 1, 1)),
@@ -208,6 +232,18 @@ def traced_peak(f) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def vec_norm(q: Quaternion) -> float:
+    """Modulus of the imaginary (i, j, k) part of q, squares added in order."""
+    return math.sqrt(q.a1 * q.a1 + q.a2 * q.a2 + q.a3 * q.a3)
+
+
+def in_class(c, q: Quaternion, tol: float = 1e-10) -> bool:
+    """Whether q shares the real part and modulus of the ConjugacyClass c, within
+    tol * max(1, |c|, |q|)."""
+    s = max(1.0, c.modulus, abs(q))
+    return abs(q.re - c.re) <= tol * s and abs(abs(q) - c.modulus) <= tol * s
 
 
 def qapprox(a: Quaternion, b: Quaternion, tol: float = 1e-10) -> bool:
@@ -302,7 +338,7 @@ def compare_reference(zs1: ZeroSet, zs2: ZeroSet, tol: float = 1e-6) -> ZeroSetD
         tol=lambda a, b: tol * max(1.0, abs(a), abs(b)))
     ls, rs = greedy_match_reference(
         zs1.spherical, zs2.spherical,
-        dist=lambda a, b: a.distance(b),
+        dist=lambda a, b: max(abs(a.re - b.re), abs(a.modulus - b.modulus)),
         tol=lambda a, b: tol * max(1.0, a.modulus, b.modulus))
     return ZeroSetDiff(
         real=tuple([("left", x) for x in lr] + [("right", x) for x in rr]),
@@ -318,7 +354,7 @@ def dedup_isolated_reference(isolated, classes, dedup: float = 1e-8):
         s = max(1.0, abs(q))
         if any(abs(q - r) <= dedup * s for r in iso):
             continue
-        if any(c.contains(q, dedup) for c in classes):
+        if any(in_class(c, q, dedup) for c in classes):
             continue
         iso.append(q)
     return tuple(iso)
@@ -619,7 +655,7 @@ def solve_companion_reference(p: SimplePolynomial) -> ZeroSet:
         if abs(v) <= DEFAULT_TOLS.zero * s * s:
             spheres.append(eta)
             continue
-        wnorm = v.vec_norm()
+        wnorm = vec_norm(v)
         if wnorm <= 1e-300 * abs(v):
             raise RuntimeError(f"nonzero v with vanishing imaginary part at {eta}")
         f = abs(eta.imag) / wnorm

@@ -87,6 +87,12 @@ def test_removed_methods_stay_gone():
     assert not hasattr(quatroots.Quaternion, "is_real")
     assert not hasattr(quatroots.ZeroSet, "is_empty")
     assert "dedup" not in solver.Tolerances.__dataclass_fields__
+    # no caller in the library: conjugacy and the imaginary modulus are compared by hand
+    assert not hasattr(quatroots.ConjugacyClass, "contains")
+    assert not hasattr(quatroots.ConjugacyClass, "distance")
+    assert not hasattr(quatroots.Quaternion, "vec_norm")
+    # classify_real reads roots.DEFAULT_REAL_TOL, the one record of the real threshold
+    assert "real" not in solver.Tolerances.__dataclass_fields__
     assert not callable(ComplexPolynomial([1.0, 2.0]))
     assert "source_degree" not in RootList.__dataclass_fields__
 
@@ -141,7 +147,8 @@ def test_layers_take_no_tolerance(func, params):
 
 
 def test_the_thresholds_keep_their_values():
-    assert solver.DEFAULT_TOLS == solver.Tolerances(real=1e-5, zero=1e-10, gcd=1e-8, accept=1e-8)
+    assert solver.DEFAULT_TOLS == solver.Tolerances(zero=1e-10, gcd=1e-8, accept=1e-8)
+    assert roots.DEFAULT_REAL_TOL == 1e-5
 
 
 @pytest.mark.parametrize("mod", [verify, companion], ids=lambda m: m.__name__)
@@ -151,12 +158,11 @@ def test_modules_read_the_one_record(mod):
 
 def test_the_record_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
-        solver.DEFAULT_TOLS.real = 1e-3
+        solver.DEFAULT_TOLS.zero = 1e-3
 
 
 # every layer default that restates a Tolerances field: (function, parameter, field)
 LAYER_DEFAULTS = [
-    (roots.pair_conjugates, "tol_real", "real"),
     (cpoly.gcd, "tol", "gcd"),
 ]
 

@@ -7,18 +7,18 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from quatroots.quaternion import ConjugacyClass, Quaternion, embed_complex, norms
+from quatroots.quaternion import ConjugacyClass, Quaternion, embed_complex, norms, sphere_directions
 
-from conftest import ONE, I, J, K, qapprox, sigma
+from conftest import ONE, I, J, K, in_class, qapprox, sigma, vec_norm
 
 components = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 quaternions = st.builds(Quaternion, components, components, components, components)
 # conjugacy spheres are spanned by nonreal quaternions only
-nonreal_quaternions = quaternions.filter(lambda q: q.vec_norm() > 0.0)
+nonreal_quaternions = quaternions.filter(lambda q: vec_norm(q) > 0.0)
 
 
 def class_of(q: Quaternion) -> ConjugacyClass:
-    return ConjugacyClass.from_complex(complex(q.re, q.vec_norm()))
+    return ConjugacyClass.from_complex(complex(q.re, vec_norm(q)))
 
 
 # independent multiplication oracle: structure constants of the basis
@@ -94,7 +94,7 @@ class TestMul:
     def test_q_times_conjugate_is_norm_sq(self, q):
         prod = q * q.conjugate()
         assert abs(prod.a0 - q.norm_sq()) <= 1e-12 * max(1.0, q.norm_sq())
-        assert prod.vec_norm() <= np.finfo(float).eps * 8 * max(1.0, q.norm_sq())
+        assert vec_norm(prod) <= np.finfo(float).eps * 8 * max(1.0, q.norm_sq())
 
 
 class TestNorms:
@@ -203,34 +203,34 @@ class TestEmbedComplex:
 
 
 class TestSameClass:
-    """Conjugacy of two quaternions, decided by ConjugacyClass.contains."""
+    """Conjugacy of two quaternions: equal real part and modulus, read off the class."""
 
     def test_i_and_minus_i(self):
-        assert class_of(I).contains(-I)
+        assert in_class(class_of(I), -I)
 
     def test_i_and_j(self):
-        assert class_of(I).contains(J)
+        assert in_class(class_of(I), J)
         # conjugation witness: q i q^-1 = j for q = (1 + k)/sqrt(2)
         q = (ONE + K) / math.sqrt(2)
         assert qapprox(q * I * q.inverse(), J, 1e-12)
 
     def test_real_vs_imaginary(self):
-        assert not class_of(I).contains(ONE)
+        assert not in_class(class_of(I), ONE)
 
     @given(nonreal_quaternions)
     def test_reflexive(self, q):
-        assert class_of(q).contains(q)
+        assert in_class(class_of(q), q)
 
     @given(nonreal_quaternions, nonreal_quaternions)
     def test_symmetric(self, p, q):
-        assert class_of(p).contains(q) == class_of(q).contains(p)
+        assert in_class(class_of(p), q) == in_class(class_of(q), p)
 
     def test_transitive_under_exact_ties(self):
         # members of one class share (Re, modulus) exactly by construction
         cls = ConjugacyClass.from_complex(0.5 + 2j)
         a, b, c = cls.sample(3)
-        assert class_of(a).contains(b) and class_of(b).contains(c)
-        assert class_of(a).contains(c)
+        assert in_class(class_of(a), b) and in_class(class_of(b), c)
+        assert in_class(class_of(a), c)
 
 
 class TestConjugacyClass:
@@ -265,7 +265,7 @@ class TestConjugacyClass:
         cls = ConjugacyClass.from_complex(3 + 1e-7j)
         for q in cls.sample(25):
             assert q.re == 3.0
-            assert math.isclose(q.vec_norm(), 1e-7, rel_tol=8 * sys.float_info.epsilon)
+            assert math.isclose(vec_norm(q), 1e-7, rel_tol=8 * sys.float_info.epsilon)
 
     def test_huge_class_samples_without_overflow(self):
         cls = ConjugacyClass(complex(1e199, 1e200))
@@ -284,7 +284,16 @@ class TestConjugacyClass:
         for q in cls.sample(8):
             assert abs(q * q + ONE) <= 1e-12
 
-    def test_contains(self):
-        cls = ConjugacyClass.from_complex(1j)
-        assert cls.contains(K)
-        assert not cls.contains(ONE + K)
+
+class TestSphereDirections:
+    def test_unit_vectors_from_one_zero_zero(self):
+        dirs = sphere_directions(25)
+        assert dirs.shape == (25, 3) and dirs[0].tolist() == [1.0, 0.0, 0.0]
+        assert np.allclose(norms(dirs), 1.0, rtol=0.0, atol=4e-16)
+
+    def test_formed_once_per_count_and_read_only(self):
+        # audit reads the array at every call, and ConjugacyClass.sample scales it
+        dirs = sphere_directions(8)
+        assert sphere_directions(8) is dirs and sphere_directions(3) is not dirs
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 2.0

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from quatroots import roots as roots_mod
 from quatroots.cpoly import BLOCK, ComplexPolynomial, Evaluator
-from quatroots.roots import (CLUSTER_REL, NoConvergenceError, RootList, UnpairedRootError,
-                             _aberth, _aberth_sums, _cluster, _collisions, _eval_state,
-                             _newton_polish, all_roots, classify_real,
+from quatroots.roots import (CLUSTER_REL, DEFAULT_REAL_TOL, NoConvergenceError, RootList,
+                             UnpairedRootError, _aberth, _aberth_sums, _cluster, _collisions,
+                             _eval_state, _newton_polish, all_roots, classify_real,
                              pair_conjugates, polish_multiples)
-from quatroots.solver import DEFAULT_TOLS, SimplePolynomial, discriminant, solve_complex_coeffs
+from quatroots.solver import SimplePolynomial, discriminant, solve_complex_coeffs
 
 from conftest import (aberth_reference, cluster_reference, kernel_value, listed,
                       pair_conjugates_reference, poly_mul, traced_peak)
@@ -374,17 +374,17 @@ class TestClassifyReal:
 
 
 class TestClassifyRealAtTheThreshold:
-    # classify_real reads the real threshold of solver.DEFAULT_TOLS
+    # classify_real reads the real threshold roots.DEFAULT_REAL_TOL
     def test_imaginary_part_below_it_is_real(self):
-        reals, pairs = classified(RootList(((complex(2.0, 0.5 * DEFAULT_TOLS.real), 3),)))
+        reals, pairs = classified(RootList(((complex(2.0, 0.5 * DEFAULT_REAL_TOL), 3),)))
         assert reals == [(2.0, 3)] and pairs == []
 
     def test_imaginary_part_above_it_needs_a_partner(self):
         with pytest.raises(UnpairedRootError):
-            classify_real(RootList(((complex(2.0, 2 * DEFAULT_TOLS.real), 1),)))
+            classify_real(RootList(((complex(2.0, 2 * DEFAULT_REAL_TOL), 1),)))
 
     def test_imaginary_part_above_it_pairs_with_its_conjugate(self):
-        eta = complex(2.0, 2 * DEFAULT_TOLS.real)
+        eta = complex(2.0, 2 * DEFAULT_REAL_TOL)
         reals, pairs = classified(RootList(((eta.conjugate(), 1), (eta, 1))))
         assert reals == [] and pairs == [(eta, 1)]
 
