@@ -10,10 +10,9 @@ The layers of the routes import from their modules.
 from .companion import solve_companion
 from .quaternion import ConjugacyClass, Quaternion
 from .roots import NoConvergenceError, UnpairedRootError
-from .solver import (BothDenominatorsZeroError, DegreeError, InexactDivisionError,
-                     NotComplexCoefficientsError, SimplePolynomial, ZeroSet,
-                     is_finite_zero_set, solve_complex_coeffs, solve_discriminant,
-                     solve_factored)
+from .solver import (BothDenominatorsZeroError, DegreeError, NotComplexCoefficientsError,
+                     SimplePolynomial, ZeroSet, is_finite_zero_set, solve_complex_coeffs,
+                     solve_discriminant, solve_factored)
 from .verify import audit, compare
 
 __version__ = "0.1.0"
@@ -22,6 +21,6 @@ __all__ = [
     "solve_companion", "solve_complex_coeffs", "solve_discriminant", "solve_factored",
     "ConjugacyClass", "Quaternion", "SimplePolynomial", "ZeroSet",
     "audit", "compare", "is_finite_zero_set",
-    "BothDenominatorsZeroError", "DegreeError", "InexactDivisionError", "NoConvergenceError",
+    "BothDenominatorsZeroError", "DegreeError", "NoConvergenceError",
     "NotComplexCoefficientsError", "UnpairedRootError",
 ]

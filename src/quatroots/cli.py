@@ -80,8 +80,8 @@ def _parse_json(text: str):
     if not isinstance(doc, dict) or "coefficients" not in doc:
         raise ProblemError('missing "coefficients" field')
     poly = _polynomial(doc["coefficients"])
-    expected = _parse_expected(doc.get("expected")) if doc.get("expected") else None
-    return doc.get("name", ""), poly, expected
+    expected = doc.get("expected")  # absent or null: nothing to compare against
+    return doc.get("name", ""), poly, None if expected is None else _parse_expected(expected)
 
 
 def _parse_rows(text: str):

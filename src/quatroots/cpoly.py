@@ -177,13 +177,12 @@ def gcd(p: ComplexPolynomial, q: ComplexPolynomial,
     A remainder counts as zero once its coefficient norm drops below tol
     times the norm of the dividend at that step.  gcd(p, 0) is monic p.
     Remainders carry roundoff junk in their top coefficients, and normalizing
-    by it blows the sequence up, so every degree, the inputs' included, is
-    decided at tol: leading coefficients at or below tol times the largest go.
+    by it blows the sequence up, so each remainder's degree is decided at tol:
+    its leading coefficients at or below tol times its largest go.  The inputs
+    keep their own degrees.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    p = ComplexPolynomial(_trim(p.c, tol))
-    q = ComplexPolynomial(_trim(q.c, tol))
     a, b = (p, q) if p.degree >= q.degree else (q, p)
     a = a.monic()
     b = b.monic()
@@ -193,4 +192,3 @@ def gcd(p: ComplexPolynomial, q: ComplexPolynomial,
             r = ComplexPolynomial()
         a, b = b, r.monic()
     return a
-

@@ -33,10 +33,6 @@ class DegreeError(ValueError):
     """Constant polynomials have no meaningful zero set here."""
 
 
-class InexactDivisionError(ArithmeticError):
-    """Dividing out the gcd left a remainder beyond tolerance."""
-
-
 class BothDenominatorsZeroError(ArithmeticError):
     """A closed form's denominator vanished at a root classified as isolated (both sides
     of the derived pair, or the imaginary part of the companion route's v); impossible
@@ -351,28 +347,24 @@ def solve_discriminant(p: SimplePolynomial) -> ZeroSet:
 def factor_g(pair):
     """Factor the derived pair (f1, f2) as (g*g1, g*g2) with g = gcd(f1, f2) monic.
 
-    The Euclidean gcd can overshoot on ill-conditioned remainder sequences
-    (coefficient growth makes a later remainder look relatively zero); a
-    candidate whose remainders exceed tol = DEFAULT_TOLS.gcd relative to f1, f2 is
-    retried at tol*1e-2 and tol*1e-4.
-    On Gaussian inputs a retry only returns g of degree 0; on graded coefficients
-    it also returns nontrivial factors (ROADMAP item 12).
-    Raises InexactDivisionError when no tolerance yields an exact division.
+    One gcd at tol = DEFAULT_TOLS.gcd.  When it has degree 0, or when dividing it out
+    leaves a remainder beyond tol relative to f1 or f2 (the Euclidean gcd can overshoot
+    on an ill-conditioned remainder sequence, where coefficient growth makes a later
+    remainder look relatively zero), g is exactly 1 and the cofactors are the pair
+    itself: solve_factored then finds every zero from the cofactor norm, D bit for bit.
 
     Returns (g, g1, g2).
     """
     f1, f2 = pair
     tol = DEFAULT_TOLS.gcd
-    for attempt_tol in (tol, tol * 1e-2, tol * 1e-4):
-        g = poly_gcd(f1, f2, attempt_tol)
-        if g.degree == 0:  # exactly 1: monic's c / c[-1] need not round to 1
-            return ComplexPolynomial([1.0]), f1, f2
+    g = poly_gcd(f1, f2, tol)
+    if g.degree >= 1:
         g1, r1 = f1.divrem(g)
         g2, r2 = f2.divrem(g)
         if (r1.coeff_norm() <= tol * max(f1.coeff_norm(), 1e-300)
                 and r2.coeff_norm() <= tol * max(f2.coeff_norm(), 1e-300)):
             return g, g1, g2
-    raise InexactDivisionError("gcd does not divide the derived pair to tolerance")
+    return ComplexPolynomial([1.0]), f1, f2  # exactly 1: monic's c / c[-1] need not round to 1
 
 
 def solve_factored(p: SimplePolynomial) -> ZeroSet:

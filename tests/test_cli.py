@@ -99,6 +99,13 @@ class TestExitCodes:
         doc["expected"] = {"real": [3.5], "isolated": [], "spherical": []}
         assert main([write(tmp_path, doc), "--algorithm", "new"]) == EXIT_VERIFY
 
+    @pytest.mark.parametrize("expected, code", [({}, EXIT_VERIFY), (None, EXIT_OK)],
+                             ids=["empty-claims-no-zeros", "null-is-no-comparison"])
+    def test_expected_on_x_plus_1(self, tmp_path, capsys, expected, code):
+        # x + 1 has the real zero -1, so {} ("no zeros") fails verification
+        doc = {"coefficients": [[1, 0, 0, 0], [1, 0, 0, 0]], "expected": expected}
+        assert main([write(tmp_path, doc), "--algorithm", "new"]) == code
+
     def test_zero_leading_entry_is_parse_error(self, tmp_path, capsys):
         doc = {"coefficients": [[1, 0, 0, 0], [0, 0, 0, 0]]}
         assert main([write(tmp_path, doc)]) == EXIT_ERROR
@@ -157,10 +164,14 @@ CUBIC_ROWS = '[[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]'
     '{"coefficients": %s, "expected": {"isolated": [[1, 2]]}}' % CUBIC_ROWS,
     '{"coefficients": %s, "expected": {"real": "-1"}}' % CUBIC_ROWS,
     '{"coefficients": %s, "expected": {"spherical": [[0.0, 1.0]]}}' % CUBIC_ROWS,
+    '{"coefficients": %s, "expected": []}' % CUBIC_ROWS,
+    '{"coefficients": %s, "expected": 0}' % CUBIC_ROWS,
+    '{"coefficients": %s, "expected": ""}' % CUBIC_ROWS,
 ], ids=["json-nan", "json-infinity", "json-list-minus-infinity", "text-nan",
         "text-inf", "sphere-without-modulus", "expected-as-list",
         "modulus-below-re", "modulus-nan", "isolated-short-row",
-        "real-not-a-list", "sphere-as-list"])
+        "real-not-a-list", "sphere-as-list", "expected-empty-list", "expected-zero",
+        "expected-empty-string"])
 def test_bad_input_is_a_parse_error(tmp_path, capsys, text):
     path = write(tmp_path, text, name="bad.txt")
     assert main([path]) == EXIT_ERROR

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 import quatroots.solver as solver_mod
 from quatroots.cpoly import ComplexPolynomial
 from quatroots.quaternion import ConjugacyClass, Quaternion, embed_complex, rows
-from quatroots.solver import (BothDenominatorsZeroError, DegreeError, InexactDivisionError,
-                              NotComplexCoefficientsError, SimplePolynomial, ZeroSet, derived,
-                              discriminant, factor_g, is_finite_zero_set, is_spherical_root,
-                              isolated_zero, normalize, solve_complex_coeffs,
-                              solve_discriminant, solve_factored)
+from quatroots.solver import (BothDenominatorsZeroError, DegreeError, NotComplexCoefficientsError,
+                              SimplePolynomial, ZeroSet, derived, discriminant, factor_g,
+                              is_finite_zero_set, is_spherical_root, isolated_zero, normalize,
+                              solve_complex_coeffs, solve_discriminant, solve_factored)
 from quatroots.companion import solve_companion
 from quatroots.roots import all_roots
 from quatroots.verify import audit, compare
@@ -451,11 +450,13 @@ class TestFactorG:
         g, _, _ = factor_g(self.NEAR_PAIR)
         assert g.degree == 1 and abs(g.c[0] + 1) <= 2e-3
 
-    def test_inexact_division_guard(self, monkeypatch, cubic_ijk):
+    def test_a_gcd_that_does_not_divide_gives_g_one(self, monkeypatch, cubic_ijk):
         monkeypatch.setattr(solver_mod, "poly_gcd",
                             lambda *a, **k: ComplexPolynomial([0.5, 1]))
-        with pytest.raises(InexactDivisionError):
-            factor_g(derived(normalize(cubic_ijk)))
+        pair = derived(normalize(cubic_ijk))
+        g, g1, g2 = factor_g(pair)
+        assert g.c.tobytes() == np.ones(1, complex).tobytes()
+        assert g1 is pair[0] and g2 is pair[1]
 
     def test_cofactor_zero_formula(self, degree6_mixed):
         # the closed form from the cofactors at a sixth root of unity
@@ -896,6 +897,22 @@ class TestSmallZeroBehindAPowerOfX:
 GCD_MISSES_SPHERE = (1, 33, 53, 69, 77, 81, 113, 137, 161)
 
 
+def test_factor_g_makes_one_gcd_attempt(monkeypatch):
+    calls, gcd = [], solver_mod.poly_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(solver_mod, "poly_gcd", counted)
+    per_input = {}
+    for pid, (p, _) in cli_compare_inputs(1, GCD_MISSES_SPHERE).items():
+        calls.clear()
+        factor_g(derived(normalize(p)))
+        per_input[pid] = len(calls)
+    assert per_input == dict.fromkeys(GCD_MISSES_SPHERE, 1)
+
+
 class TestIsFiniteZeroSet:
     def test_cubic_ijk_finite(self, cubic_ijk):
         assert is_finite_zero_set(cubic_ijk)
@@ -924,26 +941,29 @@ class TestIsFiniteZeroSet:
 # sets are finite with probability one.  A sphere test scaled by max|c_f| in place of each
 # value's majorant reports a false sphere on 18 of them (discriminant) and 7 (factored).
 GRADED = [i for i in range(60) if i % 3 != 1]
-# the factored route's retry ladder finds no exact gcd division (ROADMAP item 12)
-GRADED_RAISES = {5, 15, 17, 26, 36, 42, 45, 59}
 # inputs with nonreal zeros below classify_real's absolute DEFAULT_REAL_TOL in modulus, which
 # are reported as real: the residual of such a "real" zero exceeds its bound (215, 336), or
 # several of them exceed the degree (234)
 SMALL_NONREAL = [215, 234, 336]
 _SMALL_NONREAL_REASON = "a small nonreal zero is reported as real (absolute DEFAULT_REAL_TOL)"
+# inputs whose gcd does not divide the derived pair, so g = 1 and the factored route returns
+# the discriminant route's set; both fail audit as that route does
+_NEAR_ZERO_REASON = "zeros near 0 reported as real exceed the degree (ROADMAP item 4)"
+AS_DISCRIMINANT = {
+    146: _NEAR_ZERO_REASON, 176: _NEAR_ZERO_REASON, 311: _NEAR_ZERO_REASON,
+    218: "a real zero at -8.7e17 has a NaN residual against an inf bound (ROADMAP item 8)",
+}
 GRADED_AUDIT_FAILS = {
-    ("factored", 50): "six real zeros within 8e-6 of 0 exceed the degree (ROADMAP item 12)",
     **{("discriminant", i): _SMALL_NONREAL_REASON for i in SMALL_NONREAL},
     **{("factored", i): _SMALL_NONREAL_REASON for i in (215, 336)},
+    **{(route, i): reason for route in ("discriminant", "factored")
+       for i, reason in AS_DISCRIMINANT.items()},
 }
 
 
-def _graded_marks(route, index, audit_fails=()):
-    if route == "factored" and index in GRADED_RAISES:
-        return [pytest.mark.xfail(strict=True, raises=InexactDivisionError,
-                                  reason="factor_g finds no exact division (ROADMAP item 12)")]
-    if (route, index) in audit_fails:
-        return [pytest.mark.xfail(strict=True, reason=audit_fails[(route, index)])]
+def _audit_marks(route, index):
+    if (route, index) in GRADED_AUDIT_FAILS:
+        return [pytest.mark.xfail(strict=True, reason=GRADED_AUDIT_FAILS[(route, index)])]
     return []
 
 
@@ -954,11 +974,10 @@ class TestGradedCoefficients:
 
     @pytest.fixture(scope="class")
     def graded(self):
-        return graded_inputs(SMALL_NONREAL[-1] + 1)
+        return graded_inputs(400)
 
     @pytest.mark.parametrize("route, index", [
-        pytest.param(route, i, marks=_graded_marks(route, i))
-        for route in ("discriminant", "factored") for i in GRADED])
+        (route, i) for route in ("discriminant", "factored") for i in GRADED])
     def test_no_false_sphere(self, graded, route, index):
         p = graded[index]
         assert not self.ROUTES[route](p).spherical
@@ -966,8 +985,18 @@ class TestGradedCoefficients:
             assert is_finite_zero_set(p)
 
     @pytest.mark.parametrize("route, index", [
-        pytest.param(route, i, marks=_graded_marks(route, i, GRADED_AUDIT_FAILS))
-        for route in ("discriminant", "factored") for i in GRADED + SMALL_NONREAL])
+        pytest.param(route, i, marks=_audit_marks(route, i))
+        for route in ("discriminant", "factored")
+        for i in GRADED + SMALL_NONREAL + list(AS_DISCRIMINANT)])
     def test_passes_audit(self, graded, route, index):
         p = graded[index]
         assert audit(p, self.ROUTES[route](p)).passed
+
+    def test_factored_returns_on_every_input(self, graded):
+        for p in graded:
+            solve_factored(p)
+
+    @pytest.mark.parametrize("index", AS_DISCRIMINANT)
+    def test_factored_returns_the_discriminant_set(self, graded, index):
+        p = graded[index]
+        assert not compare(solve_discriminant(p), solve_factored(p))
