@@ -47,18 +47,25 @@ def parse_problem(text: str):
     return _parse_rows(stripped)
 
 
+def _number(x, what: str) -> float:
+    """A finite JSON number as a float: a bool, a string or any other value is not one."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ProblemError(f"{what}: {x!r} is not a number")
+    try:
+        value = float(x)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ProblemError(f"{what}: {x!r} is not finite")
+    return value
+
+
 def _components(row, what: str) -> list[float]:
     if not isinstance(row, (list, tuple)) or len(row) != 4:
         raise ProblemError(
             f"{what}: expected 4 components, got "
             f"{len(row) if isinstance(row, (list, tuple)) else type(row).__name__}")
-    try:
-        comps = [float(x) for x in row]
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(f"{what}: {exc}") from exc
-    if not all(math.isfinite(x) for x in comps):
-        raise ProblemError(f"{what}: components must be finite")
-    return comps
+    return [_number(x, what) for x in row]
 
 
 def _polynomial(rows) -> SimplePolynomial:
@@ -105,15 +112,13 @@ def _parse_expected(doc) -> ZeroSet:
     if not isinstance(doc, dict):
         raise ProblemError('"expected" must be an object')
     try:
-        reals = [float(x) for x in doc.get("real", [])]
-        if not all(math.isfinite(x) for x in reals):
-            raise ValueError("real zeros must be finite")
+        reals = [_number(x, "real zero") for x in doc.get("real", [])]
         isolated = [_components(row, "isolated zero") for row in doc.get("isolated", [])]
         spheres = []
         for entry in doc.get("spherical", []):
-            re = float(entry["re"])
-            mod = float(entry["modulus"])
-            if not abs(re) < mod < math.inf:
+            re = _number(entry["re"], "sphere re")
+            mod = _number(entry["modulus"], "sphere modulus")
+            if not abs(re) < mod:
                 raise ValueError(f"sphere modulus {mod} must exceed |re| = {abs(re)}")
             spheres.append(complex(re, math.sqrt(mod - re) * math.sqrt(mod + re)))
         return ZeroSet.build(reals, np.reshape(isolated, (-1, 4)), spheres)

@@ -12,10 +12,10 @@ arrays (reals, rows, sphere representatives), and it makes the field objects onc
 
 Two routes are provided: solve_discriminant works on the full discriminant,
 solve_factored first divides out g = gcd(f1, f2), which holds most real zeros
-and spheres, and leaves a smaller residual polynomial for the isolated nonreal
-zeros and for the spheres g misses.  is_finite_zero_set is solve_factored's
-verdict on spheres.  solve_complex_coeffs is the fast path for inputs
-whose coefficients are all complex (or all real).
+and spheres, and places the roots of a smaller cofactor norm as solve_discriminant
+places D's, for the isolated nonreal zeros and the spheres g misses.
+is_finite_zero_set is solve_factored's verdict on spheres.  solve_complex_coeffs is
+the fast path for inputs whose coefficients are all complex (or all real).
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ class Tolerances:
 
 DEFAULT_TOLS = Tolerances()
 DEDUP_REL = 1e-8  # relative distance within which ZeroSet.build merges equal zeros
-# |(g1, g2)(conj eta)| / max|c| at or below which the cofactor form defers to _place_pairs;
-# DEFAULT_TOLS.zero times their majorant there changed 47 of 400 graded factored outputs
-COFACTOR_ZERO_REL = 1e-12
 
 
 def _moduli(rows: np.ndarray) -> np.ndarray:
@@ -280,18 +277,24 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
-def _conj_side_zero(a: np.ndarray, b: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _conj_side_zero(pair, a: np.ndarray, b: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """(k, 4) rows of the zero on the sphere of each eta from a = f1(conj eta), b = f2(conj eta).
 
     It is w + cross*k, w = (|a|^2 eta + |b|^2 conj(eta)) / d and cross = 2 b conj(a) Im(eta) / d
-    with d = |a|^2 + |b|^2 > 0, and (x + y*i)*k = -y*j + x*k.  Products are written out and
-    rounded as for Python complexes; adding 0.0 turns a -0.0 component into 0.0.
+    with d = |a|^2 + |b|^2, and (x + y*i)*k = -y*j + x*k.  Products are written out and
+    rounded as for Python complexes; adding 0.0 turns a -0.0 component into 0.0.  A d at most
+    (TRIM_REL * max|c|)^2, c the coefficients of the pair (f1, f2), raises
+    BothDenominatorsZeroError: the sphere was misclassified.
     """
     sa, sb = _abs2(a), _abs2(b)
+    d = sa + sb
+    if (dead := d <= (TRIM_REL * max(pair[0].max_coeff(), pair[1].max_coeff())) ** 2).any():
+        raise BothDenominatorsZeroError(
+            f"both denominators vanished on the sphere of {eta[dead][0]}; classification bug")
     ar, ai, br, bi, er, ei = a.real, a.imag, b.real, b.imag, eta.real, eta.imag
     return np.stack([sa * er + sb * er, sa * ei - sb * ei,
                      -((2.0 * bi * ar - 2.0 * br * ai) * ei),
-                     (2.0 * br * ar + 2.0 * bi * ai) * ei], axis=-1) / (sa + sb)[:, None] + 0.0
+                     (2.0 * br * ar + 2.0 * bi * ai) * ei], axis=-1) / d[:, None] + 0.0
 
 
 def isolated_zero(pair, eta, values: np.ndarray) -> np.ndarray:
@@ -306,28 +309,21 @@ def isolated_zero(pair, eta, values: np.ndarray) -> np.ndarray:
     """
     eta = np.asarray(eta, dtype=np.complex128)
     (f1e, f1c), (f2e, f2c) = values
-    dplus, dminus = _abs2(f1e) + _abs2(f2e), _abs2(f1c) + _abs2(f2c)
-    limit = (TRIM_REL * max(pair[0].max_coeff(), pair[1].max_coeff(), 1.0)) ** 2
-    if (dead := np.maximum(dplus, dminus) <= limit).any():
-        raise BothDenominatorsZeroError(
-            f"both denominators vanished at {eta[dead][0]}; classification bug")
-    plus = dplus >= dminus
-    return _conj_side_zero(np.where(plus, f1e, f1c), np.where(plus, f2e, f2c),
+    plus = _abs2(f1e) + _abs2(f2e) >= _abs2(f1c) + _abs2(f2c)
+    return _conj_side_zero(pair, np.where(plus, f1e, f1c), np.where(plus, f2e, f2c),
                            np.where(plus, eta.conj(), eta))
 
 
 def _isolated_zero_cofactor(g1: ComplexPolynomial, g2: ComplexPolynomial,
-                            eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, 4) zeros from the gcd cofactors (the conj(eta) side of isolated_zero), and a mask.
+                            eta: np.ndarray) -> np.ndarray:
+    """(k, 4) zeros from the gcd cofactors (the conj(eta) side of isolated_zero).
 
     Valid at each eta exactly as listed by the factored route; the representative
     must not be flipped, since the common-factor cancellation underlying the
-    formula fails at the conjugate.  The mask marks the eta the zeros come from:
-    False where both cofactors vanish at conj(eta), a gcd tolerance mismatch.
+    formula fails at the conjugate.
     """
     a, b = Evaluator(_stacked((g1, g2)))(eta.conj())[0]
-    ok = _abs2(a) + _abs2(b) > (COFACTOR_ZERO_REL * max(g1.max_coeff(), g2.max_coeff(), 1.0)) ** 2
-    return _conj_side_zero(a[ok], b[ok], eta[ok]), ok
+    return _conj_side_zero((g1, g2), a, b, eta)
 
 
 def _place_pairs(pair, eta: np.ndarray):
@@ -370,30 +366,25 @@ def factor_g(pair):
 def solve_factored(p: SimplePolynomial) -> ZeroSet:
     """Solution set via the gcd factorization of the derived pair.
 
-    Real zeros and zero-spheres come from g = gcd(f1, f2); the remaining
-    isolated zeros come from unpaired roots of g and from the cofactor
-    norm discriminant((g1, g2)); ZeroSet.build merges any root found twice.
-    The approximate gcd can miss a sphere (g of degree 0 on 27 of the 123
-    sphere inputs of the cli-compare benchmark, seeds 1-3); its root then
-    comes from the cofactor discriminant with both cofactors vanishing, and
-    the fallback classifies it by the full derived pair (_place_pairs).
+    Real zeros and zero-spheres come from g = gcd(f1, f2), and g's unpaired roots
+    give isolated zeros by the cofactor closed form.  The cofactor norm
+    discriminant((g1, g2)) holds every zero g misses; its conjugate pairs are placed
+    as solve_discriminant places D's, by the cofactor pair (_place_pairs), so at
+    g = 1 the two routes return one set.  ZeroSet.build merges any root found twice.
     """
     pair = derived(normalize(p))
     g, g1, g2 = factor_g(pair)
     (reals, _), (spheres, _), (eta, _) = pair_conjugates(
         all_roots(g).roots if g.degree >= 1 else ())
+    isolated = _isolated_zero_cofactor(g1, g2, eta)
     gt = discriminant((g1, g2))
     if gt.degree >= 1:
+        # a real root certifies a real zero (both f1 and f2 vanish there); for
+        # g of degree >= 1 it is one g missed to the gcd tolerance
         (treals, _), (tpairs, _) = classify_real(all_roots(gt))
-        # a real root here can only be a gcd-tolerance artifact; it still
-        # certifies a genuine real zero (both f1 and f2 vanish there)
-        reals, eta = np.concatenate([reals, treals]), np.concatenate([eta, tpairs])
-    isolated, ok = _isolated_zero_cofactor(g1, g2, eta)
-    if not ok.all():
-        # gcd artifact: fall back to classification by the full derived pair
-        stuck = eta[~ok]
-        more = _place_pairs(pair, np.where(stuck.imag > 0, stuck, stuck.conj()))
-        isolated, spheres = np.vstack([isolated, more[0]]), np.concatenate([spheres, more[1]])
+        more, tspheres = _place_pairs((g1, g2), tpairs)
+        reals, isolated = np.concatenate([reals, treals]), np.vstack([isolated, more])
+        spheres = np.concatenate([spheres, tspheres])
     return ZeroSet.build(reals, isolated, spheres)
 
 

@@ -167,11 +167,23 @@ CUBIC_ROWS = '[[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]'
     '{"coefficients": %s, "expected": []}' % CUBIC_ROWS,
     '{"coefficients": %s, "expected": 0}' % CUBIC_ROWS,
     '{"coefficients": %s, "expected": ""}' % CUBIC_ROWS,
+    '{"coefficients": [[true, 0, 0, 0], [2, 0, 0, 0]]}',
+    '{"coefficients": [[1, 0, 0, 0], ["2", 0, 0, 0]]}',
+    '{"coefficients": [[1, 0, 0, 0], [1%s, 0, 0, 0]]}' % ("0" * 400),
+    '{"coefficients": %s, "expected": {"real": ["-1"]}}' % CUBIC_ROWS,
+    '{"coefficients": %s, "expected": {"real": [true]}}' % CUBIC_ROWS,
+    '{"coefficients": %s, "expected": {"isolated": [[0, 0, 0, "1"]]}}' % CUBIC_ROWS,
+    '{"coefficients": %s, "expected": {"spherical": [{"re": "0", "modulus": 1.0}]}}'
+        % CUBIC_ROWS,
+    '{"coefficients": %s, "expected": {"spherical": [{"re": 0.0, "modulus": true}]}}'
+        % CUBIC_ROWS,
 ], ids=["json-nan", "json-infinity", "json-list-minus-infinity", "text-nan",
         "text-inf", "sphere-without-modulus", "expected-as-list",
         "modulus-below-re", "modulus-nan", "isolated-short-row",
         "real-not-a-list", "sphere-as-list", "expected-empty-list", "expected-zero",
-        "expected-empty-string"])
+        "expected-empty-string", "bool-component", "string-component",
+        "integer-beyond-float", "real-as-string", "real-as-bool", "isolated-string-component",
+        "sphere-re-as-string", "modulus-as-bool"])
 def test_bad_input_is_a_parse_error(tmp_path, capsys, text):
     path = write(tmp_path, text, name="bad.txt")
     assert main([path]) == EXIT_ERROR

@@ -45,9 +45,6 @@ FAILS = {
     (44, "factored"): ({AssertionError: set(range(COUNT))}, _D_ROUTE),
     (44, "companion"): ({AssertionError: set(range(COUNT))}, _COMPANION),
 }
-# degree 24: both D routes pass audit, but their isolated zeros lie 2-6e-6 apart, the
-# conditioning of p's zeros seen through D (ROADMAP item 3)
-DISAGREE_24 = {1, 8, 10, 11, 13, 14, 15, 17, 18}
 
 
 @functools.cache
@@ -75,11 +72,6 @@ def test_passes_audit(n, index, route):
     assert audit(_inputs(n)[index], _solved(n, index, route)).passed
 
 
-@pytest.mark.parametrize("index", [
-    pytest.param(index, marks=[pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="isolated zeros 2-6e-6 apart between the D routes (ROADMAP item 3)")]
-        if index in DISAGREE_24 else [])
-    for index in range(COUNT)])
+@pytest.mark.parametrize("index", range(COUNT))
 def test_d_routes_agree_at_degree_24(index):
     assert not compare(_solved(24, index, "discriminant"), _solved(24, index, "factored"))

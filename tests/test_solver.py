@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -24,7 +25,7 @@ from conftest import (ONE, I, J, K, SQRT2_2, cli_compare_inputs, companion_refer
                       dedup_isolated_reference, derived_reference, eval_qpoly, graded_inputs,
                       in_class, is_spherical_root_reference, isolated_zero_reference, kernel_value,
                       normalize_reference, poly_mul, qapprox, random_simple_polynomials,
-                      side_values)
+                      shifted_inputs, side_values)
 
 # a power of two, so offsets sit exactly at, or just past, the dedup distance
 DEDUP = 2.0 ** -20
@@ -82,6 +83,11 @@ def _zeros(rows) -> list[Quaternion]:
 
 def _gaussian(seed: int, degree: int) -> SimplePolynomial:
     return SimplePolynomial.from_rows(np.random.default_rng(seed).standard_normal((degree + 1, 4)))
+
+
+@functools.cache
+def _shifted_24() -> list[SimplePolynomial]:
+    return shifted_inputs(24, 20)
 
 
 # float components, a zero constant term, a tiny one, and the integer corpus
@@ -463,14 +469,20 @@ class TestFactorG:
         g, g1, g2 = factor_g(derived(normalize(degree6_mixed)))
         eta = cmath.exp(-1j * math.pi / 3)
         expected = Quaternion(0.5, -0.5, -0.5, -0.5)
-        zeros, ok = solver_mod._isolated_zero_cofactor(
+        zeros = solver_mod._isolated_zero_cofactor(
             g1, g2, np.array([eta, eta.conjugate(), cmath.exp(-2j * math.pi / 3)]))
-        assert ok.all()
         got, flipped, other = _zeros(zeros)
         assert qapprox(got, expected, 1e-12)
         # for cofactor root pairs either representative yields the same zero
         assert qapprox(flipped, expected, 1e-12)
         assert qapprox(other, Quaternion(-0.5, 0.5, -0.5, -0.5), 1e-12)
+
+    def test_cofactors_vanishing_at_the_conjugate_raise(self):
+        # g1 = g2 = x - c vanish at conj(eta) for eta = conj(c): no zero on that sphere
+        c = 0.5 + 0.75j
+        g = ComplexPolynomial([-c, 1.0])
+        with pytest.raises(BothDenominatorsZeroError):
+            solver_mod._isolated_zero_cofactor(g, g, np.array([c.conjugate()]))
 
 
 class TestSolveFactored:
@@ -503,19 +515,57 @@ class TestSolveFactored:
             assert abs(eval_qpoly(degree6_mixed, q)) <= 1e-10
 
     def test_derives_the_split_once(self, monkeypatch, degree6_mixed):
-        self._check_derives_once(monkeypatch, degree6_mixed, fallback=False)
+        # one derived pair; the cofactor norm's pairs are placed by factor_g's own
+        # cofactors, never by the full pair
+        calls, factored, placed = [], [], []
 
-    def test_derives_the_split_once_on_the_gcd_fallback(self, monkeypatch):
+        def counting(rows):
+            calls.append(derived(rows))
+            return calls[-1]
+
+        def factoring(pair):
+            factored.append(factor_g(pair))
+            return factored[-1]
+
+        def placing(*args):
+            placed.append(args)
+            return place_pairs(*args)
+
+        place_pairs = solver_mod._place_pairs
+        monkeypatch.setattr(solver_mod, "derived", counting)
+        monkeypatch.setattr(solver_mod, "factor_g", factoring)
+        monkeypatch.setattr(solver_mod, "_place_pairs", placing)
+        solve_factored(degree6_mixed)
+        assert len(calls) == len(factored) == len(placed) == 1
+        (g, g1, g2), ((f1, f2), _) = factored[0], placed[0]
+        assert g.degree >= 1 and f1 is g1 and f2 is g2
+        assert f1 is not calls[0][0] and f2 is not calls[0][1]
+
+    @staticmethod
+    def _assert_discriminant_set_at_g_one(p):
+        assert factor_g(derived(normalize(p)))[0].degree == 0
+        assert repr(solve_factored(p)) == repr(solve_discriminant(p))
+
+    def test_sphere_missed_by_the_gcd_gets_the_discriminant_set(self):
         # a Gaussian polynomial times a sphere quadratic, drawn as the benchmark's
-        # sphere family draws them: both cofactors vanish at one representative,
-        # so the route falls back to the full derived pair
+        # sphere family draws them: the gcd misses the sphere (g = 1), so the route
+        # places every root of the cofactor norm, D itself, as solve_discriminant does
         rng = np.random.default_rng(15)
         base = rng.standard_normal((14, 4))
         re, im = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5)
         quad = [re * re + im * im, -2.0 * re, 1.0]
         p = SimplePolynomial.from_rows(np.stack([np.convolve(base[:, k], quad)
                                                  for k in range(4)], axis=1))
-        self._check_derives_once(monkeypatch, p, fallback=True)
+        self._assert_discriminant_set_at_g_one(p)
+        assert [c.re for c in solve_factored(p).spherical] == pytest.approx([re])
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_gaussian_input_gets_the_discriminant_set(self, seed):
+        self._assert_discriminant_set_at_g_one(_gaussian(seed, 9 + seed % 36))
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_shifted_input_gets_the_discriminant_set(self, index):
+        self._assert_discriminant_set_at_g_one(_shifted_24()[index])
 
     def test_partial_gcd_leaves_the_zero_set_unchanged(self, monkeypatch):
         # a Gaussian polynomial times a squared sphere quadratic s^2, with factor_g
@@ -544,25 +594,6 @@ class TestSolveFactored:
         assert not compare(got, want, tol=1e-10)
         assert (len(got.real_zeros), len(got.isolated_zeros), len(got.spherical)) == (
             len(want.real_zeros), len(want.isolated_zeros), len(want.spherical))
-
-    @staticmethod
-    def _check_derives_once(monkeypatch, p, fallback):
-        calls, placed = [], []
-
-        def counting(rows):
-            calls.append(rows)
-            return derived(rows)
-
-        def placing(*args):
-            placed.append(args)
-            return place_pairs(*args)
-
-        place_pairs = solver_mod._place_pairs
-        monkeypatch.setattr(solver_mod, "derived", counting)
-        monkeypatch.setattr(solver_mod, "_place_pairs", placing)
-        solve_factored(p)
-        assert len(calls) == 1
-        assert len(placed) == fallback
 
 
 class TestSolveComplexCoeffs:
@@ -807,6 +838,16 @@ class TestEdgeShapes:
         zs = solve(p)
         assert not zs.isolated_zeros and not zs.spherical
         assert np.allclose(zs.real_zeros, [-1.0, -0.5], rtol=0, atol=7e-16)
+        assert audit(p, zs).passed
+
+    @pytest.mark.parametrize("solve", [solve_discriminant, solve_factored, solve_companion])
+    def test_tiny_scale_with_a_zero_constant_term(self, solve, cubic_ijk):
+        # 2^-200 x (i x^3 + j x^2 + k x + 1): normalize keeps the scale, so the closed
+        # forms' dead-denominator check must be relative to the coefficients, not to 1
+        p = SimplePolynomial([0, *(2.0 ** -200 * q for q in cubic_ijk.coeffs)])
+        zs = solve(p)
+        assert zs.real_zeros == (0.0,) and not zs.spherical
+        assert not compare(zs, ZeroSet((0.0,), solve_discriminant(cubic_ijk).isolated_zeros, ()))
         assert audit(p, zs).passed
 
     # 1.2e154 (x + (1 + 0.25 i) x^2 + x^3): the constant term is 0, so normalize keeps the
