@@ -61,6 +61,7 @@ class Evaluator:
             coef[0, :, :n + 1] = rows
             np.multiply(rows[:, 1:], np.arange(1, n + 1), out=coef[1, :, :n])
             self.blocks.append((coef.reshape(-1, self.b), np.abs(coef[0]).reshape(-1, self.b)))
+        self.both = tuple(np.vstack(k) for k in zip(*self.blocks))
 
     def __call__(self, z):
         """(p, p', majorant) at every z, each of shape c.shape[1:] + z.shape."""
@@ -70,14 +71,25 @@ class Evaluator:
         """(inner, (p, p', majorant)): inner is |z| <= 1, where c is read at z itself."""
         z = np.asarray(z, dtype=np.complex128)
         inner = np.abs(z) <= 1.0  # NaN is outer
-        order = np.argsort(~inner, axis=None, kind="stable")
-        k = int(np.count_nonzero(inner))
-        u = z.ravel()[order]
         with np.errstate(divide="ignore", invalid="ignore"):  # at NaN
-            u[k:] = 1.0 / u[k:]
-        out = np.empty((3, self.r, z.size), dtype=np.complex128)
-        out[..., order] = self.sums(u, k)
-        return inner, tuple(v.reshape(self.shape + z.shape) for v in (out[0], out[1], out[2].real))
+            u = np.divide(1.0, z, out=z.copy(), where=~inner)
+        return inner, self.at(u, inner)
+
+    def at(self, u, inner):
+        """(p, p', majorant) as branches gives them, from its points u: z where inner, else 1/z."""
+        shape, u, inner, r = self.shape + u.shape, u.ravel(), inner.ravel(), self.r
+        k = int(np.count_nonzero(inner))
+        if self.h > 1 or u.size * self.b > BLOCK:  # the inner points first: a block of rows a side
+            order, out = np.argsort(~inner, kind="stable"), np.empty((3, r, u.size), complex)
+            out[..., order] = self.sums(u[order], k)
+            p, a = out[:2].reshape(2 * r, -1), out[2].real
+        else:  # one chunk: each side's contraction at every point, read where it applies
+            coef, mags = self.blocks[0] if k == u.size else self.blocks[1] if not k else self.both
+            baby = _powers(u, self.b)
+            p, a = np.einsum("ib,jb->ji", baby, coef), np.einsum("ib,jb->ji", np.abs(baby), mags)
+            if 0 < k < u.size:
+                p, a = np.where(inner, p[:2 * r], p[2 * r:]), np.where(inner, a[:r], a[r:])
+        return p[:r].reshape(shape), p[r:].reshape(shape), a.reshape(shape)
 
     def sums(self, u, k: int) -> np.ndarray:
         """The kernel's p, p' and majorant, shape (3, r, len(u)): of c at u[:k] and of its
@@ -87,9 +99,7 @@ class Evaluator:
         step = max(1, BLOCK // (b + h))
         for s in range(0, len(u), step):
             ub = u[s:s + step]
-            baby = np.full((len(ub), b), ub[:, None], dtype=np.complex128)
-            baby[:, 0] = 1.0
-            np.cumprod(baby, axis=1, out=baby)
+            baby = _powers(ub, b)
             w = baby[:, -1] * ub
             aw = np.abs(w)
             cut = min(max(k - s, 0), len(ub))
@@ -104,6 +114,13 @@ class Evaluator:
                     a = a * aw[lo:hi] + qa[:, j]
                 out[:2, :, s + lo:s + hi], out[2, :, s + lo:s + hi] = p, a
         return out
+
+
+def _powers(u: np.ndarray, b: int) -> np.ndarray:
+    """The (len(u), b) baby powers u^l, l < b, each the running product of its row."""
+    baby = np.full((len(u), b), u[:, None], dtype=np.complex128)
+    baby[:, 0] = 1.0
+    return np.multiply.accumulate(baby, axis=1, out=baby)
 
 
 class ComplexPolynomial:

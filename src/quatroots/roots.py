@@ -63,10 +63,11 @@ def _eval_state(ev: Evaluator, z: np.ndarray):
     other points of z, by the evaluator ev of the polynomial.
     """
     z = np.asarray(z, dtype=np.complex128)
-    inner, (p, dp, maj) = ev.branches(z)
+    inner = np.abs(z) <= 1.0
     rev = ~inner  # the evaluator's reversed points, NaN included
     with np.errstate(divide="ignore", invalid="ignore"):  # at NaN
-        u = np.divide(1.0, z, out=np.zeros_like(z), where=rev)
+        u = np.divide(1.0, z, out=z.copy(), where=rev)  # the kernel's points
+    p, dp, maj = ev.at(u, inner)
     # reversed: p, dp are q(u), q'(u) for q(u) = u^n p(1/u), so p/p' = z q/(n q - u q')
     den = np.where(rev, ev.n * p - u * dp, dp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -139,15 +140,13 @@ def _aberth(c: np.ndarray, ev: Evaluator):
             z[hit] += 1e-8 * (1.0 + np.abs(z[hit])) * np.exp(1j * _GOLDEN_ANGLE * (1 + hit))
             stale[hit] = True
             continue
-        active = ~converged
-        newton = corr[active]
-        w = newton / (1.0 - newton * _aberth_sums(z, np.flatnonzero(active)))
-        bad = ~np.isfinite(w)
-        w[bad] = newton[bad]
-        new = z[active] - w
-        stale[active] |= _moved(new, z[active])
-        z[active] = new
-        converged[active] |= np.abs(w) <= STEP_REL * (1.0 + np.abs(new))
+        active = np.flatnonzero(~converged)  # none stale: all were just evaluated
+        za, newton = z[active], corr[active]
+        w = newton / (1.0 - newton * _aberth_sums(z, active))
+        np.copyto(w, newton, where=~np.isfinite(w))
+        z[active] = new = za - w
+        stale[active] = _moved(new, za)
+        converged[active] = np.abs(w) <= STEP_REL * (1.0 + np.abs(new))
         if converged.all():
             break
     _refresh(ev, z, stale, corr, rel)
@@ -188,22 +187,25 @@ def _aberth_sums(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return s
 
 
-def _newton_polish(ev: Evaluator, z: np.ndarray, state, steps: int = 8):
+def _newton_polish(ev: Evaluator, z: np.ndarray, state, steps: int = 8, alone: bool = False):
     """A few guarded Newton steps per root from state = _eval_state(ev, z): the
-    best-residual points and their residuals.  A point a step leaves in place keeps its state."""
+    best-residual points and their residuals.  A point a step leaves in place keeps its state.
+    All step until every step is within STEP_REL; with alone, each freezes after its own."""
     cur = z.copy()
     corr, rel = state
     best, best_rel = cur, rel
     for _ in range(steps):
         prev, cur = cur, cur - corr
-        done = np.all(np.abs(corr) <= STEP_REL * (1.0 + np.abs(cur)))
+        small = np.abs(corr) <= STEP_REL * (1.0 + np.abs(cur))
         corr, rel = corr.copy(), rel.copy()
         _refresh(ev, cur, _moved(cur, prev), corr, rel)
         gain = rel < best_rel
         best = np.where(gain, cur, best)
         best_rel = np.where(gain, rel, best_rel)
-        if done:
+        if small.all():
             break
+        if alone:
+            corr[small] = 0.0  # frozen: cur - 0 is cur, bit for bit
     return best, best_rel
 
 
@@ -299,17 +301,19 @@ def polish_multiples(p: ComplexPolynomial, rl: RootList) -> RootList:
     """Refine every multiplicity >= 2 entry of a RootList.
 
     An m-fold root of p is a simple root of the (m-1)-th derivative, which
-    Newton then resolves to machine precision, keeping the best residual seen.
+    Newton then resolves to machine precision, keeping the best residual seen.  The entries
+    of one multiplicity share one Newton loop, in which each stops as it would alone.
     """
-    out = []
-    for v, m in rl.roots:
-        g = p
-        for _ in range(m - 1):
-            g = g.derivative()
-        if m >= 2 and g.degree >= 1:
-            ev, z = Evaluator(g.c), np.array([v], dtype=np.complex128)
-            v = complex(_newton_polish(ev, z, _eval_state(ev, z), steps=60)[0][0])
-        out.append((v, m))
+    out, g = list(rl.roots), p
+    mult = np.array([m for _, m in out], dtype=np.int64)
+    for m in range(2, int(mult.max(initial=1)) + 1):
+        g = g.derivative()
+        at = np.flatnonzero(mult == m).tolist()
+        if at and g.degree >= 1:
+            ev, z = Evaluator(g.c), np.array([out[i][0] for i in at], dtype=np.complex128)
+            polished = _newton_polish(ev, z, _eval_state(ev, z), steps=60, alone=True)[0]
+            for i, v in zip(at, polished.tolist()):
+                out[i] = (v, m)
     return RootList(tuple(out))
 
 

@@ -337,7 +337,11 @@ def solve_discriminant(p: SimplePolynomial) -> ZeroSet:
     """Full solution set via the roots of the discriminant polynomial."""
     pair = derived(normalize(p))
     (reals, _), (pairs, _) = classify_real(all_roots(discriminant(pair)))
-    return ZeroSet.build(reals, *_place_pairs(pair, pairs))
+    _last_discriminant[:] = p, ZeroSet.build(reals, *_place_pairs(pair, pairs))
+    return _last_discriminant[1]
+
+
+_last_discriminant: list = [None, None]  # p and solve_discriminant(p), for solve_factored
 
 
 def factor_g(pair):
@@ -369,18 +373,20 @@ def solve_factored(p: SimplePolynomial) -> ZeroSet:
     Real zeros and zero-spheres come from g = gcd(f1, f2), and g's unpaired roots
     give isolated zeros by the cofactor closed form.  The cofactor norm
     discriminant((g1, g2)) holds every zero g misses; its conjugate pairs are placed
-    as solve_discriminant places D's, by the cofactor pair (_place_pairs), so at
-    g = 1 the two routes return one set.  ZeroSet.build merges any root found twice.
+    as solve_discriminant places D's, by the cofactor pair (_place_pairs).  At g = 1 the route
+    is solve_discriminant's, whose last set it returns if built for p itself (is).
+    ZeroSet.build merges any root found twice.
     """
     pair = derived(normalize(p))
     g, g1, g2 = factor_g(pair)
-    (reals, _), (spheres, _), (eta, _) = pair_conjugates(
-        all_roots(g).roots if g.degree >= 1 else ())
+    if g.degree < 1:  # the cofactor norm is D: the route is solve_discriminant's
+        last, zs = _last_discriminant
+        return zs if last is p else solve_discriminant(p)
+    (reals, _), (spheres, _), (eta, _) = pair_conjugates(all_roots(g).roots)
     isolated = _isolated_zero_cofactor(g1, g2, eta)
     gt = discriminant((g1, g2))
     if gt.degree >= 1:
-        # a real root certifies a real zero (both f1 and f2 vanish there); for
-        # g of degree >= 1 it is one g missed to the gcd tolerance
+        # a real root certifies a real zero (f1 and f2 vanish there) g missed to the gcd tolerance
         (treals, _), (tpairs, _) = classify_real(all_roots(gt))
         more, tspheres = _place_pairs((g1, g2), tpairs)
         reals, isolated = np.concatenate([reals, treals]), np.vstack([isolated, more])

@@ -1,9 +1,9 @@
 """Independent residual evaluation and zero-set auditing.
 
 _eval_rows evaluates the original quaternionic polynomial by accumulating
-powers with plain quaternion multiplication.  It shares no algorithm with
-the solver routes, only quaternion.py's Hamilton product and norm, so it
-serves as the acceptance oracle for every route.  audit runs it on one (k, 4)
+powers with plain quaternion multiplication (the power step has hamilton's
+roundings).  It shares no algorithm with the solver routes, only quaternion.py's
+Hamilton product and norm, so it is the acceptance oracle.  audit runs it on one (k, 4)
 array of all its points, each sphere's members broadcast from one direction
 array, and a batched residual equals the one-point residual bit for bit: it
 forms the terms q_j z^j of a block of j at once and adds them in order of j
@@ -22,6 +22,18 @@ from .solver import DEFAULT_TOLS, SimplePolynomial, ZeroSet
 
 SAMPLES_PER_CLASS = 8  # sphere members audit evaluates per reported sphere
 TERM_BLOCK = 1 << 16  # entries (points x powers) of the terms _eval_rows forms at a time
+# term k of component i of hamilton(a, z) is a_k * _SIGNS[i, k] * z[_PERM[i, k]]
+_PERM = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_SIGNS = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float)
+
+
+def _power_step(a: np.ndarray, zs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """hamilton(a, z) of (4, k) components a into out, zs = _SIGNS[:, :, None] * z.T[_PERM]:
+    ((t_i0 + t_i1) + t_i2) + t_i3 for t = a * zs, its roundings, as a - b is a + -b."""
+    t = a * zs
+    np.add(t[:, 0], t[:, 1], out=out)
+    np.add(out, t[:, 2], out=out)
+    return np.add(out, t[:, 3], out=out)
 
 
 def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
@@ -29,9 +41,8 @@ def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
 
     Overflow gives inf or nan silently, as in Python float arithmetic.
     """
-    zs = tuple(z.T)
-    q = p.rows
-    acc = Quaternion(1.0).components()
+    q, zs = p.rows, _SIGNS[:, :, None] * z.T[_PERM]
+    acc = np.array(Quaternion(1.0).components())[:, None]
     total = np.repeat(q[0][:, None], len(z), axis=1)
     step = max(1, TERM_BLOCK // max(1, len(z)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -39,7 +50,8 @@ def _eval_rows(p: SimplePolynomial, z: np.ndarray) -> np.ndarray:
             terms = np.empty((4, len(qs) + 1, len(z)))
             terms[:, 0] = total
             for j in range(1, len(qs) + 1):
-                acc = terms[:, j] = hamilton(acc, zs)
+                acc = _power_step(acc, zs, terms[:, j])
+            acc = acc.copy()  # terms is overwritten below
             terms[:, 1:] = hamilton(qs.T[:, :, None], terms[:, 1:])
             total = np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
     return total.T

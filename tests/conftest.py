@@ -395,6 +395,28 @@ def forward_sums(c: np.ndarray, u: np.ndarray):
     return tuple(v.reshape(c.shape[1:] + u.shape) for v in (out[0], out[1], out[2].real))
 
 
+def eval_state_reference(c: np.ndarray, z: np.ndarray):
+    """roots._eval_state on the blocked kernel (Evaluator.sums, forward_sums): c read at the
+    points |z| <= 1, its reversal at 1/z at the others, NaN included, each side on its own."""
+    from quatroots.roots import _TINY
+
+    inner = np.abs(z) <= 1.0
+    rev = ~inner
+    p, dp = np.empty_like(z), np.empty_like(z)
+    maj = np.empty(z.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at NaN
+        u = np.divide(1.0, z, out=np.zeros_like(z), where=rev)
+    for mask, cf, at in ((inner, c, z[inner]), (rev, c[::-1], u[rev])):
+        for res, v in zip((p, dp, maj), forward_sums(cf.copy(), at)):
+            res[mask] = v
+    den = np.where(rev, (len(c) - 1) * p - u * dp, dp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = p / den
+    bad = ~np.isfinite(ratio)
+    ratio[bad] = 1e-6 * (1.0 + np.abs(z[bad])) * np.exp(0.7j)
+    return np.where(rev, z * ratio, ratio), np.abs(p) / np.maximum(maj, _TINY)
+
+
 def power_matrix_reference(c: np.ndarray, u: np.ndarray):
     """The evaluation kernel before its baby and giant steps: the whole power matrix
     u_i^k, BLOCK // (n + 1) points at a time, read by einsum contractions."""
@@ -445,6 +467,23 @@ def aberth_reference(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if converged.all():
             break
     return z, converged
+
+
+def polish_multiples_reference(p: ComplexPolynomial, rl):
+    """roots.polish_multiples entry by entry: one derivative chain, Evaluator and Newton loop
+    per multiple entry."""
+    from quatroots.roots import RootList, _eval_state, _newton_polish
+
+    out = []
+    for v, m in rl.roots:
+        g = p
+        for _ in range(m - 1):
+            g = g.derivative()
+        if m >= 2 and g.degree >= 1:
+            ev, z = Evaluator(g.c), np.array([v], dtype=np.complex128)
+            v = complex(_newton_polish(ev, z, _eval_state(ev, z), steps=60)[0][0])
+        out.append((v, m))
+    return RootList(tuple(out))
 
 
 def cluster_reference(points: np.ndarray, radii: np.ndarray) -> list[tuple[complex, int]]:

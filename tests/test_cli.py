@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import importlib
+import io
 import json
 import math
 import sys
@@ -285,3 +289,63 @@ def test_shipped_examples_solve_and_match_expected(path, algorithm, fmt, capsys)
         assert doc["ok"]
         assert doc["expected"].keys() == doc["algorithms"].keys()
         assert all(d["empty"] for d in doc["expected"].values())
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# (exit code, SHA-256 of stdout) of main([path, "--format", "json"])
+EXAMPLE_DIGESTS = {
+    "cubic_units.json": (0, "6b4081a4ca9a236692cc180bece0a20cd50c0d891d3cc51d2b0bda41197a7555"),
+    "degree6_mixed.json": (0, "d193ca5515e9bf63f585d29868d60c09e09d55f01dca71896eebc1855a000060"),
+    "real_cubic.json": (0, "4c9afccac7f3862b756e9de738f639db99935b70f9df83666c178c0fb2e68c1f"),
+}
+# the first 16 inputs of the cli-compare benchmark pool, seed 1, written as its worker writes them
+BENCH_DIGESTS = [
+    (0, "d1888eabdec8b461c6238053991f980e99624d22cd728504e9ca77641827454a"),
+    (0, "db5556fe87f63648f36ae72c4b5066a99a9897d2b9f9a34fe3ae79792e3de967"),
+    (0, "df73c7e5193eea6b9553ab828b6d6c25f390f22fa8015ea78261c73477984d83"),
+    (0, "1fc2782ae60a0b561be4ff88d9c413104df6a47d0f77dfc5c4b690bd3847e48e"),
+    (0, "96c1121228f0de57949f029ac4922bd60b415b026f40a8174aaadd56693d8aa9"),
+    (0, "33e4b537bece829a340e85838f06c6d01116c5f83cbbb756525e8cc6db6820c5"),
+    (0, "feec203f2d574f5b95d8bfd00a567a71e1f7b8a128cb6a48a6dd52acdcd510de"),
+    (0, "890455776f40433b192ab3ed9dcc0c263a72df3b3294b39aa6607bb28be1f1e2"),
+    (0, "cb7fbeb6a11e015e9e9f8fef2138529645a6cca102d271683c9b33c9c76302b7"),
+    (0, "40d56f04562bc5d5b2d3eedff3b9062e27408648db007da6055834f48d5775b6"),
+    (0, "47c02512f17ef10b8355f64d09491cb344838deabc8f83c7a03f1ff973e9b61a"),
+    (0, "9cb1044f2ef8222ab1d15aa5e45f185d5129b0a935444d79a54e14b6076dfeb0"),
+    (0, "74eff33b8961598c7228e331168920c5565b52e3ad6f82e5fb5072ab121b1641"),
+    (0, "e67a623eb218bac0d2f018c3a355303ce028a1b11c8c7783f2be2ba1e87eb8ed"),
+    (0, "8af39c9ad3f5df4e7bf382de0f166f8eb81152741c2f4ac1b1b4d6a91a284701"),
+    (0, "ce4bc6ca83f5d715add31e3d2afb889e714db05a248005e7a97ece81881ee210"),
+]
+
+
+def _digest(path) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main([str(path), "--format", "json"])
+    return rc, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+class TestByteIdentity:
+    """The JSON output of main, byte for byte, on the example problems and on the first inputs
+    of the cli-compare benchmark.  A change that moves these bits on purpose updates the
+    digests and says why in CHANGES.md; a speed-up must leave them as they are.  They hold for
+    one numpy build: where numpy's vector loops differ, so can the last bit of a zero."""
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+    def test_example_problems(self, path):
+        assert _digest(path) == EXAMPLE_DIGESTS[path.name]
+
+    def test_first_benchmark_inputs(self, tmp_path):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(str(PERFBENCH))
+            problems = importlib.import_module("problems")
+        pool = problems.build_pool("cli-compare", 1)[:len(BENCH_DIGESTS)]
+        got = []
+        for problem in pool:
+            path = tmp_path / f"{problem.family}-{problem.pid}.json"
+            path.write_text(json.dumps({"name": f"{problem.family}-{problem.pid}",
+                                        "coefficients": problem.rows.tolist()}))
+            got.append(_digest(path))
+        assert got == BENCH_DIGESTS

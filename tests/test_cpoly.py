@@ -10,8 +10,8 @@ from quatroots.cpoly import BABY, BLOCK, ComplexPolynomial, Evaluator, gcd
 from quatroots.roots import _eval_state
 from quatroots.solver import SimplePolynomial, derived, normalize
 
-from conftest import (forward_sums, horner_reference, kernel_value, poly_add, poly_mul,
-                      power_matrix_reference)
+from conftest import (eval_state_reference, forward_sums, horner_reference, kernel_value,
+                      poly_add, poly_mul, power_matrix_reference)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -178,6 +178,36 @@ class TestPowerKernel:
             vals = Evaluator(c)(z)
         assert np.all(np.isfinite(corr)) and np.all(np.isfinite(rel))
         assert np.all(np.isfinite(vals))
+
+
+class TestOneChunkEvalState:
+    """Below n + 1 = BABY + 1 _eval_state reads both sides' contractions at every point and keeps
+    each where it applies, with no reordering; above it the blocked kernel runs on the sorted
+    points.  Either way it is the blocked kernel run on each side alone, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 47, BABY - 2, BABY - 1, BABY])
+    def test_equals_the_blocked_kernel_in_any_batches(self, n):
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        disc = _kernel_points(rng, 12)  # 0, on |z| = 1, just inside it and spread inside
+        z = rng.permutation(np.concatenate([
+            disc, 1.5 / disc[1:], [1.0, -1.0, 1j, -1j, 1e300, -1e-300j],
+            np.array([np.inf, -np.inf, np.nan]) + 0j]))
+        # the step z * (p / p') at z = +-inf is inf * 0, invalid, where p / p' has a zero part
+        with np.errstate(invalid="ignore"):
+            want = eval_state_reference(c, z)
+        ev = Evaluator(c)
+        order = rng.permutation(len(z))
+        batches = [order, *order[:, None], *np.split(order, np.sort(rng.choice(len(z), 6)))]
+        for rows in batches:
+            if np.isinf(z[rows]).any():
+                with np.errstate(invalid="ignore"):
+                    got = _eval_state(ev, z[rows])
+            else:  # 0 and NaN included: no warning
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = _eval_state(ev, z[rows])
+            assert _bits(got) == _bits(w[rows] for w in want), z[rows]
 
 
 def _bits(values):

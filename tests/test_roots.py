@@ -13,10 +13,12 @@ from quatroots.roots import (CLUSTER_REL, DEFAULT_REAL_TOL, NoConvergenceError, 
                              UnpairedRootError, _aberth, _aberth_sums, _cluster, _collisions,
                              _eval_state, _newton_polish, all_roots, classify_real,
                              pair_conjugates, polish_multiples)
-from quatroots.solver import SimplePolynomial, discriminant, solve_complex_coeffs
+from quatroots.solver import (SimplePolynomial, derived, discriminant, normalize,
+                              solve_complex_coeffs)
 
-from conftest import (aberth_reference, cluster_reference, kernel_value, listed,
-                      pair_conjugates_reference, poly_mul, traced_peak)
+from conftest import (MULTIPLE_ZERO_FAMILIES, aberth_reference, cluster_reference, kernel_value,
+                      listed, multiple_zero_inputs, pair_conjugates_reference,
+                      polish_multiples_reference, poly_mul, traced_peak)
 
 # the machine-computed roots of the degree-12 discriminant of the
 # degree-6 test case, as produced by a general-purpose solver
@@ -238,8 +240,8 @@ class TestNoRepeatedWork:
                 seen[x] = (k, x - step)
 
     def test_the_coefficients_are_arranged_once_per_polynomial(self, monkeypatch):
-        # one Evaluator per all_roots call, and in polish_multiples one per multiple
-        # entry, not one per evaluation or Newton step
+        # one Evaluator per all_roots call, and in polish_multiples one per distinct
+        # multiplicity, not one per entry, evaluation or Newton step
         made = []
         orig = Evaluator.__init__
 
@@ -254,6 +256,10 @@ class TestNoRepeatedWork:
         rl = all_roots(ComplexPolynomial(self.INPUTS["double-root"]))
         multiple = [m for _, m in rl.roots if m >= 2]
         assert multiple == [2] and made == [42, 41]  # p, then p' for the double root
+        made.clear()
+        p = ComplexPolynomial(np.convolve(self.INPUTS["double-root"], [4.0, 4.0, 1.0]))
+        rl = all_roots(p)
+        assert sorted(m for _, m in rl.roots if m >= 2) == [2, 2] and made == [44, 43]
 
     @pytest.mark.parametrize("name", INPUTS)
     def test_sums_cover_only_roots_that_then_step(self, monkeypatch, name):
@@ -437,6 +443,53 @@ class TestPairConjugates:
 def double_polished(p: ComplexPolynomial, z0: complex) -> complex:
     """polish_multiples on a single double root z0 of p."""
     return polish_multiples(p, RootList(((z0, 2),))).roots[0][0]
+
+
+def _clusters(p: ComplexPolynomial) -> RootList:
+    """all_roots(p) before polish_multiples refines it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots_mod, "polish_multiples", lambda p, rl: rl)
+        return all_roots(p)
+
+
+def _polishes_as_alone(p: ComplexPolynomial, rl: RootList) -> None:
+    # values (signed zeros included), multiplicities and order
+    assert repr(polish_multiples(p, rl).roots) == repr(polish_multiples_reference(p, rl).roots)
+
+
+class TestGroupedPolish:
+    """polish_multiples runs one Newton loop per multiplicity, and each entry in it stops at
+    the step where it would stop alone: the per-entry loop (conftest) bit for bit."""
+
+    @pytest.mark.parametrize("c", _aberth_corpus(), ids=lambda c: f"n{len(c) - 1}")
+    def test_on_the_aberth_corpus(self, c):
+        p = ComplexPolynomial(c)
+        _polishes_as_alone(p, _clusters(p))
+
+    @pytest.mark.parametrize("family", MULTIPLE_ZERO_FAMILIES)
+    def test_on_the_discriminants_of_multiple_zero_inputs(self, family):
+        inputs = multiple_zero_inputs(family, 20, np.random.default_rng(29))
+        for p, _ in inputs:
+            d = discriminant(derived(normalize(p)))
+            _polishes_as_alone(d, _clusters(d))
+
+    def test_two_entries_of_one_multiplicity_stop_at_their_own_steps(self, monkeypatch):
+        # (x - 1)^2 (x + 2)^2 (x - 3) from starts whose Newton runs take different step counts
+        p = poly_mul(poly_mul(ComplexPolynomial([1, -2, 1]), ComplexPolynomial([4, 4, 1])),
+                     ComplexPolynomial([-3, 1]))
+        rl = RootList(((1.0 + 3e-4j, 2), (-2.0 + 1e-9, 2), (3.0, 1)))
+        steps = []
+        orig = roots_mod._eval_state
+
+        def spy(ev, z):
+            steps.append(len(z))
+            return orig(ev, z)
+        monkeypatch.setattr(roots_mod, "_eval_state", spy)
+        got = polish_multiples(p, rl)
+        # one loop for both, and one entry steps on after the other froze
+        assert steps[0] == 2 and steps[-1] == 1
+        assert abs(got.roots[0][0] - 1.0) <= 1e-12 and abs(got.roots[1][0] + 2.0) <= 1e-12
+        _polishes_as_alone(p, rl)
 
 
 class TestPolishDouble:

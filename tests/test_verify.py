@@ -7,10 +7,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quatroots import verify as verify_mod
-from quatroots.quaternion import ConjugacyClass, Quaternion, embed_complex, rows
+from quatroots.quaternion import ConjugacyClass, Quaternion, embed_complex, hamilton, rows
 from quatroots.solver import SimplePolynomial, Tolerances, ZeroSet, solve_discriminant
 from quatroots.companion import solve_companion
-from quatroots.verify import SAMPLES_PER_CLASS, TERM_BLOCK, _eval_rows, audit, compare
+from quatroots.verify import (_PERM, _SIGNS, SAMPLES_PER_CLASS, TERM_BLOCK, _eval_rows,
+                              _power_step, audit, compare)
 
 from conftest import (ONE, I, J, K, SQRT2_2, cli_compare_inputs, compare_reference, eval_qpoly,
                       eval_qpoly_reference, eval_rows_reference, residual_limit_reference)
@@ -229,6 +230,38 @@ class TestBatchedTerms:
             assert not np.isfinite(_eval_rows(p, huge)).all()
         if degree == 800:
             assert degree >= 2 * (TERM_BLOCK // len(samples))  # several blocks of terms
+
+
+# finite components, either zero, either infinity and NaN
+_components = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+class TestPowerStep:
+    """_eval_rows steps its powers by one signed product and three sums: hamilton's roundings."""
+
+    @given(st.lists(st.tuples(*[_components] * 8), min_size=1, max_size=5))
+    @example([(1.0, 0.0, 0.0, 0.0, math.inf, 0.0, -0.0, math.nan)])
+    @example([(-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0)])
+    def test_is_hamilton_bit_for_bit(self, pairs):
+        a, z = np.array(pairs)[:, :4], np.array(pairs)[:, 4:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _power_step(a.T, _SIGNS[:, :, None] * z.T[_PERM], np.empty((4, len(z))))
+            want = np.array(hamilton(a.T, z.T))
+            scalar = np.array([hamilton(x, y) for x, y in zip(a.tolist(), z.tolist())]).T
+        # Quaternion.__mul__, the product the benchmark counts, is hamilton on Python floats
+        mul = np.array([(Quaternion(*x) * Quaternion(*y)).components()
+                        for x, y in zip(a.tolist(), z.tolist())]).T
+        assert mul.tobytes() == scalar.tobytes()
+        for other in (want, mul):
+            assert _same_bits_nan_aside(got, other)
+
+
+def _same_bits_nan_aside(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal bits, and NaN in the same places: the sign of an inf * 0 NaN is numpy's, and it
+    differs between a vector loop's lanes and its scalar tail, so NaN bits are not compared."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
 
 
 class TestCompare:
