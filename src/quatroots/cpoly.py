@@ -65,31 +65,28 @@ class Evaluator:
 
     def __call__(self, z):
         """(p, p', majorant) at every z, each of shape c.shape[1:] + z.shape."""
-        return self.branches(z)[1]
+        return self.branches(z)[2]
 
     def branches(self, z):
-        """(inner, (p, p', majorant)): inner is |z| <= 1, where c is read at z itself."""
+        """(u, inner, (p, p', majorant)): inner is |z| <= 1, where c is read at u = z, and
+        elsewhere its reversal is read at u = 1/z."""
         z = np.asarray(z, dtype=np.complex128)
         inner = np.abs(z) <= 1.0  # NaN is outer
         with np.errstate(divide="ignore", invalid="ignore"):  # at NaN
             u = np.divide(1.0, z, out=z.copy(), where=~inner)
-        return inner, self.at(u, inner)
-
-    def at(self, u, inner):
-        """(p, p', majorant) as branches gives them, from its points u: z where inner, else 1/z."""
-        shape, u, inner, r = self.shape + u.shape, u.ravel(), inner.ravel(), self.r
-        k = int(np.count_nonzero(inner))
-        if self.h > 1 or u.size * self.b > BLOCK:  # the inner points first: a block of rows a side
-            order, out = np.argsort(~inner, kind="stable"), np.empty((3, r, u.size), complex)
-            out[..., order] = self.sums(u[order], k)
+        shape, x, m, r = self.shape + u.shape, u.ravel(), inner.ravel(), self.r
+        k = int(np.count_nonzero(m))
+        if self.h > 1 or x.size * self.b > BLOCK:  # the inner points first: a block of rows a side
+            order, out = np.argsort(~m, kind="stable"), np.empty((3, r, x.size), complex)
+            out[..., order] = self.sums(x[order], k)
             p, a = out[:2].reshape(2 * r, -1), out[2].real
         else:  # one chunk: each side's contraction at every point, read where it applies
-            coef, mags = self.blocks[0] if k == u.size else self.blocks[1] if not k else self.both
-            baby = _powers(u, self.b)
+            coef, mags = self.blocks[0] if k == x.size else self.blocks[1] if not k else self.both
+            baby = _powers(x, self.b)
             p, a = np.einsum("ib,jb->ji", baby, coef), np.einsum("ib,jb->ji", np.abs(baby), mags)
-            if 0 < k < u.size:
-                p, a = np.where(inner, p[:2 * r], p[2 * r:]), np.where(inner, a[:r], a[r:])
-        return p[:r].reshape(shape), p[r:].reshape(shape), a.reshape(shape)
+            if 0 < k < x.size:
+                p, a = np.where(m, p[:2 * r], p[2 * r:]), np.where(m, a[:r], a[r:])
+        return u, inner, (p[:r].reshape(shape), p[r:].reshape(shape), a.reshape(shape))
 
     def sums(self, u, k: int) -> np.ndarray:
         """The kernel's p, p' and majorant, shape (3, r, len(u)): of c at u[:k] and of its
@@ -97,22 +94,19 @@ class Evaluator:
         b, h, r = self.b, self.h, self.r
         out = np.empty((3, r, len(u)), dtype=np.complex128)
         step = max(1, BLOCK // (b + h))
-        for s in range(0, len(u), step):
-            ub = u[s:s + step]
-            baby = _powers(ub, b)
-            w = baby[:, -1] * ub
-            aw = np.abs(w)
-            cut = min(max(k - s, 0), len(ub))
-            for lo, hi, (coef, mags) in ((0, cut, self.blocks[0]), (cut, len(ub), self.blocks[1])):
-                if lo == hi:
-                    continue
-                q = np.einsum("ib,jb->ji", baby[lo:hi], coef).reshape(2, r, h, -1)
-                qa = np.einsum("ib,jb->ji", np.abs(baby[lo:hi]), mags).reshape(r, h, -1)
+        for lo, hi, (coef, mags) in ((0, k, self.blocks[0]), (k, len(u), self.blocks[1])):
+            for s in range(lo, hi, step):
+                e = min(s + step, hi)
+                baby = _powers(u[s:e], b)
+                w = baby[:, -1] * u[s:e]
+                aw = np.abs(w)
+                q = np.einsum("ib,jb->ji", baby, coef).reshape(2, r, h, -1)
+                qa = np.einsum("ib,jb->ji", np.abs(baby), mags).reshape(r, h, -1)
                 p, a = q[:, :, -1], qa[:, -1]
                 for j in range(h - 2, -1, -1):
-                    p = p * w[lo:hi] + q[:, :, j]
-                    a = a * aw[lo:hi] + qa[:, j]
-                out[:2, :, s + lo:s + hi], out[2, :, s + lo:s + hi] = p, a
+                    p = p * w + q[:, :, j]
+                    a = a * aw + qa[:, j]
+                out[:2, :, s:e], out[2, :, s:e] = p, a
         return out
 
 

@@ -63,20 +63,17 @@ def _eval_state(ev: Evaluator, z: np.ndarray):
     other points of z, by the evaluator ev of the polynomial.
     """
     z = np.asarray(z, dtype=np.complex128)
-    inner = np.abs(z) <= 1.0
+    u, inner, (p, dp, maj) = ev.branches(z)
     rev = ~inner  # the evaluator's reversed points, NaN included
-    with np.errstate(divide="ignore", invalid="ignore"):  # at NaN
-        u = np.divide(1.0, z, out=z.copy(), where=rev)  # the kernel's points
-    p, dp, maj = ev.at(u, inner)
     # reversed: p, dp are q(u), q'(u) for q(u) = u^n p(1/u), so p/p' = z q/(n q - u q')
     den = np.where(rev, ev.n * p - u * dp, dp)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = p / den
-    bad = ~np.isfinite(ratio)
-    if bad.any():
+        corr = np.where(rev, z * ratio, ratio)  # at z = +-inf, inf * 0 is invalid
+    if (bad := ~np.isfinite(ratio)).any():
         # stuck point (den == 0, overflow): take a small sideways step and let the next pass fix it
-        ratio[bad] = 1e-6 * (1.0 + np.abs(z[bad])) * np.exp(0.7j)
-    corr = np.where(rev, z * ratio, ratio)
+        ratio = 1e-6 * (1.0 + np.abs(z[bad])) * np.exp(0.7j)
+        corr[bad] = np.where(rev[bad], z[bad] * ratio, ratio)
     return corr, np.abs(p) / np.maximum(maj, _TINY)
 
 
@@ -234,14 +231,11 @@ def _cluster(points: np.ndarray, radii: np.ndarray):
         prev = label.copy()
         np.minimum.at(label, b, label[a])
         np.minimum.at(label, a, label[b])
-    first = (label == np.arange(m)).nonzero()[0]  # one per component, in sorted order
-    size = np.bincount(label, minlength=m)[first]
-    total = 0.0 + pts[first]  # Python's sum(members) / count: 0 + z_1 + z_2 + ..., complex / int
-    if a.size:
-        perm, start = np.argsort(label, kind="stable"), np.cumsum(size) - size
-        for t in range(1, size.max()):
-            more = size > t
-            total[more] += pts[perm[start[more] + t]]
+    first = label == np.arange(m)  # one per component, in sorted order
+    size, comp = np.bincount(label, minlength=m)[first], (np.cumsum(first) - 1)[label]
+    # Python's sum(members) / count: 0 + z_1 + z_2 + ..., complex / int; add.at adds in order
+    total = np.zeros(len(size), dtype=np.complex128)
+    np.add.at(total, comp, pts)
     tr, ti, mean = total.real, total.imag, np.empty(len(size), dtype=np.complex128)
     mean.real, mean.imag = (tr + ti * 0.0) / size, (ti - tr * 0.0) / size
     return _sorted(mean, size)

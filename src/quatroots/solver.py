@@ -167,9 +167,7 @@ class ZeroSet:
             t = DEDUP_REL * np.maximum(np.maximum(1.0, mod), mq[:, None])
             keep = ~((abs(q[:, :1] - re) <= t) & (abs(mq[:, None] - mod) <= t)).any(axis=1)
         q = q[_kept(q[:, 0], mq, lambda i, j, r: _moduli(q[j] - q[i]) <= r, keep)]
-        # j and k parts that are +0.0 throughout (complex zeros) take Quaternion's one default
-        width = 4 if q.view(np.uint64)[:, 2:].any() else 2
-        return cls(tuple(x.tolist()), tuple(map(Quaternion, *q[:, :width].T.tolist())),
+        return cls(tuple(x.tolist()), tuple(map(Quaternion, *q.T.tolist())),
                    tuple(map(ConjugacyClass.from_complex, s.tolist())))
 
     def class_count(self) -> int:
@@ -333,15 +331,21 @@ def _place_pairs(pair, eta: np.ndarray):
     return isolated_zero(pair, eta[~sphere], values[..., ~sphere]), eta[sphere]
 
 
+def _norm_zeros(pair, norm: ComplexPolynomial):
+    """(reals, (k, 4) isolated rows, sphere representatives) from the roots of norm, the norm
+    polynomial of the pair: its real roots are real zeros, its conjugate pairs _place_pairs'."""
+    (reals, _), (pairs, _) = classify_real(all_roots(norm))
+    return reals, *_place_pairs(pair, pairs)
+
+
 def solve_discriminant(p: SimplePolynomial) -> ZeroSet:
     """Full solution set via the roots of the discriminant polynomial."""
     pair = derived(normalize(p))
-    (reals, _), (pairs, _) = classify_real(all_roots(discriminant(pair)))
-    _last_discriminant[:] = p, ZeroSet.build(reals, *_place_pairs(pair, pairs))
+    _last_discriminant[:] = p.rows, ZeroSet.build(*_norm_zeros(pair, discriminant(pair)))
     return _last_discriminant[1]
 
 
-_last_discriminant: list = [None, None]  # p and solve_discriminant(p), for solve_factored
+_last_discriminant: list = [None, None]  # p.rows and solve_discriminant(p), for solve_factored
 
 
 def factor_g(pair):
@@ -373,22 +377,21 @@ def solve_factored(p: SimplePolynomial) -> ZeroSet:
     Real zeros and zero-spheres come from g = gcd(f1, f2), and g's unpaired roots
     give isolated zeros by the cofactor closed form.  The cofactor norm
     discriminant((g1, g2)) holds every zero g misses; its conjugate pairs are placed
-    as solve_discriminant places D's, by the cofactor pair (_place_pairs).  At g = 1 the route
-    is solve_discriminant's, whose last set it returns if built for p itself (is).
+    as solve_discriminant places D's (_norm_zeros).  At g = 1 the route is solve_discriminant's,
+    whose last set it returns if built for the rows p holds (is).
     ZeroSet.build merges any root found twice.
     """
     pair = derived(normalize(p))
     g, g1, g2 = factor_g(pair)
     if g.degree < 1:  # the cofactor norm is D: the route is solve_discriminant's
         last, zs = _last_discriminant
-        return zs if last is p else solve_discriminant(p)
+        return zs if last is p.rows else ZeroSet.build(*_norm_zeros(pair, discriminant(pair)))
     (reals, _), (spheres, _), (eta, _) = pair_conjugates(all_roots(g).roots)
     isolated = _isolated_zero_cofactor(g1, g2, eta)
     gt = discriminant((g1, g2))
     if gt.degree >= 1:
         # a real root certifies a real zero (f1 and f2 vanish there) g missed to the gcd tolerance
-        (treals, _), (tpairs, _) = classify_real(all_roots(gt))
-        more, tspheres = _place_pairs((g1, g2), tpairs)
+        treals, more, tspheres = _norm_zeros((g1, g2), gt)
         reals, isolated = np.concatenate([reals, treals]), np.vstack([isolated, more])
         spheres = np.concatenate([spheres, tspheres])
     return ZeroSet.build(reals, isolated, spheres)

@@ -1,8 +1,11 @@
-"""The public API is pinned: a name added to or dropped from __all__ fails here."""
+"""The public API is pinned: a name added to or dropped from __all__ fails here, and library
+code never writes to the streams."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +99,8 @@ def test_removed_methods_stay_gone():
     assert "real" not in solver.Tolerances.__dataclass_fields__
     assert not callable(ComplexPolynomial([1.0, 2.0]))
     assert "source_degree" not in RootList.__dataclass_fields__
+    # Evaluator.branches gives the kernel's points with the values: one branch rule
+    assert not hasattr(cpoly.Evaluator, "at")
 
 
 def test_complex_polynomial_has_no_ring_api():
@@ -173,3 +178,21 @@ LAYER_DEFAULTS = [
 def test_layer_defaults_are_the_tolerances_defaults(func, param, field):
     default = inspect.signature(func).parameters[param].default
     assert default == getattr(solver.DEFAULT_TOLS, field) == getattr(solver.Tolerances, field)
+
+
+# every library module but the CLI, which owns the process's streams
+LIBRARY = sorted(p for p in Path(quatroots.__file__).parent.glob("*.py") if p.name != "cli.py")
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_code_never_writes_to_the_streams(path):
+    # observability is machine-readable output of the CLI: library code calls no print and
+    # touches neither sys.stdout nor sys.stderr, however imported
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "print")
+             or (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"))
+             or (isinstance(node, ast.ImportFrom) and node.module == "sys"
+                 and {a.name for a in node.names} & {"stdout", "stderr", "*"})]
+    assert found == [], f"{path.name} writes to a stream at lines {found}"

@@ -623,6 +623,22 @@ class TestArrayClustering:
             assert np.allclose([v.imag for v, _ in got[1]], means, rtol=0, atol=1e-15)
             assert [m for _, m in got[1]] == mult
 
+    @pytest.mark.parametrize("size", [2, 3, 7, 16, 33, 64])
+    def test_chained_means_are_the_loop_sums_bit_for_bit(self, size):
+        # == equates -0.0 and 0.0, so compare bytes: two chains of size points, each linked to
+        # its neighbours only, one on the real axis through -0.0 - 0.0j with imaginary parts
+        # -0.0, one off it; each mean is 0 + z_1 + z_2 + ... over the sorted members
+        rng = np.random.default_rng(size)
+        t, h = np.arange(size) - size // 2, 0.6 * CLUSTER_REL
+        axis = np.array([complex(x, -0.0) for x in (t * h).tolist()])
+        axis[size // 2] = complex(-0.0, -0.0)
+        off = (1 + 2j) + (t + 1j * rng.uniform(-0.1, 0.1, size)) * h * (1.0 + abs(1 + 2j))
+        pts = rng.permutation(np.concatenate([axis, off]))
+        means, mult = _cluster(pts.copy(), np.zeros(len(pts)))
+        want = cluster_reference(pts.copy(), np.zeros(len(pts)))
+        assert means.tobytes() == np.array([v for v, _ in want], dtype=complex).tobytes()
+        assert mult.tolist() == [m for _, m in want] == [size, size]
+
     def test_a_point_exactly_on_the_merge_radius_merges(self):
         h = 2.0**-10
         pts = np.array([complex(3.0, h), 0.5, 3.0, 0.5 + h])  # gaps of exactly h
