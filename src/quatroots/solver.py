@@ -167,7 +167,10 @@ class ZeroSet:
             t = DEDUP_REL * np.maximum(np.maximum(1.0, mod), mq[:, None])
             keep = ~((abs(q[:, :1] - re) <= t) & (abs(mq[:, None] - mod) <= t)).any(axis=1)
         q = q[_kept(q[:, 0], mq, lambda i, j, r: _moduli(q[j] - q[i]) <= r, keep)]
-        return cls(tuple(x.tolist()), tuple(map(Quaternion, *q.T.tolist())),
+        # j and k parts that are +0.0 throughout (complex zeros) take Quaternion's one default
+        # float, not two new ones per zero, in every ZeroSet a caller keeps
+        width = 4 if q.view(np.uint64)[:, 2:].any() else 2
+        return cls(tuple(x.tolist()), tuple(map(Quaternion, *q[:, :width].T.tolist())),
                    tuple(map(ConjugacyClass.from_complex, s.tolist())))
 
     def class_count(self) -> int:
@@ -324,18 +327,14 @@ def _isolated_zero_cofactor(g1: ComplexPolynomial, g2: ComplexPolynomial,
     return _conj_side_zero((g1, g2), a, b, eta)
 
 
-def _place_pairs(pair, eta: np.ndarray):
-    """((k, 4) isolated zeros, sphere representatives) of the pair representatives eta."""
-    values, _, majorants = Evaluator(_stacked(pair))(np.stack([eta, eta.conj()]))
-    sphere = is_spherical_root(values, majorants)
-    return isolated_zero(pair, eta[~sphere], values[..., ~sphere]), eta[sphere]
-
-
 def _norm_zeros(pair, norm: ComplexPolynomial):
     """(reals, (k, 4) isolated rows, sphere representatives) from the roots of norm, the norm
-    polynomial of the pair: its real roots are real zeros, its conjugate pairs _place_pairs'."""
-    (reals, _), (pairs, _) = classify_real(all_roots(norm))
-    return reals, *_place_pairs(pair, pairs)
+    polynomial of the pair: its real roots are real zeros, and the representative eta of each
+    conjugate pair is a sphere or, by the closed form on the pair, one isolated zero."""
+    (reals, _), (eta, _) = classify_real(all_roots(norm))
+    values, _, majorants = Evaluator(_stacked(pair))(np.stack([eta, eta.conj()]))
+    sphere = is_spherical_root(values, majorants)
+    return reals, isolated_zero(pair, eta[~sphere], values[..., ~sphere]), eta[sphere]
 
 
 def solve_discriminant(p: SimplePolynomial) -> ZeroSet:

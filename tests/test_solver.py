@@ -533,12 +533,12 @@ class TestSolveFactored:
 
         def placing(*args):
             placed.append(args)
-            return place_pairs(*args)
+            return norm_zeros(*args)
 
-        place_pairs = solver_mod._place_pairs
+        norm_zeros = solver_mod._norm_zeros
         monkeypatch.setattr(solver_mod, "derived", counting)
         monkeypatch.setattr(solver_mod, "factor_g", factoring)
-        monkeypatch.setattr(solver_mod, "_place_pairs", placing)
+        monkeypatch.setattr(solver_mod, "_norm_zeros", placing)
         solve_factored(degree6_mixed)
         assert len(calls) == len(factored) == len(placed) == 1
         (g, g1, g2), ((f1, f2), _) = factored[0], placed[0]
