@@ -2,9 +2,10 @@
 
 Input is one JSON document per problem ({"coefficients": [[a0,a1,a2,a3],...],
 constant term first}) or a plain-text shorthand of component rows separated
-by semicolons or newlines.  Every threshold is the library's own
-(solver.DEFAULT_TOLS, verify.SAMPLES_PER_CLASS); no flag sets one.  Exit
-codes: 0 success, 1 usage, parse or solver error, 2 verification failure.
+by semicolons or newlines.  compare mode takes both D routes' sets from one
+solver._d_route_sets call, which finds D's roots once.  Every threshold is the
+library's own (solver.DEFAULT_TOLS, verify.SAMPLES_PER_CLASS); no flag sets one.
+Exit codes: 0 success, 1 usage, parse or solver error, 2 verification failure.
 JSON output writes a non-finite number, such as a NaN residual, as null.
 """
 
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from .companion import solve_companion
-from .solver import SimplePolynomial, ZeroSet, solve_discriminant, solve_factored
+from .solver import SimplePolynomial, ZeroSet, _d_route_sets, solve_discriminant, solve_factored
 from .verify import ZeroSetDiff, audit, compare
 
 EXIT_OK = 0
@@ -214,25 +215,23 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
     solve_input = poly.conjugated_coeffs() if args.right_sided else poly
-    selected = (list(_ALGORITHMS) if args.algorithm == "compare"
-                else [args.algorithm])
-    results: dict[str, ZeroSet] = {}
-    reports = {}
     try:
-        for alg in selected:
-            zs = _ALGORITHMS[alg](solve_input)
-            # residuals are checked on the simple problem actually solved;
-            # right-sided zeros are its conjugates
-            reports[alg] = audit(solve_input, zs)
-            results[alg] = zs.conjugated() if args.right_sided else zs
+        if args.algorithm == "compare":
+            new, new_prime = _d_route_sets(solve_input)
+            solved = {"new": new, "new-prime": new_prime, "jo": solve_companion(solve_input)}
+        else:
+            solved = {args.algorithm: _ALGORITHMS[args.algorithm](solve_input)}
+        # residuals are checked on the problem solved; right-sided zeros are its conjugates
+        reports = {alg: audit(solve_input, zs) for alg, zs in solved.items()}
     except Exception as exc:
         print(f"solver error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_ERROR
+    results = {alg: zs.conjugated() if args.right_sided else zs for alg, zs in solved.items()}
 
     diffs: dict[str, ZeroSetDiff] = {}
     if len(results) > 1:
-        base = selected[0]
-        for other in selected[1:]:
+        base, *others = results
+        for other in others:
             diffs[f"{base}-vs-{other}"] = compare(results[base], results[other])
 
     expected_diffs: dict[str, ZeroSetDiff] = {}

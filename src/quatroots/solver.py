@@ -10,12 +10,13 @@ polynomials vanish there) or a single isolated zero given in closed form as a co
 row, from one cpoly.Evaluator call at every representative.  The routes hand ZeroSet.build
 arrays (reals, rows, sphere representatives), and it makes the field objects once.
 
-Two routes are provided: solve_discriminant works on the full discriminant,
-solve_factored first divides out g = gcd(f1, f2), which holds most real zeros
-and spheres, and places the roots of a smaller cofactor norm as solve_discriminant
-places D's, for the isolated nonreal zeros and the spheres g misses.
-is_finite_zero_set is solve_factored's verdict on spheres.  solve_complex_coeffs is
-the fast path for inputs whose coefficients are all complex (or all real).
+Two routes are provided: solve_discriminant works on the full discriminant, solve_factored
+first divides out g = gcd(f1, f2), which holds most real zeros and spheres, and places the
+roots of a smaller cofactor norm as solve_discriminant places D's, for the isolated nonreal
+zeros and the spheres g misses.  No state is kept between calls: _d_route_sets gives both
+routes' sets from one derived pair, finding D's roots once, for the CLI's compare mode.
+is_finite_zero_set is solve_factored's verdict on spheres.  solve_complex_coeffs is the
+fast path for inputs whose coefficients are all complex (or all real).
 """
 
 from __future__ import annotations
@@ -340,11 +341,7 @@ def _norm_zeros(pair, norm: ComplexPolynomial):
 def solve_discriminant(p: SimplePolynomial) -> ZeroSet:
     """Full solution set via the roots of the discriminant polynomial."""
     pair = derived(normalize(p))
-    _last_discriminant[:] = p.rows, ZeroSet.build(*_norm_zeros(pair, discriminant(pair)))
-    return _last_discriminant[1]
-
-
-_last_discriminant: list = [None, None]  # p.rows and solve_discriminant(p), for solve_factored
+    return ZeroSet.build(*_norm_zeros(pair, discriminant(pair)))
 
 
 def factor_g(pair):
@@ -376,15 +373,27 @@ def solve_factored(p: SimplePolynomial) -> ZeroSet:
     Real zeros and zero-spheres come from g = gcd(f1, f2), and g's unpaired roots
     give isolated zeros by the cofactor closed form.  The cofactor norm
     discriminant((g1, g2)) holds every zero g misses; its conjugate pairs are placed
-    as solve_discriminant places D's (_norm_zeros).  At g = 1 the route is solve_discriminant's,
-    whose last set it returns if built for the rows p holds (is).
+    as solve_discriminant places D's (_norm_zeros).  At g = 1 the cofactor norm is D, and the
+    route builds solve_discriminant's set from its own pair.
     ZeroSet.build merges any root found twice.
     """
     pair = derived(normalize(p))
     g, g1, g2 = factor_g(pair)
-    if g.degree < 1:  # the cofactor norm is D: the route is solve_discriminant's
-        last, zs = _last_discriminant
-        return zs if last is p.rows else ZeroSet.build(*_norm_zeros(pair, discriminant(pair)))
+    if g.degree < 1:  # the cofactor norm is D
+        return ZeroSet.build(*_norm_zeros(pair, discriminant(pair)))
+    return _factored_set(g, g1, g2)
+
+
+def _d_route_sets(p: SimplePolynomial) -> tuple[ZeroSet, ZeroSet]:
+    """(solve_discriminant(p), solve_factored(p)) from one derived pair; at g = 1 one object."""
+    pair = derived(normalize(p))
+    zs = ZeroSet.build(*_norm_zeros(pair, discriminant(pair)))
+    g, g1, g2 = factor_g(pair)
+    return zs, zs if g.degree < 1 else _factored_set(g, g1, g2)
+
+
+def _factored_set(g, g1, g2) -> ZeroSet:
+    """solve_factored's set at deg g >= 1, from g and the cofactor pair (g1, g2)."""
     (reals, _), (spheres, _), (eta, _) = pair_conjugates(all_roots(g).roots)
     isolated = _isolated_zero_cofactor(g1, g2, eta)
     gt = discriminant((g1, g2))

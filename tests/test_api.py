@@ -46,7 +46,7 @@ REMOVED = {
     "solver": ["classify_eta", "_classify_complex_root_values",
                "_cofactor_discriminant", "NormalizedPolynomial", "DerivedPolynomials",
                "_norm_polynomial", "NonRealDiscriminantError", "NORM_REAL_TOL", "_side_values",
-               "InexactDivisionError", "COFACTOR_ZERO_REL"],
+               "InexactDivisionError", "COFACTOR_ZERO_REL", "_last_discriminant"],
     "roots": ["polish_double", "_safe_ratio", "polished_roots", "_newton_refine", "_listed"],
     "companion": ["CompanionPolynomial", "PowerDecomposition", "NonRealCompanionError"],
     "cpoly": ["scaled_values", "gcd_many", "scaled_horner"],

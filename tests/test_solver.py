@@ -1,11 +1,13 @@
 import cmath
 import contextlib
 import functools
+import gc
 import io
 import itertools
 import json
 import math
 import operator
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -564,8 +566,8 @@ class TestSolveFactored:
         assert [c.re for c in solve_factored(p).spherical] == pytest.approx([re])
 
     def test_rebound_rows_get_their_own_zero_set(self):
-        # the g = 1 reuse of solve_discriminant's last set is keyed on the rows p holds, not
-        # on p: rebinding p.rows must not return the set of the old rows (6 classes, not 8)
+        # each solve computes from the rows p holds when called: after an earlier solve of p,
+        # rebinding p.rows must not return the set of the old rows (6 classes, not 8)
         rng = np.random.default_rng(3)
         p = SimplePolynomial.from_rows(rng.standard_normal((7, 4)))
         q = SimplePolynomial.from_rows(rng.standard_normal((9, 4)))
@@ -575,18 +577,33 @@ class TestSolveFactored:
         assert repr(solve_factored(p)) == repr(solve_discriminant(q)) != repr(old)
         assert solve_factored(p).class_count() == 8
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_compare_mode_finds_the_roots_of_d_once(self, monkeypatch, tmp_path, seed):
-        # at g = 1 the factored route takes the set the discriminant route has just built
-        p = _gaussian(seed, 9 + 7 * seed)
-        assert factor_g(derived(normalize(p)))[0].degree == 0
-        degrees, orig = [], solver_mod.all_roots
-        monkeypatch.setattr(solver_mod, "all_roots", lambda f: degrees.append(f.degree) or orig(f))
+    @pytest.mark.parametrize("seed", [*range(4), None])
+    def test_compare_mode_finds_the_roots_of_d_once(self, monkeypatch, tmp_path, seed,
+                                                    degree6_mixed):
+        # compare mode derives the pair once and finds D's roots once.  At g = 1 the factored
+        # route's set is the discriminant route's; at deg g >= 1 (degree6_mixed, seed None)
+        # it is still built from g's roots and the cofactor norm's
+        p = degree6_mixed if seed is None else _gaussian(seed, 9 + 7 * seed)
+        g = factor_g(derived(normalize(p)))[0]
+        assert (g.degree >= 1) == (seed is None)
+        want = cli.zero_set_json(solve_factored(p))
+        calls = []
+        for name in ("all_roots", "derived", "factor_g"):
+            orig = getattr(solver_mod, name)
+            monkeypatch.setattr(solver_mod, name,
+                                lambda arg, name=name, orig=orig: calls.append((name, arg))
+                                or orig(arg))
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"coefficients": p.rows.tolist()}))
-        with contextlib.redirect_stdout(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             assert cli.main([str(path), "--format", "json"]) == cli.EXIT_OK
-        assert degrees == [2 * p.degree]
+        names = [name for name, _ in calls]
+        assert names.count("derived") == names.count("factor_g") == 1
+        degrees = [f.degree for name, f in calls if name == "all_roots"]
+        assert degrees == [2 * p.degree] + ([g.degree, 2 * (p.degree - g.degree)]
+                                            if g.degree >= 1 else [])
+        assert json.loads(out.getvalue())["algorithms"]["new-prime"]["zeros"] == want
 
     @pytest.mark.parametrize("seed", range(50))
     def test_gaussian_input_gets_the_discriminant_set(self, seed):
@@ -623,6 +640,43 @@ class TestSolveFactored:
         assert not compare(got, want, tol=1e-10)
         assert (len(got.real_zeros), len(got.isolated_zeros), len(got.spherical)) == (
             len(want.real_zeros), len(want.isolated_zeros), len(want.spherical))
+
+
+class TestNoStateBetweenCalls:
+    """The library keeps nothing of a call: once the caller drops the polynomial and the zero
+    set, both are freed, so no solve can hand back another call's set."""
+
+    @staticmethod
+    def _refs(route, rows) -> list[weakref.ref]:
+        p = SimplePolynomial.from_rows(rows)
+        out = route(p)
+        return [weakref.ref(p.rows)] + ([weakref.ref(out)] if isinstance(out, ZeroSet) else [])
+
+    @pytest.mark.parametrize("route", [solve_discriminant, solve_factored, solve_companion,
+                                       solve_complex_coeffs, is_finite_zero_set],
+                             ids=operator.attrgetter("__name__"))
+    def test_a_route_keeps_nothing(self, route):
+        rows = _gaussian(4, 12).rows.copy()
+        if route is solve_complex_coeffs:
+            rows[:, 2:] = 0.0
+        refs = self._refs(route, rows)
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+
+    def test_a_compare_run_keeps_nothing(self, monkeypatch, tmp_path):
+        refs, checked = [], cli.audit
+
+        def watching(p, zs):  # sees the polynomial solved and each route's set
+            refs.extend([weakref.ref(p.rows), weakref.ref(zs)])
+            return checked(p, zs)
+
+        monkeypatch.setattr(cli, "audit", watching)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"coefficients": _gaussian(4, 12).rows.tolist()}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([str(path), "--format", "json"]) == cli.EXIT_OK
+        gc.collect()
+        assert len(refs) == 6 and all(ref() is None for ref in refs)
 
 
 class TestSolveComplexCoeffs:
