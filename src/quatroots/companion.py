@@ -1,12 +1,12 @@
 """Companion-polynomial method, kept as an independent cross-check.
 
 This is the earlier route to the same zero sets (Janovská & Opfer): form the
-real companion polynomial sum conj(q_j) q_k x^(j+k) of the monic-normalized
-input, take one root z per conjugate pair, and decide its fate through the
-power decomposition x^j = alpha_j x + beta_j, which rewrites p as
-A(x)x + B(x).  A vanishing v = conj(A(z)) B(z) marks a sphere of zeros;
-otherwise v points at the single isolated zero on the sphere of z.  All of
-it runs on (n+1, 4) component arrays, for every pair representative at once.
+real companion polynomial sum conj(q_j) q_k x^(j+k) of the input's scaled_rows,
+take one root z per conjugate pair, and decide its fate through the power
+decomposition x^j = alpha_j x + beta_j, which rewrites p as A(x)x + B(x).
+A vanishing v = conj(A(z)) B(z) marks a sphere of zeros; otherwise v points at
+the single isolated zero on the sphere of z.  All of it runs on (n+1, 4)
+component arrays, for every pair representative at once.
 """
 
 from __future__ import annotations
@@ -14,26 +14,19 @@ from __future__ import annotations
 import numpy as np
 
 from .cpoly import ComplexPolynomial
-from .quaternion import Quaternion, hamilton, norms
+from .quaternion import hamilton, norms
 from .roots import all_roots, classify_real
 from .solver import (DEFAULT_TOLS, BothDenominatorsZeroError, DegreeError, SimplePolynomial,
-                     ZeroSet, norm_polynomial)
+                     ZeroSet, norm_polynomial, scaled_rows)
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def monic_normalized(p: SimplePolynomial) -> SimplePolynomial:
-    """Left-multiply by the inverse of the leading coefficient."""
-    return p.left_scaled(Quaternion(*p.rows[-1].tolist()).inverse())
-
-
 def companion(p: SimplePolynomial) -> ComplexPolynomial:
     """The real polynomial sum b_k x^k with b_k = sum_j <q_j, q_(k-j)>: norm_polynomial of
-    the rows, the sums that also form the discriminant route's D.  Requires the monic
-    normalization (leading coefficient 1).
+    the rows, the sums that also form the discriminant route's D.  A left factor c of the
+    rows scales it by |c|^2 and leaves its roots.
     """
-    if norms(p.rows[-1:] - (1.0, 0.0, 0.0, 0.0))[0] > 1e-12:
-        raise ValueError("companion polynomial needs the monic normalization")
     return ComplexPolynomial(norm_polynomial(p.rows))
 
 
@@ -78,10 +71,11 @@ def solve_companion(p: SimplePolynomial) -> ZeroSet:
     |w| the modulus of the imaginary part of v.  The test
     |v| <= DEFAULT_TOLS.zero s^2, s = sum |q_j| max(1, |z|)^j, and the zero
     are homogeneous in v, so both read ab's scaled values, s scaled to match.
+    A left factor c of the rows scales v by |c|^2 and s by |c|: any scaled_rows serve.
     """
     if p.degree < 1:
         raise DegreeError("cannot solve a constant polynomial")
-    pm = monic_normalized(p)
+    pm = SimplePolynomial.from_rows(scaled_rows(p))
     (reals, _), (eta, _) = classify_real(all_roots(companion(pm)))
     a, b = ab(pm, eta)
     v = np.stack(hamilton((a * _CONJ).T, b.T), axis=-1)

@@ -1,14 +1,14 @@
 """Zero finding for simple (left-coefficient) quaternionic polynomials.
 
-The pipeline runs on plain data: normalize gives the (n+1, 4) coefficient
-rows with the constant term 0 or 1, derived reads the complex pair (f1, f2)
-off their columns, since p = z1 + z2*j with z1 = a0 + a1*i and z2 = a2 + a3*i,
-and discriminant forms the real D = f1*conj(f1) + f2*conj(f2) by norm_polynomial, which
-also forms the companion polynomial.  Its real roots are exactly the real zeros; each
-conjugate pair of complex roots yields either a whole sphere of zeros (when all four derived
-polynomials vanish there) or a single isolated zero given in closed form as a component
-row, from one cpoly.Evaluator call at every representative.  The routes hand ZeroSet.build
-arrays (reals, rows, sphere representatives), and it makes the field objects once.
+The pipeline runs on plain data: normalize gives the (n+1, 4) coefficient rows, scaled by
+scaled_rows (every general route's one exact scaling), with the constant term 0 or 1, derived
+reads the complex pair (f1, f2) off their columns, since p = z1 + z2*j with z1 = a0 + a1*i and
+z2 = a2 + a3*i, and discriminant forms the real D = f1*conj(f1) + f2*conj(f2) by
+norm_polynomial, which also forms the companion polynomial.  Its real roots are exactly the
+real zeros; each conjugate pair of complex roots yields either a whole sphere of zeros (when
+all four derived polynomials vanish there) or a single isolated zero given in closed form as a
+component row, from one cpoly.Evaluator call at every representative.  The routes hand
+ZeroSet.build arrays (reals, rows, sphere representatives), and it makes the field objects once.
 
 Two routes are provided: solve_discriminant works on the full discriminant, solve_factored
 first divides out g = gcd(f1, f2), which holds most real zeros and spheres, and places the
@@ -111,10 +111,6 @@ class SimplePolynomial:
     def coefficient_scale(self) -> float:
         return float(_moduli(self.rows).max())
 
-    def left_scaled(self, c: Quaternion) -> SimplePolynomial:
-        """The polynomial c * p (same zero set for c != 0)."""
-        return SimplePolynomial.from_rows(_left_mul(c, self.rows))
-
     def conjugated_coeffs(self) -> SimplePolynomial:
         return SimplePolynomial.from_rows(self.rows * (1.0, -1.0, -1.0, -1.0))
 
@@ -199,19 +195,27 @@ def _kept(x: np.ndarray, size: np.ndarray, close, keep: np.ndarray) -> np.ndarra
     return keep
 
 
-def normalize(p: SimplePolynomial) -> np.ndarray:
-    """Left-multiply by the inverse of the constant term (when nonzero).
+def scaled_rows(p: SimplePolynomial) -> np.ndarray:
+    """p's rows times 2^-e, e the frexp exponent of the largest |component|, which then lies
+    in [0.5, 1).  A left factor, so the zero set is p's; exact unless a component underflows."""
+    return np.ldexp(p.rows, -np.frexp(np.abs(p.rows).max())[1])
 
-    Left unit multiples do not change the zero set, so the result solves the
-    same problem with d0 in {0, 1}: (n+1, 4) rows, (d0, 0, 0, 0) first.
+
+def normalize(p: SimplePolynomial) -> np.ndarray:
+    """Left-multiply the scaled_rows by the inverse of their constant term (when nonzero).
+
+    Left multiples do not change the zero set, so the result solves the same problem
+    with d0 in {0, 1}: (n+1, 4) rows, (d0, 0, 0, 0) first.  The power of two passes
+    exactly through the inverse and products, so it shows only at d0 = 0.
     """
     if p.degree < 1:
         raise DegreeError("cannot normalize a constant polynomial")
-    q0 = Quaternion(*p.rows[0].tolist())
-    if abs(q0) <= TRIM_REL * p.coefficient_scale():
-        d0, body = 0.0, p.rows[1:]
+    rows = scaled_rows(p)
+    q0 = Quaternion(*rows[0].tolist())
+    if abs(q0) <= TRIM_REL * _moduli(rows).max():
+        d0, body = 0.0, rows[1:]
     else:
-        d0, body = 1.0, _left_mul(q0.inverse(), p.rows[1:])
+        d0, body = 1.0, _left_mul(q0.inverse(), rows[1:])
     return np.vstack([(d0, 0.0, 0.0, 0.0), body])
 
 

@@ -287,13 +287,21 @@ def eval_qpoly_reference(p: SimplePolynomial, z: Quaternion) -> Quaternion:
     return total
 
 
+def scaled_reference(p: SimplePolynomial) -> SimplePolynomial:
+    """p with solver.scaled_rows's rows, by math.ldexp of each component."""
+    e = math.frexp(max(abs(a) for q in p.coeffs for a in q.components()))[1]
+    return SimplePolynomial([Quaternion(*(math.ldexp(a, -e) for a in q.components()))
+                             for q in p.coeffs])
+
+
 def normalize_reference(p: SimplePolynomial) -> tuple[tuple[Quaternion, ...], int]:
-    """(p_1 .. p_n, d0) of solver.normalize by scalar products inv * q."""
-    q0 = p.coeffs[0]
-    if abs(q0) <= 1e-30 * max(abs(q) for q in p.coeffs):
-        return p.coeffs[1:], 0
+    """(p_1 .. p_n, d0) of solver.normalize by scalar products inv * q of the scaled rows."""
+    coeffs = scaled_reference(p).coeffs
+    q0 = coeffs[0]
+    if abs(q0) <= 1e-30 * max(abs(q) for q in coeffs):
+        return coeffs[1:], 0
     inv = q0.inverse()
-    return tuple(inv * q for q in p.coeffs[1:]), 1
+    return tuple(inv * q for q in coeffs[1:]), 1
 
 
 def derived_reference(coeffs, d0: int) -> tuple[list[complex], list[complex]]:
@@ -679,12 +687,11 @@ def ab_reference(p: SimplePolynomial, z: Quaternion) -> tuple[Quaternion, Quater
 
 def solve_companion_reference(p: SimplePolynomial) -> ZeroSet:
     """solve_companion with the scalar loops and the unscaled sphere test."""
-    from quatroots.companion import monic_normalized
     from quatroots.quaternion import embed_complex
     from quatroots.roots import all_roots, classify_real
     from quatroots.solver import DEFAULT_TOLS
 
-    pm = monic_normalized(p)
+    pm = scaled_reference(p)
     (reals, _), (pairs, _) = classify_real(all_roots(ComplexPolynomial(companion_reference(pm))))
     isolated, spheres = [], []
     for eta in pairs.tolist():

@@ -11,8 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from quatroots.companion import (ab, companion, monic_normalized,
-                                 power_decomp, solve_companion)
+from quatroots.companion import ab, companion, power_decomp, solve_companion
 from quatroots.cpoly import Evaluator
 from quatroots.quaternion import Quaternion
 from quatroots.roots import _aberth, _newton_polish, all_roots
@@ -96,7 +95,8 @@ def test_criterion_3_degree6_golden(degree6_mixed):
             assert_zero_set(zs, [-1.0, 1.0], expected_iso, [(0.0, 1.0)], tol=1e-8)
         ints_desc = (1, 0, 1, 0, -1, 0, -2, 0, -1, 0, 1, 0, 1)
         disc = discriminant(derived(normalize(degree6_mixed)))
-        comp = companion(monic_normalized(degree6_mixed))
+        inv = degree6_mixed.coeffs[-1].inverse()
+        comp = companion(SimplePolynomial([inv * q for q in degree6_mixed.coeffs]))  # monic rows
         assert disc.degree == 12 and comp.degree == 12
         for got in (np.real(disc.c[::-1]), np.real(comp.c[::-1])):
             assert np.max(np.abs(got - np.array(ints_desc))) <= 1e-10
@@ -197,7 +197,7 @@ def test_criterion_7_structural_bounds_corpus(corpus_solutions):
             for k, ck in enumerate(np.abs(disc.c)):
                 majorant = majorant + ck * np.abs(ts) ** k
             assert np.all(vals >= -1e-8 * np.maximum(majorant, 1.0))
-            comp = companion(monic_normalized(p))
+            comp = companion(p)
             a = np.real(comp.c) / np.real(comp.c[-1])
             b = np.real(disc.c) / np.real(disc.c[-1])
             assert len(a) == len(b)

@@ -29,12 +29,13 @@ PUBLIC = {
 
 # internals, out of __all__ and the package namespace, importable from their modules
 INTERNAL = {
-    "companion": ["ab", "companion", "monic_normalized", "power_decomp"],
+    "companion": ["ab", "companion", "power_decomp"],
     "cpoly": ["ComplexPolynomial", "gcd"],
     "quaternion": ["embed_complex", "sphere_directions"],
     "roots": ["RootList", "all_roots", "classify_real", "polish_multiples"],
     "solver": ["DEFAULT_TOLS", "all_roots", "derived", "discriminant", "factor_g",
-               "is_spherical_root", "isolated_zero", "norm_polynomial", "normalize"],
+               "is_spherical_root", "isolated_zero", "norm_polynomial", "normalize",
+               "scaled_rows"],
     "verify": ["VerificationReport", "ZeroSetDiff", "residual"],
 }
 
@@ -48,7 +49,8 @@ REMOVED = {
                "_norm_polynomial", "NonRealDiscriminantError", "NORM_REAL_TOL", "_side_values",
                "InexactDivisionError", "COFACTOR_ZERO_REL", "_last_discriminant"],
     "roots": ["polish_double", "_safe_ratio", "polished_roots", "_newton_refine", "_listed"],
-    "companion": ["CompanionPolynomial", "PowerDecomposition", "NonRealCompanionError"],
+    "companion": ["CompanionPolynomial", "PowerDecomposition", "NonRealCompanionError",
+                  "monic_normalized"],
     "cpoly": ["scaled_values", "gcd_many", "scaled_horner"],
     "cli": ["_fmt", "_quaternion", "_coeff_rows"],
     "verify": ["eval_qpoly", "residual_limit"],
@@ -101,6 +103,8 @@ def test_removed_methods_stay_gone():
     assert "source_degree" not in RootList.__dataclass_fields__
     # Evaluator.branches gives the kernel's points with the values: one branch rule
     assert not hasattr(cpoly.Evaluator, "at")
+    # scaled_rows is the one left scaling in front of the general routes
+    assert not hasattr(quatroots.SimplePolynomial, "left_scaled")
 
 
 def test_complex_polynomial_has_no_ring_api():

@@ -295,28 +295,28 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # (exit code, SHA-256 of stdout) of main([path, "--format", "json"])
 EXAMPLE_DIGESTS = {
-    "cubic_units.json": (0, "6b4081a4ca9a236692cc180bece0a20cd50c0d891d3cc51d2b0bda41197a7555"),
+    "cubic_units.json": (0, "33e971087c08d681b2762bdf158fc0255370674a3f5e75f4652167eec7923457"),
     "degree6_mixed.json": (0, "d193ca5515e9bf63f585d29868d60c09e09d55f01dca71896eebc1855a000060"),
-    "real_cubic.json": (0, "4c9afccac7f3862b756e9de738f639db99935b70f9df83666c178c0fb2e68c1f"),
+    "real_cubic.json": (0, "1b087394c0aa41ddc573258bfee5e7ea9bf3e51b595f97a0ca74dd1ffd623d89"),
 }
 # the first 16 inputs of the cli-compare benchmark pool, seed 1, written as its worker writes them
 BENCH_DIGESTS = [
-    (0, "d1888eabdec8b461c6238053991f980e99624d22cd728504e9ca77641827454a"),
-    (0, "db5556fe87f63648f36ae72c4b5066a99a9897d2b9f9a34fe3ae79792e3de967"),
-    (0, "df73c7e5193eea6b9553ab828b6d6c25f390f22fa8015ea78261c73477984d83"),
-    (0, "1fc2782ae60a0b561be4ff88d9c413104df6a47d0f77dfc5c4b690bd3847e48e"),
-    (0, "96c1121228f0de57949f029ac4922bd60b415b026f40a8174aaadd56693d8aa9"),
-    (0, "33e4b537bece829a340e85838f06c6d01116c5f83cbbb756525e8cc6db6820c5"),
-    (0, "feec203f2d574f5b95d8bfd00a567a71e1f7b8a128cb6a48a6dd52acdcd510de"),
-    (0, "890455776f40433b192ab3ed9dcc0c263a72df3b3294b39aa6607bb28be1f1e2"),
-    (0, "cb7fbeb6a11e015e9e9f8fef2138529645a6cca102d271683c9b33c9c76302b7"),
-    (0, "40d56f04562bc5d5b2d3eedff3b9062e27408648db007da6055834f48d5775b6"),
-    (0, "47c02512f17ef10b8355f64d09491cb344838deabc8f83c7a03f1ff973e9b61a"),
-    (0, "9cb1044f2ef8222ab1d15aa5e45f185d5129b0a935444d79a54e14b6076dfeb0"),
-    (0, "74eff33b8961598c7228e331168920c5565b52e3ad6f82e5fb5072ab121b1641"),
-    (0, "e67a623eb218bac0d2f018c3a355303ce028a1b11c8c7783f2be2ba1e87eb8ed"),
-    (0, "8af39c9ad3f5df4e7bf382de0f166f8eb81152741c2f4ac1b1b4d6a91a284701"),
-    (0, "ce4bc6ca83f5d715add31e3d2afb889e714db05a248005e7a97ece81881ee210"),
+    (0, "95e3cbe6085937caba22e9f35e8310dcfac9995cde3c717abd67368c0f553dfe"),
+    (0, "d36baa4b9dca7edc87678a89b0fff0e80775c4d0cbe38c2f7bee5404274052b7"),
+    (0, "282fe85f61ec39f237ed66154c097595bff3144e993cf70605332b5a78fe0568"),
+    (0, "0bdd07a6c33914f33dab9ab509d12bf2e1cb1e6574343f9660fd23a3f8cfb644"),
+    (0, "44c55e9fce1047c4ee78337abd289903000b8dfec6d861647690d4bf134e646a"),
+    (0, "51ab69280c091b2ceaf0a03bd21c80cc50e6882f6c7ed949aef6f2deb4ca4ad8"),
+    (0, "ad094e503195cd080f979861ab3a22591a0b9279d376e7a407575de86b332b7a"),
+    (0, "2a5a9bb0e443ab3f6a966d59988d98c2ce8570ada4940942a282944dfb4fda6e"),
+    (0, "0ad05ac083fa02a94aba473938877a1631d16f8eedb061b527b2677b1b1098b5"),
+    (0, "6055b6143f150fb5571c807c24fa20a177858caef2195b16e83dd1dc8a8559c0"),
+    (0, "21b599942067d5b86b8c5bfc52e6d5b1b60a0e95eb22f11ffc62936479c3f95d"),
+    (0, "31b587069f9cf6b4af2f3c62f7ae3a62a24bbdde9a70b09ab4ba4520f68f07fc"),
+    (0, "1f465e6c3317164549fd6a04297160e79606c3870ac7a24b2a9c7eb0d6f42ccd"),
+    (0, "582b66e16c67cb302be9b6f01a5865943a1d030da0edbe79a1684cdee9a132fb"),
+    (0, "684ee7338deeca3d858a0210e2be0c84ae658b8e66ab80903818e7b423d62e46"),
+    (0, "93f74caf7c67b09442442babbe07db6d8598f5fae505f98fcfb285c4aee23df4"),
 ]
 # (exit code, SHA-256 of stdout) of main([path, "--algorithm", algorithm, "--format", fmt]) on
 # the examples, in name order, then on the first 16 benchmark inputs.  compare mode builds
@@ -365,46 +365,46 @@ ROUTE_DIGESTS = {
         (0, "df25eed90b60412a078424f96985608a9de6d13ad50f73ae99dd55c9fbd5c44d"),
     ],
     ("jo", "json"): [
-        (0, "3067e32bc10c23ad1ad62ea6cd1707d24e560e958054b91ba45db030d49176eb"),
+        (0, "83258d426bb0be498cdae617fb1b0f49072401c97ba3be742d70c35ae534bf8d"),
         (0, "cdca00c09dd6491a51cd8d8641d3a0de67dfd92dddb100b38938389d5f2a9e1c"),
-        (0, "b75be7315094d32faba4ba288dbafcdad2ce44cd9489badb59ec9e34248e9c93"),
-        (0, "c365f94e92a8b5730b1ef3db6947ead291f837f44fa35f3a80e2f9dafa49f77e"),
-        (0, "c60e7b420e4a5cd3da0850cef804e6f4fbe8b1dd223bc11a7ec63173df2901c9"),
-        (0, "f6c5026bfb07249fb1358b617e2169ed4e74b95a2c43e17d81d5100da165e41f"),
-        (0, "bbd4748c8bed7eaced7c5dab39539ee1ebf07817cb3bd6d5ec5713b32d1a5ad3"),
-        (0, "3bf5025a35f7119bfb20cf800b9b8c1cb3a3c634d96a13d07f4f8af9c0dfb998"),
-        (0, "d5a5fd3f81d47537494b62fe2b3d4a4aa0c26324706c10b07072925a681afb4b"),
-        (0, "da215b923ac3ee8960a16fb5094dc45cfeb0b1b917cd6e40546d798fc6de2a93"),
-        (0, "562f929d9c4c867dbdadd0f0311f0c5e6e60595d1017ad3929ce349908fd50f2"),
-        (0, "860c59b973fe64c713fbca71ee9fd0dea585e1d397a1b1caeae53d902194a4f6"),
-        (0, "67a4f84285a285d5ec341b53d9091947eb9e3f1e540f5863a0dae67aaa11721f"),
-        (0, "c02faac346389246b65b774447b4c9de1fea9b9683041d3a771a34d9d6122601"),
-        (0, "01a4573f1f862fb717a4d6eccb86c6119539bffb5244a5b01d23ac6f4a30af55"),
-        (0, "1b05012e809831b0ad5d014e8d8170a819b3995479bdd9961445fe3e5b30d0a5"),
-        (0, "72760a05d3fd73aae709906b0d02edb4b55e66c42e4f6584c9b5c7025c8bc2c8"),
-        (0, "407a953ac27b3c8499c92a4c88b4a1c370da8b3caddc8973f16af2e945416098"),
-        (0, "1e1fca4a41e4132e2e47d4007642f31196d602a818ebde236ba0c12d52d307fe"),
+        (0, "0f9006ad28f851c7c5e1bd56fbc387d721f3763afed442bf83e318f4d1f8bafe"),
+        (0, "ad52cbb3d995822fbb39d219383c379287b9fbe41609ac380021650690e81b82"),
+        (0, "9de5d371241a521535ed5d3ce1edcd4129ffbeca77215ba974d93e54412df602"),
+        (0, "555f86338d169accd0b217872d1644745ae537e424eec807b1b18fed00820f45"),
+        (0, "c707d3435247f37d74c391029748225d00112d71ec7327c83a29b3630bb04360"),
+        (0, "73c2c9458fc47b7f27cb495e844f70d3889024b786927fbc90f1760f45b49c64"),
+        (0, "93ef8ee8d7a38bb7da6ce55212cf5a15382206cce53260a5dafa8093c56ad21f"),
+        (0, "ba9ef798508c30a7c4b0f217e3b152f8c6f45be2d2f6b2b5a6917020755a6201"),
+        (0, "251cd099edec28b45cdaff965709922d66f6481396f26495df4a56c16ecb997d"),
+        (0, "3023136092a43727db81c1dd8c868b5f6bc8e4e9bfd5f92456f65888325ba549"),
+        (0, "6a0b567b5d6cca48ddf17c2f422abdc50e70d447f4fb28a026b4bb83440f9c66"),
+        (0, "90606e04a95cfb295dc070a25e0ce8087b6c2cbde30ae58c7f09feedf56db510"),
+        (0, "217076bf72e29a43e22a8e51c51b31ee5ffd317329880cae40ec588a90d14210"),
+        (0, "00945fbaaf7d9ab613f52888dbbe749137a0ac6e18e0b6e8026885e3aa46f066"),
+        (0, "03501f87b75a2c2bfd1294887bb9e643ef3b6617635e29fc3b588df3a5e0d114"),
+        (0, "85ee68febbf41aba9e2e74b273b4f55937e7806602a664045b84e068c07555eb"),
+        (0, "d1f223c2cd039e922fd6b7633048216d5f44546197e2e0cfb9ea18725314c3c2"),
     ],
     ("compare", "text"): [
         (0, "362b1d070ae9bd6187ac92074135d8f4202626c45ec278280b58ea2685cb9246"),
         (0, "99617b8875093413c72b234b402aa2e52a2df03cfb096b5566803b18a1bdbae9"),
-        (0, "93465d6781b02e3e8768ec5932de8560d4916e1a13c38844eed90cca555af83f"),
-        (0, "e168e0ec847886e71e2aa58ee8bebcc28702edd4315b6f6aad2c643e9796f229"),
-        (0, "599856b0a361cdc15bd87988a4c355b140cf1e01aa75baa88d5180f03c71a057"),
-        (0, "f5b90ba1a36025928c60492a56a46968f8936026c586a94a5f22990fd239f2f6"),
-        (0, "62133f622c5be4b723a0a78bb61e5dc834c2db1d8b529d8dc4124c6800fae3a9"),
-        (0, "86b396c6664fcadb44a0ee36ba0f468390f7f69f97b504b4320e206dea89748f"),
-        (0, "0d67400e47e13c1f5c9a861e0c38c883f08c9d91f82eb8d3276136c1a0de84c1"),
-        (0, "fbb4229967f268c26cfb7c4879ae41d1a812e0a6f3e2488d5a01c22889a5c253"),
-        (0, "bcd8a2d91860cc15cfef6b7f79609245693528439cd3ccf98a4a6aaf39944b57"),
-        (0, "11cdc862e95cba3f7db4c0301729870b640a3b4bc6888439594d2b9ce8144a4f"),
-        (0, "cd76c1ef2e2a9da25a25e448f67044b6f32d75164523ee79749ba93a54b96c92"),
-        (0, "3a799447e91a3dfd4c07d153d7ae85782abafccb817c93c4fd602e6ca67b9c2b"),
-        (0, "08abe43615a202f6ccb537a048033c64c4c14030e59072c843ec95c907d31505"),
-        (0, "a5ed85cbe3fcc1599fdfb91a1bcf83819a0fd44b75e858ffbd4d2b479598e554"),
-        (0, "d08e0dcccb9829d021211cfeae621ede5d4f8ddb830d2a3f23d1dc0d72d69cbb"),
-        (0, "00a445629c0ed9e016ffde8c405e8d0c7da27eac7e41bcd7983b4d96de1da4ea"),
-        (0, "72622b410183e5bf61528327337199cb969aa3a94b5d9917bfcadf04d410de49"),
+        (0, "da992b923ea0574b64654d63309c1f4252b5ee891a41bc595fcdd8197cd343e5"),
+        (0, "2c9dc2032edc7e71e75fc34ed9c6e92a8bfe2ce51e2bc5bacf493e0992c835d2"),
+        (0, "dd5576f4476f4ad3a4b577f0e18cd9cb10801438ad0c5f400c3fdc988a5a81bc"),
+        (0, "e6c100897e27b7a9ea03e6edb35a6ecf1de6d9ac34a4777d09cafd6b302b9e16"),
+        (0, "6aec3de43dc9c0ebfd70541647c65156b917bfc1eb77512f12c8518b47cb7cc8"),
+        (0, "cbb4c7c4e3ae6b75ca0ba3c4db996c403822802935836e44f66759c18fcd0dbf"),
+        (0, "8c2af7e2d5b0cfd8ae0899b7b2cabd9a272c8920ded2e58ae02c9f013d418097"),
+        (0, "80bc29efa5edd060a08dedad1fbfc8f8c1949452710a08f7cfd4ae8cfc275c8a"),
+        (0, "6c179e8f12f00b224a97d4256cc35f87823edb4133869af22754a4540c06849a"),
+        (0, "237d024cd4149382935039fdd74ebd84641161426fe5ac02b7bc3ec0bdc67300"),
+        (0, "c07d8b781ed768e565b7b8bdebdb7fcb49d1298b5f36855ce89b2633f4245a4a"),
+        (0, "7d66d6a4d30af97373668e9e68f071a68897ef991d7d0b340dfac5a24943c618"),
+        (0, "bd13b55c8df84cdafe6ef4112fec8d60563f5b10e39f59737cef13877e05a2e0"),
+        (0, "7520c2048adb3add6c72ce1d98bdd72e1e043f044caad6b91dfbc813de4b0336"),
+        (0, "d37d5f61045af812d149c6860520519e3be052b9ac3bbba48a0b2d205e43c114"),
+        (0, "c64e93366b822f1d5819e4dd8ce34e93ae9c2dedfcf5c401a6816520608c9619"),
+        (0, "6c738264ec6145c51a6f92bd439fb3c0abebfecb5463ccda82fcf3e6b9f59622"),
     ],
 }
 

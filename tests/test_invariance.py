@@ -7,6 +7,10 @@ coefficients.  For u = (1 + i + j + k)/2 the map is the cyclic permutation
 input the rotated zero set, under compare, with no reference answer.  It moves the
 complex plane the derived pair (f1, f2) is read in, which the factored route's gcd does
 not survive on multiple zeros (ROADMAP item 12).
+
+Left scaling by a power of two fixes the zero set, and every general route first brings the
+rows to one scale by an exact power of two, so it must give the scaled input the same set,
+repr for repr.
 """
 
 import functools
@@ -76,3 +80,28 @@ def test_rotation_by_a_hurwitz_unit(family, index, route):
     p, _ = _inputs(family)[index]
     solve = ROUTES[route]
     assert not compare(solve(rotated(p)), rotated_zeros(solve(p)))
+
+
+@functools.cache
+def _dyadic_inputs():
+    """Two Gaussian inputs at each degree 4, 6, ..., 22, the second with the constant term 0."""
+    rng = np.random.default_rng(16)
+    inputs = [rng.standard_normal((n + 1, 4)) for n in range(4, 24, 2) for _ in range(2)]
+    for rows in inputs[1::2]:
+        rows[0] = 0.0
+    return inputs
+
+
+@functools.cache
+def _dyadic_solved(route: str, index: int) -> str:
+    return repr(ROUTES[route](SimplePolynomial.from_rows(_dyadic_inputs()[index])))
+
+
+# k = -600 is left out: the squared moduli of rows near 1e-181 underflow to 0 in
+# SimplePolynomial's trim, which rejects the input as the zero polynomial (ROADMAP item 7)
+@pytest.mark.parametrize("k", [-500, -1, 1, 500])
+@pytest.mark.parametrize("route", ROUTES)
+def test_left_scaling_by_a_power_of_two(route, k):
+    for index, rows in enumerate(_dyadic_inputs()):
+        scaled = SimplePolynomial.from_rows(np.ldexp(rows, k))
+        assert repr(ROUTES[route](scaled)) == _dyadic_solved(route, index), index

@@ -169,7 +169,7 @@ class TestNormalize:
         p = SimplePolynomial([0, 1, 1])  # x^2 + x
         rows = normalize(p)
         assert rows[0, 0] == 0
-        assert _zeros(rows) == [Quaternion(), ONE, ONE]
+        assert _zeros(rows) == [Quaternion(), Quaternion(0.5), Quaternion(0.5)]  # scaled by 2^-1
 
     def test_real_scaling(self):
         rows = normalize(SimplePolynomial([2, 2]))
@@ -924,17 +924,29 @@ class TestEdgeShapes:
         assert audit(p, zs).passed
 
     @pytest.mark.parametrize("solve", [solve_discriminant, solve_factored, solve_companion])
+    def test_tiny_coefficients_with_a_zero_constant_term(self, solve):
+        # x (1e-160 + 3e-160 x + 2e-160 x^2): with no constant term to divide by, only
+        # scaled_rows keeps D's sums from underflowing (solve_discriminant would raise
+        # NoConvergenceError)
+        p = SimplePolynomial.from_rows([[0, 0, 0, 0], [1e-160, 0, 0, 0], [3e-160, 0, 0, 0],
+                                        [2e-160, 0, 0, 0]])
+        zs = solve(p)
+        assert not zs.isolated_zeros and not zs.spherical and len(zs.real_zeros) == 3
+        assert np.allclose(zs.real_zeros, [-1.0, -0.5, 0.0], rtol=0, atol=1e-15)
+        assert audit(p, zs).passed
+
+    @pytest.mark.parametrize("solve", [solve_discriminant, solve_factored, solve_companion])
     def test_tiny_scale_with_a_zero_constant_term(self, solve, cubic_ijk):
-        # 2^-200 x (i x^3 + j x^2 + k x + 1): normalize keeps the scale, so the closed
-        # forms' dead-denominator check must be relative to the coefficients, not to 1
+        # 2^-200 x (i x^3 + j x^2 + k x + 1): the closed forms' dead-denominator check is
+        # relative to the coefficients, not to 1, whatever scale normalize hands them
         p = SimplePolynomial([0, *(2.0 ** -200 * q for q in cubic_ijk.coeffs)])
         zs = solve(p)
         assert zs.real_zeros == (0.0,) and not zs.spherical
         assert not compare(zs, ZeroSet((0.0,), solve_discriminant(cubic_ijk).isolated_zeros, ()))
         assert audit(p, zs).passed
 
-    # 1.2e154 (x + (1 + 0.25 i) x^2 + x^3): the constant term is 0, so normalize keeps the
-    # scale, and D's coefficients overflow to inf and trim away (ROADMAP item 7)
+    # 1.2e154 (x + (1 + 0.25 i) x^2 + x^3): with no constant term to divide by, only
+    # scaled_rows keeps D's coefficients from overflowing to inf and trimming away
     D_OVERFLOW = SimplePolynomial.from_rows([[0, 0, 0, 0], [1.2e154, 0, 0, 0],
                                              [1.2e154, 3e153, 0, 0], [1.2e154, 0, 0, 0]])
 
@@ -945,8 +957,6 @@ class TestEdgeShapes:
         assert not factored.spherical and not compare(factored, comp)
         assert audit(p, factored).passed and audit(p, comp).passed
 
-    @pytest.mark.xfail(strict=True, raises=ValueError,
-                       reason="D overflows to inf and trims to nothing (ROADMAP item 7)")
     def test_discriminant_route_when_d_overflows(self):
         p = self.D_OVERFLOW
         zs = solve_discriminant(p)
@@ -965,7 +975,7 @@ class TestSolverProperties:
         c = Quaternion(0.3, -1.2, 0.7, 2.0)
         for p in (cubic_ijk, degree6_mixed):
             base = solve_discriminant(p)
-            scaled = solve_discriminant(p.left_scaled(c))
+            scaled = solve_discriminant(SimplePolynomial([c * q for q in p.coeffs]))
             assert not compare(base, scaled, tol=1e-6)
 
     def test_random_inputs_nonempty_with_sound_residuals(self):
